@@ -20,7 +20,7 @@ from .errors import (
     VerificationFailed,
 )
 from .molien import LinearAction, molien_series
-from .perms import Permutation, group_from_generators
+from .perms import PermGroup, Permutation
 from .pipeline import (
     betti_series,
     display_report,
@@ -44,6 +44,13 @@ def _order_arg(text: str) -> int:
     return value
 
 
+def _budget_arg(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"node budget must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agstab",
@@ -59,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cone_analyze.add_argument(
         "--no-declared", action="store_true", help="ignore declared automorphisms and search"
     )
-    cone_analyze.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    cone_analyze.add_argument("--node-budget", type=_budget_arg, default=DEFAULT_NODE_BUDGET)
 
     molien = sub.add_parser("molien", help="Molien series of a permutation group file")
     molien.add_argument("file", help='group JSON file: {"degree": n, "generators": [[images], ...]}')
@@ -119,12 +126,14 @@ def _load_group(path: str):
         generators = [Permutation(images) for images in payload["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed group file: {exc}") from exc
+    if degree < 1:
+        raise InputError(f"group degree must be positive, got {degree}")
     for p in generators:
         if p.degree != degree:
             raise InputError(f"generator {p!r} does not act on {degree} points")
     if not generators:
         generators = [Permutation.identity(degree)]
-    return group_from_generators(generators)
+    return PermGroup.from_generators(generators)
 
 
 def _cmd_cone_analyze(args) -> int:

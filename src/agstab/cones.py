@@ -106,15 +106,12 @@ class ConeSpec:
             name = str(payload["name"])
             ambient = int(payload["ambient"])
             generators = tuple(tuple(int(x) for x in v) for v in payload["generators"])
+            declared = None
+            if "aut_generators" in payload:
+                declared = tuple(Permutation(images) for images in payload["aut_generators"])
+            tags = frozenset(str(t) for t in payload.get("tags", ()))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed cone payload: {exc}") from exc
-        declared = None
-        if "aut_generators" in payload:
-            try:
-                declared = tuple(Permutation(images) for images in payload["aut_generators"])
-            except ValueError as exc:
-                raise InputError(f"malformed cone payload: {exc}") from exc
-        tags = frozenset(str(t) for t in payload.get("tags", ()))
         return cls(name, ambient, generators, declared, tags)
 
 

@@ -1,10 +1,13 @@
 """Molien series of finite linear actions.
 
 For a finite group G acting on Q^r the invariant-dimension generating
-series is (1/|G|) sum_{A in G} 1/det(1 - tA).  The determinant factor
-only depends on the conjugacy class, so the sum runs over class
-representatives weighted by class size.  Permutation actions take the
-fast path det(1 - tA) = prod_j (1 - t^{l_j}) over the cycle lengths.
+series is (1/|G|) sum_{A in G} 1/det(1 - tA).  The sum groups the
+elements by a key that determines det(1 - tA) and evaluates one term
+per key, weighted by the number of elements sharing it.  For a
+permutation action the key is the cycle type, since det(1 - tA) =
+prod_j (1 - t^{l_j}) over the cycle lengths.  For a matrix action on
+Q^n it is the power traces tr(A^k), k = 1..n, which fix the
+characteristic polynomial by Newton's identities.
 """
 
 from __future__ import annotations
@@ -85,6 +88,17 @@ class LinearAction:
             raise KeyError(f"no matrix assigned to {p!r}") from None
 
 
+def _det_key(action: LinearAction, g: Permutation) -> tuple:
+    """Elements with equal keys have equal det(1 - t * rho(g))."""
+    if action.is_permutation_action:
+        return g.cycle_type()
+    traces, power = [], g
+    for _ in range(action.dim):
+        traces.append(action.matrix(power).trace())
+        power = power * g
+    return tuple(traces)
+
+
 def _class_term(action: LinearAction, rep: Permutation, order: int) -> TruncatedSeries:
     """1 / det(1 - t * rho(rep)) truncated at the requested order."""
     if action.is_permutation_action:
@@ -103,15 +117,18 @@ def _validated(series: TruncatedSeries) -> TruncatedSeries:
 
 
 def molien_series(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Class-size weighted Molien sum over conjugacy class representatives."""
+    """Molien sum with one term per det(1 - tA) key, weighted by its count."""
+    by_key: dict[tuple, list[Permutation]] = {}
+    for g in action.group.elements:
+        by_key.setdefault(_det_key(action, g), []).append(g)
     acc = TruncatedSeries.zero(order)
-    for rep, size in action.group.conjugacy_classes():
-        acc = acc + size * _class_term(action, rep, order)
+    for members in by_key.values():
+        acc = acc + len(members) * _class_term(action, members[0], order)
     return _validated(acc / action.group.order)
 
 
 def molien_series_naive(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Element-by-element Molien sum; an oracle for the class-reduced path."""
+    """Element-by-element Molien sum; an oracle for the keyed sum."""
     if action.group.order > NAIVE_CAP:
         raise CapExceeded(
             f"naive Molien sum capped at order {NAIVE_CAP}, group has {action.group.order}"

@@ -2,8 +2,7 @@
 
 Groups here are small (orders up to a few thousand), so full closure
 under composition is both simplest and fully deterministic: elements
-are kept sorted lexicographically by image list, and conjugacy class
-representatives are the least members of their classes.
+are kept sorted lexicographically by image list.
 """
 
 from __future__ import annotations
@@ -110,10 +109,6 @@ class Permutation:
         return list(self.images)
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    return p.cycle_type()
-
-
 def cycle_type_count(n: int, parts: Sequence[int]) -> int:
     """Number of permutations of S_n with the given cycle type.
 
@@ -132,13 +127,12 @@ def cycle_type_count(n: int, parts: Sequence[int]) -> int:
 class PermGroup:
     """A finite permutation group with a fully enumerated element list."""
 
-    __slots__ = ("degree", "generators", "elements", "_classes")
+    __slots__ = ("degree", "generators", "elements")
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...], elements: tuple[Permutation, ...]):
         self.degree = degree
         self.generators = generators
         self.elements = elements
-        self._classes = None
 
     @property
     def order(self) -> int:
@@ -150,7 +144,15 @@ class PermGroup:
 
     @classmethod
     def from_generators(cls, generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> "PermGroup":
-        return group_from_generators(generators, cap)
+        """Breadth-first closure of the generators under composition."""
+        if not generators:
+            raise ValueError("need at least one generator (use Permutation.identity for the trivial group)")
+        degrees = {g.degree for g in generators}
+        if len(degrees) != 1:
+            raise DegreeMismatch(f"generators mix degrees {sorted(degrees)}")
+        degree = degrees.pop()
+        seen = _close(generators, degree, cap)
+        return cls(degree, tuple(generators), tuple(sorted(seen)))
 
     @classmethod
     def from_elements(
@@ -178,23 +180,7 @@ class PermGroup:
         gens = [Permutation.from_cycles(degree, [pts[:2]])]
         if len(pts) > 2:
             gens.append(Permutation.from_cycles(degree, [pts]))
-        return group_from_generators(gens)
-
-    def conjugacy_classes(self) -> list[tuple[Permutation, int]]:
-        """(representative, class size) pairs; reps are lex-least, list sorted by rep."""
-        if self._classes is None:
-            elements = self.elements
-            inverses = {g: g.inverse() for g in elements}
-            remaining = set(elements)
-            classes = []
-            while remaining:
-                x = min(remaining)
-                orbit = {g * x * inverses[g] for g in elements}
-                remaining -= orbit
-                classes.append((min(orbit), len(orbit)))
-            classes.sort(key=lambda pair: pair[0].images)
-            self._classes = classes
-        return list(self._classes)
+        return cls.from_generators(gens)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -229,33 +215,6 @@ def _close(generators: Sequence[Permutation], degree: int, cap: int) -> set[Perm
                     fresh.append(q)
         frontier = fresh
     return seen
-
-
-def group_from_generators(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
-    """Breadth-first closure of the generators under composition."""
-    if not generators:
-        raise ValueError("need at least one generator (use Permutation.identity for the trivial group)")
-    degrees = {g.degree for g in generators}
-    if len(degrees) != 1:
-        raise DegreeMismatch(f"generators mix degrees {sorted(degrees)}")
-    degree = degrees.pop()
-    seen = _close(generators, degree, cap)
-    return PermGroup(degree, tuple(generators), tuple(sorted(seen)))
-
-
-def direct_product(a: PermGroup, b: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
-    """A x B acting on degree(A) + degree(B) points, B's points shifted up."""
-    if a.order * b.order > cap:
-        raise CapExceeded(f"direct product order {a.order * b.order} exceeds cap {cap}")
-    na, nb = a.degree, b.degree
-
-    def combine(p: Permutation, q: Permutation) -> Permutation:
-        return Permutation(tuple(p.images) + tuple(img + na for img in q.images))
-
-    elements = tuple(sorted(combine(p, q) for p in a.elements for q in b.elements))
-    id_a, id_b = Permutation.identity(na), Permutation.identity(nb)
-    gens = tuple(combine(g, id_b) for g in a.generators) + tuple(combine(id_a, g) for g in b.generators)
-    return PermGroup(na + nb, gens, elements)
 
 
 def wreath_product(base: PermGroup, n: int, cap: int = DEFAULT_CAP) -> PermGroup:

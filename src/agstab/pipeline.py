@@ -83,9 +83,6 @@ class Dataset:
     def count_only_records(self) -> tuple[ConeClassRecord, ...]:
         return tuple(r for r in self.records if r.is_count_only)
 
-    def restrict_to_full(self) -> "Dataset":
-        return Dataset(self.family, self.full_records, self.completeness_dim)
-
 
 @dataclass(frozen=True)
 class BettiReport:
@@ -159,14 +156,15 @@ def load_cone_specs(source: str | Path) -> tuple[dict, list[ConeSpec]]:
 def load_dataset(
     source: str | Path,
     order: int = DEFAULT_ORDER,
-    use_declared=True,
+    use_declared: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Dataset:
     """Assemble a dataset from a manifest path or a packaged family name.
 
-    use_declared may be a flag or a predicate on ConeSpec deciding
-    per cone whether a declared automorphism list is trusted (after
-    verification) or ignored in favor of the full search.
+    Each cone file becomes one record from analyze(); with use_declared
+    a cone's declared automorphism generators are verified and closed,
+    otherwise its group comes from the full search.  count_only entries
+    become records without a series.
     """
     payload, specs = load_cone_specs(source)
     try:
@@ -177,8 +175,7 @@ def load_dataset(
         raise InputError(f"malformed dataset manifest: {exc}") from exc
     records = []
     for spec in specs:
-        declared = use_declared(spec) if callable(use_declared) else use_declared
-        result = analyze(spec, order=order, use_declared=declared, node_budget=node_budget)
+        result = analyze(spec, order=order, use_declared=use_declared, node_budget=node_budget)
         records.append(
             ConeClassRecord(spec.name, result.dimension, result.rank, result.poincare)
         )
@@ -263,13 +260,6 @@ def betti_series(
     series = exp_series(arg)
     valid = order if dataset.completeness_dim is None else min(order, dataset.completeness_dim)
     return BettiReport(series=series, valid_up_to=valid, includes_lambda=include_lambda)
-
-
-def perfect_generator_counts(order: int = DEFAULT_ORDER, dataset: Dataset | None = None) -> TruncatedSeries:
-    """Displayed generator-count series of the perfect cone family."""
-    if dataset is None:
-        dataset = load_dataset("perfect", order=order)
-    return display_series(dataset, order)
 
 
 # -- validation ------------------------------------------------------------

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .cones import cone_automorphisms, cone_poincare_series
 from .errors import FixtureMismatch, InputError
 from .pipeline import (
-    ConeClassRecord,
     Dataset,
     betti_series,
     display_series,
@@ -106,17 +105,6 @@ def _coefficient_checks(label: str, expected, series: TruncatedSeries) -> list[S
     return checks
 
 
-def _records_for(names, specs_by_name, order) -> Dataset:
-    from .cones import analyze
-
-    records = []
-    for name in names:
-        spec = specs_by_name[name]
-        result = analyze(spec, order=order)
-        records.append(ConeClassRecord(name, result.dimension, result.rank, result.poincare))
-    return Dataset("custom", tuple(records))
-
-
 def _suite_matroidal16() -> SuiteReport:
     dataset = load_dataset("matroidal", order=8)
     report = betti_series(dataset, order=8)
@@ -126,9 +114,7 @@ def _suite_matroidal16() -> SuiteReport:
 
 
 def _suite_perfect16() -> SuiteReport:
-    dataset = load_dataset(
-        "perfect", order=8, use_declared=lambda spec: "matroidal" in spec.tags
-    )
+    dataset = load_dataset("perfect", order=8, use_declared=False)
     report = betti_series(dataset, order=8)
     return SuiteReport(
         "perfect16", tuple(_coefficient_checks("betti", BETTI_PERFECT, report.series))
@@ -137,19 +123,18 @@ def _suite_perfect16() -> SuiteReport:
 
 def _suite_section6() -> SuiteReport:
     order = 20
-    _, mat_specs = load_cone_specs("matroidal")
-    by_name = {s.name: s for s in mat_specs}
+    matroidal = load_dataset("matroidal", order=order)
+    by_name = {r.name: r for r in matroidal.records}
     checks = []
 
-    standard = _records_for(["sigma_1"], by_name, order)
+    standard = Dataset("standard", (by_name["sigma_1"],))
     checks += _coefficient_checks(
         "standard", tuple(1 for _ in range(order + 1)), display_series(standard, order)
     )
-    two_cone = _records_for(["sigma_1", "K_3"], by_name, order)
+    two_cone = Dataset("sigma1+K_3", (by_name["sigma_1"], by_name["K_3"]))
     checks += _coefficient_checks(
         "sigma1+K_3", DISPLAY_SIGMA1_K3, display_series(two_cone, order)
     )
-    matroidal = load_dataset("matroidal", order=order)
     checks += _coefficient_checks(
         "matroidal display", DISPLAY_MATROIDAL, display_series(matroidal, order)
     )

@@ -251,8 +251,10 @@ class TruncatedSeries:
         try:
             order = int(payload["order"])
             coeffs = [Fraction(str(c)) for c in payload["coefficients"]]
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise InputError(f"malformed series payload: {exc}") from exc
+        if order < 0:
+            raise InputError(f"series payload order must be non-negative, got {order}")
         if len(coeffs) != order + 1:
             raise InputError(
                 f"series payload claims order {order} but carries {len(coeffs)} coefficients"
@@ -391,12 +393,3 @@ def det_one_minus_tA(matrix: RationalMatrix) -> TruncatedSeries:
     # char poly x^r + coeffs[1] x^{r-1} + ... + coeffs[r]; reversal gives
     # det(1 - tA) = 1 + coeffs[1] t + ... + coeffs[r] t^r.
     return TruncatedSeries(coeffs)
-
-
-def cycle_type_denominator(cycle_lengths: Sequence[int], order: int) -> TruncatedSeries:
-    """prod_j (1 - t^{l_j}) for a permutation's cycle lengths, as a series."""
-    acc = TruncatedSeries.one(order)
-    for length in cycle_lengths:
-        factor = TruncatedSeries([1] + [0] * (length - 1) + [-1], order)
-        acc = acc * factor
-    return acc

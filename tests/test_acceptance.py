@@ -67,7 +67,7 @@ def test_criterion_5_property_suite(announce):
     t0 = time.time()
     ok = True
 
-    # class reduction equals the elementwise average on every corpus group
+    # the keyed Molien sum equals the elementwise average on every corpus group
     # of order at most 1000
     _, mat_specs = load_cone_specs("matroidal")
     _, perf_specs = load_cone_specs("perfect")
@@ -114,7 +114,7 @@ def test_criterion_5_property_suite(announce):
         2, cone_poincare_series(a, ga, 12))
 
     secs = time.time() - t0
-    announce("5: property suite (class reduction, wreath, Exp, direct sums), < 120 s",
+    announce("5: property suite (keyed Molien sum, wreath, Exp, direct sums), < 120 s",
              ok and secs < 120, secs)
 
 

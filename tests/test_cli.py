@@ -1,9 +1,16 @@
 """Command line behavior: outputs and exit codes."""
 
+import contextlib
 import io
 import json
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agstab.cli import main
 from agstab.cones import cyclic_cone
@@ -159,3 +166,89 @@ def test_order_zero_gives_constant_row(capsys):
                        "--format", "csv")
     assert code == 0
     assert out.strip().splitlines() == ["k,coefficient,valid", "0,1,true"]
+
+
+@pytest.mark.parametrize("argv, filename, payload", [
+    (["molien"], "group.json", {"degree": 0, "generators": []}),
+    (["cone", "analyze"], "cone.json",
+     {"name": "x", "ambient": 1, "generators": [[1]], "aut_generators": [5]}),
+    (["cone", "analyze"], "cone.json",
+     {"name": "x", "ambient": 1, "generators": [[1]], "tags": 5}),
+    (["series", "exp"], None, {"order": 1, "coefficients": ["0", "1/0"]}),
+    (["series", "exp"], None, {"order": -1, "coefficients": []}),
+], ids=["group-degree-0", "cone-aut-int", "cone-tags-int", "series-1/0", "series-order-neg"])
+def test_malformed_input_is_input_error(capsys, monkeypatch, tmp_path, argv, filename, payload):
+    if filename is None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    else:
+        path = tmp_path / filename
+        path.write_text(json.dumps(payload))
+        argv = argv + [str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_non_positive_node_budget_is_input_error(capsys, tmp_path):
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(cyclic_cone(3).to_json_dict()))
+    for budget in ("0", "-1"):
+        with pytest.raises(SystemExit) as info:
+            main(["cone", "analyze", str(path), "--no-declared", "--node-budget", budget])
+        assert info.value.code == 2
+        assert "node budget must be positive" in capsys.readouterr().err
+
+
+# -- fuzzing: malformed JSON never escapes as a traceback ----------------------
+
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.text(max_size=3))
+_images = st.one_of(st.lists(st.integers(0, 4), max_size=4), _junk)
+
+
+def _maybe(valid):
+    return st.one_of(valid, _junk)
+
+
+_cone = st.fixed_dictionaries(
+    {
+        "name": _maybe(st.text(max_size=3)),
+        "ambient": _maybe(st.integers(-1, 3)),
+        "generators": _maybe(st.lists(_maybe(st.lists(st.integers(-2, 2), max_size=4)), max_size=4)),
+    },
+    optional={"aut_generators": _maybe(st.lists(_images, max_size=2)), "tags": _maybe(st.lists(_junk, max_size=2))},
+)
+_group = st.fixed_dictionaries(
+    {"degree": _maybe(st.integers(-1, 4)), "generators": _maybe(st.lists(_images, max_size=3))}
+)
+_coefficient = st.one_of(st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x"]), _junk)
+_series = st.fixed_dictionaries(
+    {"order": _maybe(st.integers(-2, 4)), "coefficients": _maybe(st.lists(_coefficient, max_size=6))}
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["cone", "group", "exp", "plethysm"]),
+    cone=_maybe(_cone),
+    group=_maybe(_group),
+    series=_maybe(_series),
+    order=st.integers(0, 4),
+    degree=st.integers(-1, 3),
+)
+def test_fuzzed_json_exits_with_input_or_budget_code(kind, cone, group, series, order, degree):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        if kind == "cone":
+            path.write_text(json.dumps(cone))
+            argv = ["cone", "analyze", str(path), "--no-declared", "--node-budget", "50"]
+        elif kind == "group":
+            path.write_text(json.dumps(group))
+            argv = ["molien", str(path)]
+        else:
+            argv = ["series", kind] + (["--degree", str(degree)] if kind == "plethysm" else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(sys, "stdin", io.StringIO(json.dumps(series))):
+            code = main(argv + ["--order", str(order)])
+    assert code in (0, 2, 3), err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

@@ -26,6 +26,7 @@ def test_symmetric_groups_give_staircase_products():
 
 
 def test_class_reduction_agrees_with_naive_average():
+    # the sum keyed by cycle type against the element-by-element average
     groups = [
         PermGroup.symmetric(4),
         PermGroup.from_generators([Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)])]),
@@ -37,6 +38,21 @@ def test_class_reduction_agrees_with_naive_average():
     ]
     for g in groups:
         assert molien_series(natural(g), 10) == molien_series_naive(natural(g), 10)
+
+
+def test_keyed_sum_separates_involutions_of_one_cycle_type():
+    # the Klein four-group acting on Q^1 through the character with kernel
+    # {e, (12)(34)}: its three involutions share cycle type (2, 2) but
+    # (13)(24) and (14)(23) act by -1, so det(1 - tA) tells them apart
+    kernel = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    g = PermGroup.from_generators([kernel, Permutation.from_cycles(4, [(1, 3), (2, 4)])])
+    assert g.order == 4
+    assert len({p.cycle_type() for p in g.elements if not p.is_identity()}) == 1
+    plus, minus = RationalMatrix.identity(1), RationalMatrix(((Fraction(-1),),))
+    mats = {p: (plus if p.is_identity() or p == kernel else minus) for p in g.elements}
+    action = LinearAction.from_matrices(g, mats)
+    assert molien_series(action, 10) == molien_series_naive(action, 10)
+    assert molien_series(action, 10) == product_form({2: 1}, 10)
 
 
 def test_five_point_dihedral_closed_form():

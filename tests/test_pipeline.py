@@ -13,9 +13,9 @@ from agstab.pipeline import (
     generator_series,
     lambda_series,
     load_dataset,
-    perfect_generator_counts,
     validate_smallness,
 )
+from agstab.reference import DISPLAY_PERFECT
 from agstab.series import TruncatedSeries, product_form
 
 # frozen rows used across the suite
@@ -97,7 +97,7 @@ def test_monotonicity_under_added_records(matroidal_dataset):
 
 def test_generator_series_counts_count_only_records(matroidal_dataset):
     full = generator_series(matroidal_dataset, 8)
-    bare = generator_series(matroidal_dataset.restrict_to_full(), 8)
+    bare = generator_series(matroidal_dataset, 8, include_count_only=False)
     diff = full - bare
     # fifteen dimension-8 classes enter at t^8 only
     assert diff.integer_coefficients() == [0] * 8 + [15]
@@ -113,14 +113,15 @@ def test_valid_up_to_capping(matroidal_dataset):
 def test_display_report_caps_below_completeness_with_count_only(matroidal_dataset):
     rep = display_report(matroidal_dataset, 12)
     assert rep.valid_up_to == 7
-    bare = matroidal_dataset.restrict_to_full()
+    bare = Dataset("bare", matroidal_dataset.full_records, matroidal_dataset.completeness_dim)
     assert display_report(bare, 12).valid_up_to == 8
 
 
 def test_perfect_generator_counts_matches_packaged_display(perfect_dataset):
-    series = perfect_generator_counts(20, perfect_dataset)
-    assert series == display_series(perfect_dataset, 20)
-    assert series.integer_coefficients()[:9] == [1, 1, 1, 2, 3, 7, 16, 42, 83]
+    series = display_series(perfect_dataset, 20)
+    assert series == TruncatedSeries.one(20) + generator_series(
+        perfect_dataset, 20, include_count_only=False)
+    assert tuple(series.integer_coefficients()) == DISPLAY_PERFECT
 
 
 def test_generator_series_needs_enough_resolution():
@@ -147,7 +148,7 @@ def test_count_only_records():
     assert r.is_count_only
     ds = Dataset("f", (r,), 8)
     assert ds.count_only_records == (r,)
-    assert ds.restrict_to_full().records == ()
+    assert ds.full_records == ()
 
 
 def test_dataset_validation():

@@ -1,5 +1,6 @@
 """Truncated series arithmetic against brute-force oracles."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agstab.errors import InputError, NonIntegralCoefficient, ZeroConstantTerm
+from agstab.perms import Permutation
 from agstab.series import (
     RationalMatrix,
     TruncatedSeries,
-    cycle_type_denominator,
     det_one_minus_tA,
     expand_rational_form,
     product_form,
@@ -145,11 +146,14 @@ def test_det_one_minus_tA_matches_cofactor_expansion(rows):
     assert got.coefficients == tuple(expect[: order + 1])
 
 
-def test_cycle_type_denominator_equals_matrix_path():
-    # permutation with cycles of length 3, 2, 1 on 6 points
-    images = (2, 3, 1, 5, 4, 6)
-    m = RationalMatrix.permutation(images)
-    assert cycle_type_denominator((3, 2, 1), 10) == det_one_minus_tA(m).as_order(10)
+def test_cycle_type_determines_det_one_minus_tA():
+    # the identity behind keying permutation actions by cycle type:
+    # det(1 - tA) = prod_j (1 - t^{l_j}) over the cycle lengths l_j
+    for images in itertools.permutations(range(1, 6)):
+        expect = TruncatedSeries.one(5)
+        for length in Permutation(images).cycle_type():
+            expect = expect * TruncatedSeries([1] + [0] * (length - 1) + [-1], 5)
+        assert det_one_minus_tA(RationalMatrix.permutation(images)).as_order(5) == expect
 
 
 def test_json_round_trip():
