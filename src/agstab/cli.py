@@ -18,6 +18,9 @@ from .errors import (
     InputError,
     SearchBudgetExceeded,
     VerificationFailed,
+    json_int,
+    json_int_list,
+    json_list,
 )
 from .molien import LinearAction, molien_series
 from .perms import PermGroup, Permutation
@@ -122,8 +125,11 @@ def _load_group(path: str):
     except json.JSONDecodeError as exc:
         raise InputError(f"group file {path} is not valid JSON: {exc}") from exc
     try:
-        degree = int(payload["degree"])
-        generators = [Permutation(images) for images in payload["generators"]]
+        degree = json_int(payload["degree"], "degree")
+        generators = [
+            Permutation(json_int_list(images, "a generator"))
+            for images in json_list(payload["generators"], "generators")
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed group file: {exc}") from exc
     if degree < 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import gcd
 from pathlib import Path
 
 from .errors import (
@@ -18,6 +19,9 @@ from .errors import (
     InputError,
     SearchBudgetExceeded,
     VerificationFailed,
+    json_int,
+    json_int_list,
+    json_list,
 )
 from .intlinalg import (
     adjugate_int,
@@ -39,8 +43,6 @@ _CIRCUIT_SCAN_LIMIT = 12
 
 
 def _primitive_signature(vector: tuple[int, ...]) -> tuple[int, ...]:
-    from math import gcd
-
     g = 0
     for x in vector:
         g = gcd(g, abs(x))
@@ -104,11 +106,16 @@ class ConeSpec:
     def from_json_dict(cls, payload: dict) -> "ConeSpec":
         try:
             name = str(payload["name"])
-            ambient = int(payload["ambient"])
-            generators = tuple(tuple(int(x) for x in v) for v in payload["generators"])
+            ambient = json_int(payload["ambient"], "ambient")
+            generators = tuple(
+                json_int_list(v, "a generator") for v in json_list(payload["generators"], "generators")
+            )
             declared = None
             if "aut_generators" in payload:
-                declared = tuple(Permutation(images) for images in payload["aut_generators"])
+                declared = tuple(
+                    Permutation(json_int_list(images, "an automorphism"))
+                    for images in json_list(payload["aut_generators"], "aut_generators")
+                )
             tags = frozenset(str(t) for t in payload.get("tags", ()))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed cone payload: {exc}") from exc
@@ -134,7 +141,7 @@ def _form_vector(v: tuple[int, ...]) -> tuple[int, ...]:
 
 def cone_dimension(spec: ConeSpec) -> int:
     """Dimension of the span of the forms v_i v_i^T."""
-    return rational_rank([_form_vector(v) for v in spec.generators])
+    return len(_form_basis(spec))
 
 
 def cone_rank(spec: ConeSpec) -> int:
@@ -142,48 +149,102 @@ def cone_rank(spec: ConeSpec) -> int:
     return rational_rank(spec.generators)
 
 
-def _is_lattice_split(vectors, left: list[int], right: list[int]) -> bool:
-    """Whether sat(left) + sat(right) is all of sat(left + right).
-
-    The spans are assumed independent, so the sum is direct; the split
-    is admissible exactly when the stacked saturation bases generate
-    the saturation of the union, i.e. the coordinate matrix of the
-    stacked rows in a basis of the union's saturation is unimodular.
-    """
-    whole = saturation_basis([vectors[i] for i in left] + [vectors[i] for i in right])
-    stacked = saturation_basis([vectors[i] for i in left]) + saturation_basis(
-        [vectors[i] for i in right]
-    )
-    coords = [list(coordinates_in_lattice_basis(whole, row)) for row in stacked]
-    return abs(det_int(coords)) == 1
-
-
 def _split_blocks(vectors, blocks: list[tuple[int, ...]]) -> list[list[int]]:
-    """Finest grouping of span-independent blocks that splits the lattice."""
-    if len(blocks) == 1:
+    """Finest grouping of span-independent blocks that splits the lattice.
+
+    Let L = sat(all vectors) and L_k = sat(block k); the spans of the
+    blocks sum directly, so H = L / (L_1 + .. + L_m) is finite, of order
+    N.  A grouping splits L exactly when the part of every x in L in the
+    span of each group lies in L again, i.e. every h in H, projected onto
+    each group, is again in H.  The block scalings c = (c_k) that keep L
+    inside L form a ring K with N Z^m <= K <= Z^m, and the groupings
+    that split are the partitions whose indicator vectors lie in K.
+    These are closed under common refinement, and the finest one joins
+    blocks k and l exactly when some prime p dividing N divides c_k - c_l
+    for every c in K (the idempotents of K reduced mod p are the
+    indicators of those classes, and they lift).  K mod N is the kernel
+    of a linear map to (Z/N)^(r*r), computed below without any scan.
+    """
+    m = len(blocks)
+    if m == 1:
         return [sorted(blocks[0])]
-    first, others = blocks[0], blocks[1:]
-    for bits in range(1 << len(others)):
-        take = [first] + [b for k, b in enumerate(others) if (bits >> k) & 1]
-        rest = [b for k, b in enumerate(others) if not (bits >> k) & 1]
-        if not rest:
-            continue
-        left = [i for b in take for i in b]
-        right = [i for b in rest for i in b]
-        if _is_lattice_split(vectors, left, right):
-            return _split_blocks(vectors, take) + _split_blocks(vectors, rest)
-    return [sorted(i for b in blocks for i in b)]
+    whole = saturation_basis([vectors[i] for b in blocks for i in b])
+    owner, rows = [], []
+    for k, b in enumerate(blocks):
+        for row in saturation_basis([vectors[i] for i in b]):
+            owner.append(k)
+            rows.append(row)
+    # rows = y . whole and whole = adj_y . rows / det_y
+    y = [coordinates_in_lattice_basis(whole, row) for row in rows]
+    adj_y, det_y = adjugate_int(y)
+    n = abs(det_y)
+    if n == 1:
+        return [sorted(b) for b in blocks]
+    # c is in K when every whole_i, its block parts scaled by c, has
+    # integral coordinates: sum_j c_owner[j] adj_y[i][j] y[j][l] = 0 mod n
+    r = len(rows)
+    kernel = [[int(k == l) for l in range(m)] for k in range(m)]
+    for i in range(r):
+        for l in range(r):
+            coeff = [0] * m
+            for j in range(r):
+                coeff[owner[j]] += adj_y[i][j] * y[j][l]
+            _restrict_to_kernel(kernel, coeff, n)
+    parent = list(range(m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for k in range(m):
+        for l in range(k + 1, m):
+            g = n
+            for c in kernel:
+                g = gcd(g, c[k] - c[l])
+            if g > 1:
+                parent[find(l)] = find(k)
+    groups: dict[int, list[int]] = {}
+    for k, b in enumerate(blocks):
+        groups.setdefault(find(k), []).extend(b)
+    return [sorted(g) for g in groups.values()]
+
+
+def _restrict_to_kernel(gens: list[list[int]], coeff: list[int], n: int) -> None:
+    """Replace generators of a subgroup of (Z/n)^m by generators of its part with coeff . c = 0 mod n.
+
+    Euclid on the values coeff . g, by unimodular changes of the
+    generating set, leaves one generator with a nonzero value v; its
+    multiples in the kernel are those by n / gcd(v, n).
+    """
+    values = [sum(a * b for a, b in zip(g, coeff)) % n for g in gens]
+    while True:
+        live = [j for j, v in enumerate(values) if v]
+        if len(live) <= 1:
+            break
+        low = min(live, key=values.__getitem__)
+        for j in live:
+            if j != low:
+                q = values[j] // values[low]
+                gens[j] = [(a - q * b) % n for a, b in zip(gens[j], gens[low])]
+                values[j] -= q * values[low]
+    for j in live:
+        f = n // gcd(values[j], n)
+        gens[j] = [f * a % n for a in gens[j]]
 
 
 def cone_components(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:
     """Finest direct-sum decomposition of the generator configuration, 1-based.
 
     Matroid components of the vectors give the finest split of the
-    span; blocks are then merged until the corresponding saturated
-    lattices also sum directly.  For unimodular configurations the two
-    notions agree, but configurations of independent vectors spanning
-    a proper-index sublattice (several of the non-matroidal cones) are
-    indecomposable over the integers despite their free matroid.
+    span; blocks are then merged, by the glue group of the blocks'
+    saturations inside the whole saturation (_split_blocks), into the
+    finest grouping whose saturated lattices also sum directly.  For
+    unimodular configurations the two notions agree, but configurations
+    of independent vectors spanning a proper-index sublattice (several of
+    the non-matroidal cones) are indecomposable over the integers despite
+    their free matroid.
     """
     q_comps = matroid_components(spec.generators)
     comps = _split_blocks(spec.generators, q_comps)
@@ -216,19 +277,63 @@ def direct_sum(a: ConeSpec, b: ConeSpec, name: str | None = None) -> ConeSpec:
     return ConeSpec(name or f"{a.name}+{b.name}", a.ambient + b.ambient, gens)
 
 
+def _glue_group(adj: list[list[int]], d: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Elements and generators of the glue group of a lattice basis B.
+
+    With adj the adjugate of the basis matrix U_B (det U_B = +-d), the
+    coordinates of a lattice vector x in B are adj x / det U_B, so the
+    group sat(L)/L_B is the set of numerators adj x mod d: the columns
+    of adj mod d and their sums.  It has d elements.
+    """
+    r = len(adj)
+    elements = {(0,) * r}
+    gens = []
+    for y in range(r):
+        col = tuple(adj[a][y] % d for a in range(r))
+        if col in elements:
+            continue
+        gens.append(col)
+        frontier = list(elements)
+        while frontier:
+            fresh = []
+            for c in frontier:
+                nxt = tuple((x + z) % d for x, z in zip(c, col))
+                if nxt not in elements:
+                    elements.add(nxt)
+                    fresh.append(nxt)
+            frontier = fresh
+    return sorted(elements), gens
+
+
 class _AutSearch:
     """Backtracking search for the realizable generator permutations.
 
     Working in coordinates of the saturated lattice, every generator
-    becomes an integer vector u_i in Z^r with the lattice equal to Z^r,
-    so realizability of (pi, signs) is integrality plus det +-1 of the
-    matrix T determined on a fixed maximal independent subset B.
+    becomes an integer vector u_i in Z^r with the lattice equal to Z^r.
+    A fixed maximal independent subset B spans a sublattice L_B of index
+    d = |det U_B|, and the glue group C = Z^r / L_B is kept as the
+    numerators c (mod d) of the coordinates in B of the lattice vectors.
+    Assigning each basis position a a target generator target[a] and a
+    sign e_a fixes T = U_target E U_B^-1, and (pi, signs) is realizable
+    exactly when T is integral with det +-1 and permutes the generators.
+    T is integral exactly when sum_a e_a c_a u_target[a] = 0 mod d for
+    every c in C; det T = +-1 needs |det U_target| = d.
 
-    Any realizable T preserves S = sum_i u_i u_i^T, hence the pairing
-    G(i, j) = u_i^T adj(S) u_j satisfies |G(pi i, pi j)| = |G(i, j)|
-    with sign ratios eps_i eps_j.  That prunes candidate images hard
-    and pins the signs up to one flip per connected component of the
-    nonzero-pairing graph on B.
+    Simplicial cones (s == r, every generator in B) use C alone: a
+    signed permutation of B is realizable exactly when it maps C onto
+    C, and then T is integral with det +-1 automatically.  The search
+    prunes each partial assignment by the sign-free patterns
+    c_a -> min(c_a, d - c_a) of the glue elements, which must occur in C
+    at the target positions, and at a leaf solves for one sign vector
+    that maps the generators of C into C.
+
+    Otherwise any realizable T preserves S = sum_i u_i u_i^T, hence the
+    pairing G(i, j) = u_i^T adj(S) u_j satisfies |G(pi i, pi j)| =
+    |G(i, j)| with sign ratios eps_i eps_j.  That prunes candidate
+    images and pins the signs up to one flip per connected component of
+    the nonzero-pairing graph on B; each leaf tests the determinant
+    once and the glue condition per flip before mapping the generators
+    outside B.
     """
 
     def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -244,8 +349,17 @@ class _AutSearch:
         self.basis = greedy_independent_rows(u)
         ub = [[u[b][x] for b in self.basis] for x in range(r)]
         self.adjU, self.dU = adjugate_int(ub)
-        self.dU_abs = abs(self.dU)
+        self.d = d = abs(self.dU)
+        self.glue, self.glue_gens = _glue_group(self.adjU, d)
+        self.simplicial = s == r
+        self.nodes = self.leaves = 0
 
+        if not self.simplicial:
+            self._pairing()
+
+    def _pairing(self) -> None:
+        """The pairing, its sign components, and the data a leaf needs outside B."""
+        r, s, u = self.r, self.s, self.u
         gram = [[sum(ui[x] * ui[y] for ui in u) for y in range(r)] for x in range(r)]
         adj_gram, _ = adjugate_int(gram)
         tmp = [
@@ -253,27 +367,6 @@ class _AutSearch:
             for ui in u
         ]
         self.pair = [[sum(u[i][x] * tmp[j][x] for x in range(r)) for j in range(s)] for i in range(s)]
-
-        comps = matroid_components(u)
-        comp_of = {}
-        for comp in comps:
-            for i in comp:
-                comp_of[i] = comp
-        if s <= _CIRCUIT_SCAN_LIMIT:
-            circuits = all_circuits(u)
-            circuit_sizes = [
-                tuple(sorted(len(c) for c in circuits if i in c)) for i in range(s)
-            ]
-        else:
-            circuit_sizes = [() for _ in range(s)]
-
-        profiles = []
-        for i in range(s):
-            row = tuple(sorted(abs(self.pair[i][j]) for j in range(s) if j != i))
-            profiles.append((self.pair[i][i], row, circuit_sizes[i], len(comp_of[i])))
-        self.candidates = [
-            [j for j in range(s) if profiles[j] == profiles[i]] for i in range(s)
-        ]
 
         # connected components of the nonzero-pairing graph on basis positions
         parent = list(range(r))
@@ -295,12 +388,51 @@ class _AutSearch:
             groups.setdefault(find(a), []).append(a)
         self.parity_components = sorted(groups.values())
 
-        self.assign_order = sorted(range(r), key=lambda a: len(self.candidates[self.basis[a]]))
+        in_basis = set(self.basis)
+        # numerators of each outside generator's coordinates in B
+        self.outside = [
+            (i, tuple(sum(self.adjU[a][x] * u[i][x] for x in range(r)) for a in range(r)))
+            for i in range(s)
+            if i not in in_basis
+        ]
+        # flipping a component on which no outside generator has a coordinate
+        # and every glue generator has c_a = -c_a mod d changes neither the
+        # images nor the integrality of T, so only the others are flipped
+        signed = {a for _, coords in self.outside for a in range(r) if coords[a]}
+        signed |= {a for c in self.glue_gens for a in range(r) if 2 * c[a] % self.d}
+        self.flip_components = [comp for comp in self.parity_components if signed.intersection(comp)]
         self.lookup: dict[tuple[int, ...], int] = {}
         for j, uj in enumerate(u):
             self.lookup[uj] = j
             self.lookup[tuple(-x for x in uj)] = j
-        self._nodes = 0
+        self._target_det: dict[frozenset[int], int] = {}
+
+    def _profiles(self) -> list[tuple]:
+        """Per-generator invariants that every realizable permutation preserves."""
+        r, s, u, d = self.r, self.s, self.u, self.d
+        if self.simplicial:
+            # B is every generator in order, and the pairing is a multiple
+            # of the identity; the glue patterns tell positions apart
+            sign_free = [tuple(min(x, d - x) for x in c) for c in self.glue]
+            self.pattern_columns = [tuple(p[a] for p in sign_free) for a in range(r)]
+            return [tuple(sorted(col)) for col in self.pattern_columns]
+        comps = matroid_components(u)
+        comp_of = {}
+        for comp in comps:
+            for i in comp:
+                comp_of[i] = comp
+        if s <= _CIRCUIT_SCAN_LIMIT:
+            circuits = all_circuits(u)
+            circuit_sizes = [
+                tuple(sorted(len(c) for c in circuits if i in c)) for i in range(s)
+            ]
+        else:
+            circuit_sizes = [() for _ in range(s)]
+        profiles = []
+        for i in range(s):
+            row = tuple(sorted(abs(self.pair[i][j]) for j in range(s) if j != i))
+            profiles.append((self.pair[i][i], row, circuit_sizes[i], len(comp_of[i])))
+        return profiles
 
     # -- leaf handling ----------------------------------------------------
 
@@ -336,102 +468,160 @@ class _AutSearch:
                         return None
         return eps
 
+    def _glue_signs(self, target: list[int], k: int = 0, signs: dict | None = None) -> bool:
+        """Whether signs e exist with c -> (e_a c_a at position target[a]) mapping C into C.
+
+        Checking the generators of C suffices; signs[a] holds the signs
+        fixed by the generators before the k-th.
+        """
+        if k == len(self.glue_gens):
+            return True
+        d, g = self.d, self.glue_gens[k]
+        signs = signs or {}
+        for c in self.glue:
+            fixed = dict(signs)
+            for a, x in enumerate(g):
+                y = c[target[a]]
+                if y == x:
+                    if (x + x) % d == 0:
+                        continue  # either sign works
+                    sign = 1
+                elif y == (d - x) % d:
+                    sign = -1
+                else:
+                    break
+                if fixed.setdefault(a, sign) != sign:
+                    break
+            else:
+                if self._glue_signs(target, k + 1, fixed):
+                    return True
+        return False
+
+    def _glue_integral(self, target: list[int], e: list[int]) -> bool:
+        """Whether T = U_target E U_B^-1 is integral: sum_a e_a c_a u_target[a] = 0 mod d."""
+        d, u, r = self.d, self.u, self.r
+        for c in self.glue_gens:
+            for x in range(r):
+                if sum(e[a] * c[a] * u[target[a]][x] for a in range(r)) % d:
+                    return False
+        return True
+
     def _leaf(self, target: list[int], results: set[tuple[int, ...]]) -> None:
+        """Add the permutations realized with basis position a sent to +-target[a]."""
+        self.leaves += 1
+        basis = self.basis
+        if self.simplicial:
+            if self._glue_signs(target):
+                images = [0] * self.s
+                for a in range(self.r):
+                    images[basis[a]] = target[a] + 1
+                results.add(tuple(images))
+            return
         eps = self._component_signs(target)
         if eps is None:
             return
-        r, s, u = self.r, self.s, self.u
-        basis, adjU, dU, dU_abs = self.basis, self.adjU, self.dU, self.dU_abs
-        comps = self.parity_components
-        for flip_bits in range(1 << (len(comps) - 1)):
+        r, s, u, d = self.r, self.s, self.u, self.d
+        key = frozenset(target)
+        if key not in self._target_det:
+            self._target_det[key] = abs(det_int([[u[j][x] for j in target] for x in range(r)]))
+        if self._target_det[key] != d:
+            return
+        # mod 2 the signs do not matter, so one glue test covers every flip
+        if d == 2 and not self._glue_integral(target, eps):
+            return
+        # -T gives the same permutation as T, so the first component keeps its sign
+        flips = self.flip_components[1:]
+        for flip_bits in range(1 << len(flips)):
             e = list(eps)
-            for ci in range(1, len(comps)):
-                if (flip_bits >> (ci - 1)) & 1:
-                    for a in comps[ci]:
+            for ci, comp in enumerate(flips):
+                if flip_bits >> ci & 1:
+                    for a in comp:
                         e[a] = -e[a]
-            t_num = [[0] * r for _ in range(r)]
-            for a in range(r):
-                ua = u[target[a]]
-                ra = adjU[a]
-                ea = e[a]
-                for x in range(r):
-                    c = ea * ua[x]
-                    if c:
-                        row = t_num[x]
-                        for y in range(r):
-                            row[y] += c * ra[y]
-            ok = True
-            for row in t_num:
-                for v in row:
-                    if v % dU_abs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            t = [[v // dU for v in row] for row in t_num]
-            if abs(det_int(t)) != 1:
-                continue
-            if s == r:
-                # every generator is in the basis, so pi is the assignment
-                images = [0] * s
-                for a in range(r):
-                    images[basis[a]] = target[a] + 1
-                results.add(tuple(images))
+            if d > 2 and not self._glue_integral(target, e):
                 continue
             images = [0] * s
             taken = [False] * s
-            good = True
-            for i in range(s):
-                w = tuple(sum(trow[y] * u[i][y] for y in range(r)) for trow in t)
-                j = self.lookup.get(w)
+            for a in range(r):
+                images[basis[a]] = target[a] + 1
+                taken[target[a]] = True
+            for i, coords in self.outside:
+                # T u_i = sum_a e_a (coords_a / det U_B) u_target[a]
+                w = [0] * r
+                for a in range(r):
+                    k = e[a] * coords[a]
+                    if k:
+                        for x, v in enumerate(u[target[a]]):
+                            w[x] += k * v
+                j = self.lookup.get(tuple(v // self.dU for v in w))
                 if j is None or taken[j]:
-                    good = False
                     break
                 taken[j] = True
                 images[i] = j + 1
-            if good:
+            else:
                 results.add(tuple(images))
 
     # -- search and single-permutation verification ------------------------
 
-    def search(self) -> list[tuple[int, ...]]:
+    def search(self) -> set[tuple[int, ...]]:
+        """Image tuples of every realizable permutation; the identity is always one."""
+        r, s, d = self.r, self.s, self.d
+        profiles = self._profiles()
+        self.candidates = [[j for j in range(s) if profiles[j] == profiles[i]] for i in range(s)]
+        self.assign_order = sorted(range(r), key=lambda a: len(self.candidates[self.basis[a]]))
+        if self.simplicial:
+            # the sorted patterns of C on the first k positions of assign_order;
+            # the targets of those positions must show the same ones
+            self.pattern_base = d // 2 + 1
+            codes, self.wanted_patterns = [0] * len(self.glue), []
+            for a in self.assign_order:
+                codes = [x * self.pattern_base + y for x, y in zip(codes, self.pattern_columns[a])]
+                self.wanted_patterns.append(sorted(codes))
+        self.nodes = self.leaves = 0
         results: set[tuple[int, ...]] = set()
-        r = self.r
-        basis, order, pair = self.basis, self.assign_order, self.pair
-        target = [0] * r
-        used = [False] * self.s
-        self._nodes = 0
+        self._extend(0, [0] * len(self.glue), [0] * self.r, [False] * self.s, results)
+        return results
 
-        def dfs(level: int) -> None:
-            self._nodes += 1
-            if self._nodes > self.node_budget:
-                raise SearchBudgetExceeded(
-                    f"cone {self.spec.name!r}: search exceeded {self.node_budget} nodes"
-                )
-            if level == r:
-                self._leaf(target, results)
-                return
-            a = order[level]
-            i = basis[a]
-            for j in self.candidates[i]:
-                if used[j]:
+    def _extend(self, level: int, codes: list[int], target: list[int], used: list[bool], results: set) -> None:
+        """Try each candidate target for the level-th basis position of assign_order.
+
+        codes holds, per glue element, its sign-free pattern on the
+        targets assigned so far, read as a number in base d // 2 + 1.
+        """
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise SearchBudgetExceeded(
+                self.spec.name, "search", self.node_budget,
+                {"nodes": self.nodes, "leaves": self.leaves},
+            )
+        if level == self.r:
+            self._leaf(target, results)
+            return
+        order, basis = self.assign_order, self.basis
+        a = order[level]
+        i = basis[a]
+        for j in self.candidates[i]:
+            if used[j]:
+                continue
+            nxt = codes
+            if self.simplicial:
+                base = self.pattern_base
+                nxt = [x * base + y for x, y in zip(codes, self.pattern_columns[j])]
+                if sorted(nxt) != self.wanted_patterns[level]:
                     continue
+            else:
+                pair = self.pair
                 ok = True
                 for prev in range(level):
                     c = order[prev]
                     if abs(pair[j][target[c]]) != abs(pair[i][basis[c]]):
                         ok = False
                         break
-                if ok:
-                    target[a] = j
-                    used[j] = True
-                    dfs(level + 1)
-                    used[j] = False
-
-        dfs(0)
-        return sorted(results)
+                if not ok:
+                    continue
+            target[a] = j
+            used[j] = True
+            self._extend(level + 1, nxt, target, used, results)
+            used[j] = False
 
     def verify(self, perm: Permutation) -> bool:
         if perm.degree != self.s:
@@ -464,17 +654,18 @@ def cone_automorphisms(
                     f"cone {spec.name!r}: declared automorphism {p!r} is not realizable"
                 )
         return PermGroup.from_generators(spec.declared_aut, cap=cap)
-    images = ctx.search()
-    perms = [Permutation(im) for im in images]
-    if not perms:
-        perms = [Permutation.identity(spec.n_generators)]
-    return PermGroup.from_elements(spec.n_generators, perms)
+    return PermGroup.from_elements(spec.n_generators, map(Permutation, ctx.search()))
+
+
+def _form_basis(spec: ConeSpec) -> list[int]:
+    """Indices (0-based) of a maximal independent subset of the forms v_i v_i^T."""
+    return greedy_independent_rows([_form_vector(v) for v in spec.generators])
 
 
 def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[tuple]]:
     """(form basis indices 0-based, coordinates of every form in that basis)."""
     forms = [_form_vector(v) for v in spec.generators]
-    basis_idx = greedy_independent_rows(forms)
+    basis_idx = _form_basis(spec)
     basis_rows = [forms[i] for i in basis_idx]
     coords = []
     for f in forms:
@@ -493,10 +684,10 @@ def cone_poincare_series(
     permutation is expressed in a maximal independent subset of the
     forms, which also checks that it induces a well-defined map.
     """
+    if len(_form_basis(spec)) == spec.n_generators:
+        return molien_series(LinearAction.natural(aut), order)
     basis_idx, coords = form_coordinates(spec)
     dim = len(basis_idx)
-    if dim == spec.n_generators:
-        return molien_series(LinearAction.natural(aut), order)
     matrices = {}
     for p in aut.elements:
         cols = [coords[p(b + 1) - 1] for b in basis_idx]
@@ -544,7 +735,7 @@ def analyze(
     rank = cone_rank(spec)
     components = cone_components(spec)
     aut = cone_automorphisms(spec, use_declared=use_declared, node_budget=node_budget)
-    basis_idx, _ = form_coordinates(spec)
+    basis_idx = _form_basis(spec)
     poincare = cone_poincare_series(spec, aut, order)
     return ConeAnalysis(
         dimension=dimension,

@@ -9,6 +9,25 @@ class InputError(AgstabError):
     """Malformed user input (files, JSON payloads, option values)."""
 
 
+def json_int(value, what: str) -> int:
+    """value itself if it is a JSON integer; bools, floats and strings are input errors."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """value itself if it is a JSON list (a tuple also passes); anything else is an input error."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def json_int_list(value, what: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple."""
+    return tuple(json_int(x, f"an entry of {what}") for x in json_list(value, what))
+
+
 class ZeroConstantTerm(AgstabError):
     """Series inversion needs an invertible (nonzero) constant coefficient."""
 
@@ -34,7 +53,16 @@ class PartitionMismatch(AgstabError):
 
 
 class SearchBudgetExceeded(AgstabError):
-    """The automorphism backtracking search exceeded its node budget."""
+    """The automorphism backtracking search exceeded its node budget.
+
+    The message names the cone, the stage and the work counters at the
+    point of failure; they are also kept as attributes.
+    """
+
+    def __init__(self, cone: str, stage: str, budget: int, counters: dict[str, int]):
+        self.cone, self.stage, self.budget, self.counters = cone, stage, budget, dict(counters)
+        done = ", ".join(f"{value} {name}" for name, value in counters.items())
+        super().__init__(f"cone {cone!r}: {stage} exceeded its budget of {budget} nodes ({done})")
 
 
 class VerificationFailed(AgstabError):

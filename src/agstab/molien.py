@@ -118,12 +118,15 @@ def _validated(series: TruncatedSeries) -> TruncatedSeries:
 
 def molien_series(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Molien sum with one term per det(1 - tA) key, weighted by its count."""
-    by_key: dict[tuple, list[Permutation]] = {}
-    for g in action.group.elements:
-        by_key.setdefault(_det_key(action, g), []).append(g)
+    counts: Counter = Counter()
+    representative: dict[tuple, Permutation] = {}
+    for g in action.group:
+        key = _det_key(action, g)
+        counts[key] += 1
+        representative.setdefault(key, g)
     acc = TruncatedSeries.zero(order)
-    for members in by_key.values():
-        acc = acc + len(members) * _class_term(action, members[0], order)
+    for key, count in counts.items():
+        acc = acc + count * _class_term(action, representative[key], order)
     return _validated(acc / action.group.order)
 
 
@@ -134,6 +137,6 @@ def molien_series_naive(action: LinearAction, order: int = DEFAULT_ORDER) -> Tru
             f"naive Molien sum capped at order {NAIVE_CAP}, group has {action.group.order}"
         )
     acc = TruncatedSeries.zero(order)
-    for g in action.group.elements:
+    for g in action.group:
         acc = acc + _class_term(action, g, order)
     return _validated(acc / action.group.order)

@@ -2,15 +2,17 @@
 
 Groups here are small (orders up to a few thousand), so full closure
 under composition is both simplest and fully deterministic: elements
-are kept sorted lexicographically by image list.
+are kept sorted lexicographically by image list.  A group stores its
+elements packed, one machine integer per image, and builds Permutation
+objects only when they are asked for.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from array import array
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, DegreeMismatch, PartitionMismatch
 
@@ -28,6 +30,13 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"images {images} are not a bijection of 1..{n}")
         self.images = images
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a bijection."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
 
     @property
     def degree(self) -> int:
@@ -62,9 +71,6 @@ class Permutation:
         for i, img in enumerate(self.images):
             out[img - 1] = i + 1
         return Permutation(out)
-
-    def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition including fixed points, ordered by least element."""
@@ -125,22 +131,30 @@ def cycle_type_count(n: int, parts: Sequence[int]) -> int:
 
 
 class PermGroup:
-    """A finite permutation group with a fully enumerated element list."""
+    """A finite permutation group with a fully enumerated element list.
 
-    __slots__ = ("degree", "generators", "elements")
+    The sorted image tuples are packed into one array; ``elements`` and
+    iteration rebuild the Permutation objects on demand.
+    """
 
-    def __init__(self, degree: int, generators: tuple[Permutation, ...], elements: tuple[Permutation, ...]):
+    __slots__ = ("degree", "generators", "order", "_packed")
+
+    def __init__(self, degree: int, generators: tuple[Permutation, ...], images: Sequence[tuple[int, ...]]):
+        """images: every element's image tuple, sorted and without repeats."""
         self.degree = degree
         self.generators = generators
-        self.elements = elements
+        self.order = len(images)
+        typecode = "B" if degree < 1 << 8 else "H" if degree < 1 << 16 else "L"
+        self._packed = array(typecode, itertools.chain.from_iterable(images))
+
+    def __iter__(self) -> Iterator[Permutation]:
+        packed, n = self._packed, self.degree
+        for k in range(self.order):
+            yield Permutation._trusted(tuple(packed[k * n : (k + 1) * n]))
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, p: Permutation) -> bool:
-        idx = bisect_left(self.elements, p)
-        return idx < len(self.elements) and self.elements[idx] == p
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(self)
 
     @classmethod
     def from_generators(cls, generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> "PermGroup":
@@ -151,8 +165,8 @@ class PermGroup:
         if len(degrees) != 1:
             raise DegreeMismatch(f"generators mix degrees {sorted(degrees)}")
         degree = degrees.pop()
-        seen = _close(generators, degree, cap)
-        return cls(degree, tuple(generators), tuple(sorted(seen)))
+        seen = _close([g.images for g in generators], degree, cap)
+        return cls(degree, tuple(generators), sorted(seen))
 
     @classmethod
     def from_elements(
@@ -161,15 +175,15 @@ class PermGroup:
         elements: Iterable[Permutation],
         generators: Sequence[Permutation] | None = None,
     ) -> "PermGroup":
-        elems = tuple(sorted(set(elements)))
+        images = sorted({p.images for p in elements})
         if generators is None:
-            generators = _greedy_generators(degree, elems)
-        return cls(degree, tuple(generators), elems)
+            generators = _greedy_generators(degree, images)
+        return cls(degree, tuple(generators), images)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
         e = Permutation.identity(degree)
-        return cls(degree, (e,), (e,))
+        return cls(degree, (e,), (e.images,))
 
     @classmethod
     def symmetric(cls, degree: int, points: Sequence[int] | None = None) -> "PermGroup":
@@ -186,28 +200,31 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def _greedy_generators(degree: int, elements: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
-    """A small generating set extracted from a sorted element list."""
-    identity = Permutation.identity(degree)
-    gens: list[Permutation] = []
-    known = {identity}
-    for p in elements:
+def _greedy_generators(degree: int, images: list[tuple[int, ...]]) -> tuple[Permutation, ...]:
+    """A small generating set extracted from a sorted list of image tuples."""
+    gens: list[tuple[int, ...]] = []
+    known = {tuple(range(1, degree + 1))}
+    for p in images:
         if p in known:
             continue
         gens.append(p)
-        known = _close(gens, degree, cap=len(elements))
-    return tuple(gens) if gens else (identity,)
+        known = _close(gens, degree, cap=len(images))
+    if not gens:
+        return (Permutation.identity(degree),)
+    return tuple(Permutation._trusted(g) for g in gens)
 
 
-def _close(generators: Sequence[Permutation], degree: int, cap: int) -> set[Permutation]:
-    identity = Permutation.identity(degree)
+def _close(generators: Sequence[tuple[int, ...]], degree: int, cap: int) -> set[tuple[int, ...]]:
+    """Every product of the generators' image tuples, the identity included."""
+    lookups = [((0,) + g).__getitem__ for g in generators]
+    identity = tuple(range(1, degree + 1))
     seen = {identity}
     frontier = [identity]
     while frontier:
         fresh = []
         for p in frontier:
-            for g in generators:
-                q = g * p
+            for g in lookups:
+                q = tuple(map(g, p))  # g * p
                 if q not in seen:
                     seen.add(q)
                     if len(seen) > cap:
@@ -242,8 +259,8 @@ def wreath_product(base: PermGroup, n: int, cap: int = DEFAULT_CAP) -> PermGroup
                 base_old = j * d
                 for i in range(d):
                     images[base_old + i] = base_new + gj[i]
-            elements.append(Permutation(images))
-    elements = tuple(sorted(elements))
+            elements.append(tuple(images))
+    elements.sort()
 
     gens: list[Permutation] = []
     for g in base.generators:

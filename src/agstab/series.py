@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, NonIntegralCoefficient, ZeroConstantTerm
+from .errors import InputError, NonIntegralCoefficient, ZeroConstantTerm, json_int, json_list
 
 DEFAULT_ORDER = 32
 
@@ -249,8 +249,8 @@ class TruncatedSeries:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "TruncatedSeries":
         try:
-            order = int(payload["order"])
-            coeffs = [Fraction(str(c)) for c in payload["coefficients"]]
+            order = json_int(payload["order"], "series order")
+            coeffs = [Fraction(str(c)) for c in json_list(payload["coefficients"], "coefficients")]
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise InputError(f"malformed series payload: {exc}") from exc
         if order < 0:

@@ -176,7 +176,24 @@ def test_order_zero_gives_constant_row(capsys):
      {"name": "x", "ambient": 1, "generators": [[1]], "tags": 5}),
     (["series", "exp"], None, {"order": 1, "coefficients": ["0", "1/0"]}),
     (["series", "exp"], None, {"order": -1, "coefficients": []}),
-], ids=["group-degree-0", "cone-aut-int", "cone-tags-int", "series-1/0", "series-order-neg"])
+    # numbers that are not JSON integers, and strings where lists belong
+    (["cone", "analyze"], "cone.json", {"name": "x", "ambient": 1.5, "generators": [[1]]}),
+    (["cone", "analyze"], "cone.json", {"name": "x", "ambient": True, "generators": [[1]]}),
+    (["cone", "analyze"], "cone.json", {"name": "x", "ambient": 2, "generators": [[1, 0.5]]}),
+    (["cone", "analyze"], "cone.json", {"name": "x", "ambient": 2, "generators": [[1, "2"]]}),
+    (["cone", "analyze"], "cone.json", {"name": "x", "ambient": 2, "generators": ["12"]}),
+    (["cone", "analyze"], "cone.json", {"name": "x", "ambient": 1, "generators": "1"}),
+    (["cone", "analyze"], "cone.json",
+     {"name": "x", "ambient": 2, "generators": [[1, 0], [0, 1]], "aut_generators": [[2, 1.0]]}),
+    (["molien"], "group.json", {"degree": "2", "generators": [[2, 1]]}),
+    (["molien"], "group.json", {"degree": 2, "generators": [[2, True]]}),
+    (["molien"], "group.json", {"degree": 2, "generators": ["21"]}),
+    (["series", "exp"], None, {"order": 1, "coefficients": "01"}),
+    (["series", "exp"], None, {"order": 1.5, "coefficients": ["0", "1"]}),
+], ids=["group-degree-0", "cone-aut-int", "cone-tags-int", "series-1/0", "series-order-neg",
+        "cone-ambient-float", "cone-ambient-bool", "cone-entry-float", "cone-entry-str",
+        "cone-vector-str", "cone-generators-str", "cone-aut-float", "group-degree-str",
+        "group-image-bool", "group-images-str", "series-coefficients-str", "series-order-float"])
 def test_malformed_input_is_input_error(capsys, monkeypatch, tmp_path, argv, filename, payload):
     if filename is None:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
@@ -201,19 +218,24 @@ def test_non_positive_node_budget_is_input_error(capsys, tmp_path):
 
 # -- fuzzing: malformed JSON never escapes as a traceback ----------------------
 
-_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.text(max_size=3))
-_images = st.one_of(st.lists(st.integers(0, 4), max_size=4), _junk)
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(-3, 5), st.text(max_size=3)
+)
+# integers, then lists with a non-integer among integers, then anything
+_number = st.one_of(st.integers(-2, 4), st.floats(-2, 4), st.booleans(), st.sampled_from(["1"]))
+_images = st.one_of(st.lists(st.integers(0, 4), max_size=4), st.lists(_number, max_size=4), _junk)
 
 
 def _maybe(valid):
     return st.one_of(valid, _junk)
 
 
+_vector = st.one_of(st.lists(st.integers(-2, 2), max_size=4), st.lists(_number, max_size=4), _junk)
 _cone = st.fixed_dictionaries(
     {
         "name": _maybe(st.text(max_size=3)),
         "ambient": _maybe(st.integers(-1, 3)),
-        "generators": _maybe(st.lists(_maybe(st.lists(st.integers(-2, 2), max_size=4)), max_size=4)),
+        "generators": _maybe(st.lists(_vector, max_size=4)),
     },
     optional={"aut_generators": _maybe(st.lists(_images, max_size=2)), "tags": _maybe(st.lists(_junk, max_size=2))},
 )
@@ -226,12 +248,80 @@ _series = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+# valid payloads with one integer or list swapped for a JSON look-alike
+_valid_cone = st.integers(1, 3).map(lambda n: {
+    "name": "x", "ambient": n, "generators": [[int(i == j) for j in range(n)] for i in range(n)],
+    "aut_generators": [[*range(2, n + 1), 1]],
+})
+_valid_group = st.integers(1, 3).map(lambda n: {"degree": n, "generators": [[*range(2, n + 1), 1]]})
+_valid_series = st.integers(0, 3).map(lambda k: {"order": k, "coefficients": ["0"] + ["1"] * k})
+
+
+def _typed_paths(value, path=()):
+    """Paths to every integer and list of a payload, except names and coefficient entries."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key != "name":
+                yield from _typed_paths(item, path + (key,))
+    elif isinstance(value, list):
+        yield path
+        if path != ("coefficients",):
+            for i, item in enumerate(value):
+                yield from _typed_paths(item, path + (i,))
+    elif type(value) is int:
+        yield path
+
+
+def _look_alike(value):
+    if isinstance(value, list):
+        return st.just("".join(map(str, value)))
+    return st.sampled_from([float(value), str(value)] + ([bool(value)] if value in (0, 1) else []))
+
+
+@st.composite
+def _mistyped(draw, valid):
+    payload = draw(valid)
+    *head, last = draw(st.sampled_from(list(_typed_paths(payload))))
+    holder = payload
+    for key in head:
+        holder = holder[key]
+    holder[last] = draw(_look_alike(holder[last]))
+    return payload
+
+
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+def _int_lists(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(map(_is_int, row)) for row in value
+    )
+
+
+def _ill_typed(kind, cone, group, series) -> bool:
+    """A non-integer where an integer belongs, or a non-list where a list belongs."""
+    if kind == "cone":
+        return isinstance(cone, dict) and not (
+            _is_int(cone["ambient"])
+            and _int_lists(cone["generators"])
+            and _int_lists(cone.get("aut_generators", []))
+        )
+    if kind == "group":
+        return isinstance(group, dict) and not (
+            _is_int(group["degree"]) and _int_lists(group["generators"])
+        )
+    return isinstance(series, dict) and not (
+        _is_int(series["order"]) and isinstance(series["coefficients"], list)
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["cone", "group", "exp", "plethysm"]),
-    cone=_maybe(_cone),
-    group=_maybe(_group),
-    series=_maybe(_series),
+    cone=st.one_of(_maybe(_cone), _mistyped(_valid_cone)),
+    group=st.one_of(_maybe(_group), _mistyped(_valid_group)),
+    series=st.one_of(_maybe(_series), _mistyped(_valid_series)),
     order=st.integers(0, 4),
     degree=st.integers(-1, 3),
 )
@@ -252,3 +342,5 @@ def test_fuzzed_json_exits_with_input_or_budget_code(kind, cone, group, series, 
             code = main(argv + ["--order", str(order)])
     assert code in (0, 2, 3), err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+    if _ill_typed(kind, cone, group, series):
+        assert code == 2, err.getvalue()

@@ -1,11 +1,21 @@
 """Cone invariants, decomposition, and the automorphism search."""
 
+import functools
 import json
+import random
+import time
+from dataclasses import replace
+from fractions import Fraction
+from itertools import chain, permutations, product
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agstab.cones import (
     ConeSpec,
+    _AutSearch,
     analyze,
     cone_automorphisms,
     cone_components,
@@ -18,7 +28,17 @@ from agstab.cones import (
     load_cone,
 )
 from agstab.errors import InconsistentAction, InputError, SearchBudgetExceeded, VerificationFailed
+from agstab.intlinalg import (
+    det_int,
+    greedy_independent_rows,
+    invert_rational,
+    matroid_components,
+    saturation_basis,
+    solve_in_basis,
+)
 from agstab.perms import PermGroup, Permutation
+from agstab.pipeline import load_cone_specs
+from agstab.reference import PERFECT_GROUP_ORDERS
 from agstab.series import expand_rational_form
 from agstab.symfunc import plethysm_h
 
@@ -96,9 +116,38 @@ def test_verification_failure_on_bogus_declared_generator(all_specs):
         cone_automorphisms(bogus)
 
 
+def test_verification_failure_on_simplicial_cone(all_specs):
+    # no choice of signs makes this swap map the glue group of (7,7a) onto itself
+    base = all_specs["(7,7a)"]
+    bogus = replace(base, declared_aut=(Permutation.from_cycles(7, [(1, 2)]),))
+    with pytest.raises(VerificationFailed):
+        cone_automorphisms(bogus)
+
+
 def test_search_budget(all_specs):
     with pytest.raises(SearchBudgetExceeded):
         cone_automorphisms(all_specs["(7,7b)"], use_declared=False, node_budget=10)
+
+
+def test_search_budget_error_says_where_it_stopped(all_specs):
+    with pytest.raises(SearchBudgetExceeded) as info:
+        cone_automorphisms(all_specs["(7,7a)"], use_declared=False, node_budget=10)
+    exc = info.value
+    assert (exc.cone, exc.stage, exc.budget) == ("(7,7a)", "search", 10)
+    assert exc.counters["nodes"] == 11
+    assert 0 <= exc.counters["leaves"] <= 11
+    assert str(exc) == (
+        f"cone '(7,7a)': search exceeded its budget of 10 nodes "
+        f"(11 nodes, {exc.counters['leaves']} leaves)"
+    )
+
+
+def test_glue_group_prunes_the_simplicial_search(all_specs):
+    # the pairing and circuit invariants accept all 7! assignments of
+    # (7,7a), a tree of 13,700 nodes, for a group of order 240
+    ctx = _AutSearch(replace(all_specs["(7,7a)"], declared_aut=None))
+    assert len(ctx.search()) == 240
+    assert ctx.nodes < 1370
 
 
 def test_direct_sum_splits_into_components():
@@ -232,3 +281,203 @@ def test_components_refine_aut_orbits(all_specs):
         for p in group.elements:
             for i in range(1, spec.n_generators + 1):
                 assert comp_of[p(i)] == comp_of[i]
+
+
+# -- invariance of the search and of the lattice split under GL(Z) moves -----
+
+SEARCHED = ("(5,5)", "(6,6)", "(6,7a)", "(6,7d)", "(7,7a)", "(7,7b)", "(7,7c)", "(5,5)+K_3")
+
+
+@functools.cache
+def _packaged() -> dict:
+    specs = {}
+    for family in ("matroidal", "perfect"):
+        specs.update((s.name, s) for s in load_cone_specs(family)[1])
+    return specs
+
+
+def _summands(name: str) -> list[ConeSpec]:
+    return [_packaged()[part] for part in name.split("+")]
+
+
+def _block_sum(parts: list[ConeSpec]) -> list[tuple[int, ...]]:
+    width = sum(p.ambient for p in parts)
+    gens, offset = [], 0
+    for p in parts:
+        gens += [(0,) * offset + v + (0,) * (width - offset - p.ambient) for v in p.generators]
+        offset += p.ambient
+    return gens
+
+
+def _moved(rng: random.Random, generators) -> tuple[ConeSpec, list[int]]:
+    """A random unimodular image, relabelled and sign-flipped; new generator i is old order[i]."""
+    n = len(generators[0])
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        t[i] = [a + c * b for a, b in zip(t[i], t[j])]
+    rng.shuffle(t)
+    order = list(range(len(generators)))
+    rng.shuffle(order)
+    signs = [rng.choice((-1, 1)) for _ in order]
+    gens = tuple(
+        tuple(sign * sum(row[k] * generators[old][k] for k in range(n)) for row in t)
+        for sign, old in zip(signs, order)
+    )
+    return ConeSpec("moved", n, gens), order
+
+
+def _product_images(parts: list[ConeSpec]) -> set[tuple[int, ...]]:
+    """Images of every element of the product of the summands' declared groups."""
+    images = {()}
+    for p in parts:
+        offset = len(next(iter(images)))
+        block = [tuple(offset + x for x in g.images) for g in PermGroup.from_generators(p.declared_aut).elements]
+        images = {left + right for left in images for right in block}
+    return images
+
+
+@pytest.mark.parametrize("name", SEARCHED)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_search_commutes_with_gl_z_moves_relabelling_and_signs(name, seed):
+    parts = _summands(name)
+    spec, order = _moved(random.Random(seed), _block_sum(parts))
+    new_index = {old: new for new, old in enumerate(order)}
+    # p in Aut(original) becomes sigma p sigma^-1 in the new labels
+    expected = {
+        tuple(new_index[p[old] - 1] + 1 for old in order) for p in _product_images(parts)
+    }
+    group = cone_automorphisms(spec, use_declared=False)
+    assert {p.images for p in group.elements} == expected
+    orders = [PERFECT_GROUP_ORDERS.get(p.name, EXPECTED_AUT_ORDER[p.name]) for p in parts]
+    assert group.order == len(expected) == functools.reduce(int.__mul__, orders)
+
+
+def _brute_force_images(spec: ConeSpec) -> set[tuple[int, ...]]:
+    """Permutations realized by a unimodular T, trying every signed image of one basis.
+
+    In coordinates of the saturated lattice, T is fixed by the images of
+    a maximal independent subset; it must be integral with det +-1 and
+    send every generator to plus or minus a generator.
+    """
+    vectors = spec.generators
+    sat = saturation_basis(vectors)
+    r = len(sat)
+    u = [solve_in_basis(sat, v) for v in vectors]
+    basis = greedy_independent_rows(u)
+    inverse = invert_rational([[u[b][x] for b in basis] for x in range(r)])
+    rays = {}
+    for j, uj in enumerate(u):
+        rays[tuple(uj)] = rays[tuple(-x for x in uj)] = j
+    found = set()
+    for target in permutations(range(len(u)), r):
+        for signs in product((1, -1), repeat=r):
+            image = [[signs[a] * u[target[a]][x] for a in range(r)] for x in range(r)]
+            t = [[sum(image[x][a] * inverse[a][y] for a in range(r)) for y in range(r)] for x in range(r)]
+            if any(v.denominator != 1 for row in t for v in row) or abs(det_int(
+                    [[int(v) for v in row] for row in t])) != 1:
+                continue
+            moved = [rays.get(tuple(sum(t[x][y] * ui[y] for y in range(r)) for x in range(r))) for ui in u]
+            if None not in moved and len(set(moved)) == len(u):
+                found.add(tuple(j + 1 for j in moved))
+    return found
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    factors=st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=2, max_size=3),
+    extra=st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_search_matches_brute_force_on_small_lattices(factors, extra, seed):
+    # U = T1 diag(factors) T2 has glue groups such as Z/4 x Z/2 and
+    # Z/6 x Z/6, where the signs of a leaf matter; extra generators are
+    # small combinations of U's columns, for the leaf outside a basis
+    r = len(factors)
+    rng = random.Random(seed)
+    t1 = _moved(rng, [tuple(int(i == j) for j in range(r)) for i in range(r)])[0].generators
+    t2 = _moved(rng, [tuple(int(i == j) for j in range(r)) for i in range(r)])[0].generators
+    cols = [tuple(sum(t1[x][a] * factors[a] * t2[a][y] for a in range(r)) for x in range(r)) for y in range(r)]
+    cols += [tuple(sum(k * c[x] for k, c in zip(coeffs, cols)) for x in range(r)) for coeffs in extra]
+    try:
+        spec = ConeSpec("small", r, tuple(cols))
+    except InputError:
+        return
+    searched = cone_automorphisms(spec, use_declared=False)
+    assert {p.images for p in searched.elements} == _brute_force_images(spec)
+
+
+def _split_oracle(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:
+    """Finest lattice split by brute force over all 2^k groupings of the matroid components.
+
+    A set S of components splits off exactly when the part in span(S) of
+    every vector of the saturated lattice is integral; the finest
+    grouping is the set of atoms, each the intersection of every
+    splitting set containing a component.
+    """
+    vectors = spec.generators
+    blocks = matroid_components(vectors)
+    k = len(blocks)
+    if k == 1:
+        return (tuple(i + 1 for i in blocks[0]),)
+    rows, owner = [], []
+    for b, block in enumerate(blocks):
+        for row in saturation_basis([vectors[i] for i in block]):
+            rows.append(row)
+            owner.append(b)
+    # parts[x][b]: the component in span(block b) of the x-th lattice basis vector
+    parts = []
+    for x in saturation_basis(vectors):
+        coeffs = solve_in_basis(rows, x)
+        split = [[Fraction(0)] * spec.ambient for _ in blocks]
+        for c, row, b in zip(coeffs, rows, owner):
+            split[b] = [a + c * v for a, v in zip(split[b], row)]
+        parts.append(split)
+    den = lcm(*(a.denominator for split in parts for part in split for a in part))
+    # residues mod den of every lattice vector's part, one flat tuple per block
+    residue = [
+        tuple(int(a * den) % den for split in parts for a in split[b]) for b in range(k)
+    ]
+    sums = [(0,) * len(residue[0])]
+    for mask in range(1, 1 << k):
+        low = (mask & -mask).bit_length() - 1
+        sums.append(tuple((a + c) % den for a, c in zip(sums[mask & (mask - 1)], residue[low])))
+    splitting = [mask for mask in range(1, 1 << k) if not any(sums[mask])]
+    atoms = set()
+    for b in range(k):
+        atom = (1 << k) - 1
+        for mask in splitting:
+            if mask >> b & 1:
+                atom &= mask
+        atoms.add(atom)
+    comps = [sorted(chain.from_iterable(blocks[b] for b in range(k) if atom >> b & 1)) for atom in atoms]
+    return tuple(tuple(i + 1 for i in comp) for comp in sorted(comps))
+
+
+SPLIT_POOL = ("(5,5)", "(6,6)", "(7,7a)", "(7,7c)", "(6,7a)", "K_3", "C_4", "sigma_1")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    names=st.lists(st.sampled_from(SPLIT_POOL), min_size=1, max_size=3).filter(
+        lambda names: sum(len(_packaged()[n].generators) for n in names) <= 11
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lattice_split_matches_brute_force(names, seed):
+    spec, _ = _moved(random.Random(seed), _block_sum([_packaged()[n] for n in names]))
+    assert cone_components(spec) == _split_oracle(spec)
+
+
+def test_lattice_split_of_eleven_generators_is_fast():
+    # eleven span-independent generators, two non-unimodular summands
+    spec, order = _moved(random.Random(11), _block_sum(_summands("(5,5)+(6,6)")))
+    start = time.perf_counter()
+    comps = cone_components(spec)
+    assert time.perf_counter() - start < 0.5
+    new_index = {old: new for new, old in enumerate(order)}
+    blocks = [range(5), range(5, 11)]
+    assert comps == tuple(sorted(tuple(sorted(new_index[i] + 1 for i in b)) for b in blocks))
+    assert comps == _split_oracle(spec)

@@ -21,7 +21,7 @@ def test_from_cycles_and_images():
     assert p.images == (2, 3, 1, 5, 4)
     assert p.cycle_type() == (2, 3)
     assert p.inverse().images == (3, 1, 2, 5, 4)
-    assert (p * p.inverse()).is_identity()
+    assert p * p.inverse() == Permutation.identity(5)
 
 
 def test_composition_order():
