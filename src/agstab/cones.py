@@ -31,6 +31,7 @@ from .intlinalg import (
     greedy_independent_rows,
     matroid_components,
     rational_rank,
+    restrict_to_kernel,
     saturation_basis,
     solve_in_basis,
 )
@@ -40,6 +41,8 @@ from .series import DEFAULT_ORDER, RationalMatrix, TruncatedSeries
 
 DEFAULT_NODE_BUDGET = 2_000_000
 _CIRCUIT_SCAN_LIMIT = 12
+# simplicial searches list the glue group only up to this order
+_GLUE_LIST_LIMIT = 64
 
 
 def _primitive_signature(vector: tuple[int, ...]) -> tuple[int, ...]:
@@ -163,7 +166,8 @@ def _split_blocks(vectors, blocks: list[tuple[int, ...]]) -> list[list[int]]:
     blocks k and l exactly when some prime p dividing N divides c_k - c_l
     for every c in K (the idempotents of K reduced mod p are the
     indicators of those classes, and they lift).  K mod N is the kernel
-    of a linear map to (Z/N)^(r*r), computed below without any scan.
+    of a linear map to (Z/N)^(r*r), computed below without any scan
+    (restrict_to_kernel).
     """
     m = len(blocks)
     if m == 1:
@@ -189,7 +193,7 @@ def _split_blocks(vectors, blocks: list[tuple[int, ...]]) -> list[list[int]]:
             coeff = [0] * m
             for j in range(r):
                 coeff[owner[j]] += adj_y[i][j] * y[j][l]
-            _restrict_to_kernel(kernel, coeff, n)
+            restrict_to_kernel(kernel, coeff, n)
     parent = list(range(m))
 
     def find(x):
@@ -209,29 +213,6 @@ def _split_blocks(vectors, blocks: list[tuple[int, ...]]) -> list[list[int]]:
     for k, b in enumerate(blocks):
         groups.setdefault(find(k), []).extend(b)
     return [sorted(g) for g in groups.values()]
-
-
-def _restrict_to_kernel(gens: list[list[int]], coeff: list[int], n: int) -> None:
-    """Replace generators of a subgroup of (Z/n)^m by generators of its part with coeff . c = 0 mod n.
-
-    Euclid on the values coeff . g, by unimodular changes of the
-    generating set, leaves one generator with a nonzero value v; its
-    multiples in the kernel are those by n / gcd(v, n).
-    """
-    values = [sum(a * b for a, b in zip(g, coeff)) % n for g in gens]
-    while True:
-        live = [j for j, v in enumerate(values) if v]
-        if len(live) <= 1:
-            break
-        low = min(live, key=values.__getitem__)
-        for j in live:
-            if j != low:
-                q = values[j] // values[low]
-                gens[j] = [(a - q * b) % n for a, b in zip(gens[j], gens[low])]
-                values[j] -= q * values[low]
-    for j in live:
-        f = n // gcd(values[j], n)
-        gens[j] = [f * a % n for a in gens[j]]
 
 
 def cone_components(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:
@@ -277,32 +258,20 @@ def direct_sum(a: ConeSpec, b: ConeSpec, name: str | None = None) -> ConeSpec:
     return ConeSpec(name or f"{a.name}+{b.name}", a.ambient + b.ambient, gens)
 
 
-def _glue_group(adj: list[list[int]], d: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Elements and generators of the glue group of a lattice basis B.
-
-    With adj the adjugate of the basis matrix U_B (det U_B = +-d), the
-    coordinates of a lattice vector x in B are adj x / det U_B, so the
-    group sat(L)/L_B is the set of numerators adj x mod d: the columns
-    of adj mod d and their sums.  It has d elements.
-    """
-    r = len(adj)
+def _glue_elements(gens: list[tuple[int, ...]], d: int, r: int) -> list[tuple[int, ...]]:
+    """Every element of the subgroup of (Z/d)^r that gens generate, sorted."""
     elements = {(0,) * r}
-    gens = []
-    for y in range(r):
-        col = tuple(adj[a][y] % d for a in range(r))
-        if col in elements:
-            continue
-        gens.append(col)
+    for g in gens:
         frontier = list(elements)
         while frontier:
             fresh = []
             for c in frontier:
-                nxt = tuple((x + z) % d for x, z in zip(c, col))
+                nxt = tuple((x + y) % d for x, y in zip(c, g))
                 if nxt not in elements:
                     elements.add(nxt)
                     fresh.append(nxt)
             frontier = fresh
-    return sorted(elements), gens
+    return sorted(elements)
 
 
 class _AutSearch:
@@ -312,7 +281,9 @@ class _AutSearch:
     becomes an integer vector u_i in Z^r with the lattice equal to Z^r.
     A fixed maximal independent subset B spans a sublattice L_B of index
     d = |det U_B|, and the glue group C = Z^r / L_B is kept as the
-    numerators c (mod d) of the coordinates in B of the lattice vectors.
+    numerators c (mod d) of the coordinates in B of the lattice vectors:
+    with adj the adjugate of U_B, these are adj x mod d, so the columns
+    of adj mod d generate C.
     Assigning each basis position a a target generator target[a] and a
     sign e_a fixes T = U_target E U_B^-1, and (pi, signs) is realizable
     exactly when T is integral with det +-1 and permutes the generators.
@@ -321,11 +292,16 @@ class _AutSearch:
 
     Simplicial cones (s == r, every generator in B) use C alone: a
     signed permutation of B is realizable exactly when it maps C onto
-    C, and then T is integral with det +-1 automatically.  The search
-    prunes each partial assignment by the sign-free patterns
+    C, and then T is integral with det +-1 automatically.  Position a
+    and its target must project C onto subgroups of Z/d of one order.
+    When C has at most _GLUE_LIST_LIMIT elements it is listed: the
+    search prunes each partial assignment by the sign-free patterns
     c_a -> min(c_a, d - c_a) of the glue elements, which must occur in C
-    at the target positions, and at a leaf solves for one sign vector
-    that maps the generators of C into C.
+    at the target positions, and a leaf matches the generators of C
+    against the list to solve for one sign vector.  A larger C (d is
+    unbounded: the generators may be far from primitive) is never
+    listed; a leaf then tries the sign vectors on the generators of C,
+    each try counted as a node of the budget.
 
     Otherwise any realizable T preserves S = sum_i u_i u_i^T, hence the
     pairing G(i, j) = u_i^T adj(S) u_j satisfies |G(pi i, pi j)| =
@@ -350,8 +326,13 @@ class _AutSearch:
         ub = [[u[b][x] for b in self.basis] for x in range(r)]
         self.adjU, self.dU = adjugate_int(ub)
         self.d = d = abs(self.dU)
-        self.glue, self.glue_gens = _glue_group(self.adjU, d)
+        self.glue_gens = sorted({tuple(self.adjU[a][y] % d for a in range(r)) for y in range(r)} - {(0,) * r})
+        # positions whose sign can change whether T is integral
+        self.glue_signed = [a for a in range(r) if any(2 * c[a] % d for c in self.glue_gens)]
         self.simplicial = s == r
+        self.glue = None
+        if self.simplicial and d <= _GLUE_LIST_LIMIT:
+            self.glue = _glue_elements(self.glue_gens, d, r)
         self.nodes = self.leaves = 0
 
         if not self.simplicial:
@@ -399,7 +380,7 @@ class _AutSearch:
         # and every glue generator has c_a = -c_a mod d changes neither the
         # images nor the integrality of T, so only the others are flipped
         signed = {a for _, coords in self.outside for a in range(r) if coords[a]}
-        signed |= {a for c in self.glue_gens for a in range(r) if 2 * c[a] % self.d}
+        signed.update(self.glue_signed)
         self.flip_components = [comp for comp in self.parity_components if signed.intersection(comp)]
         self.lookup: dict[tuple[int, ...], int] = {}
         for j, uj in enumerate(u):
@@ -407,15 +388,13 @@ class _AutSearch:
             self.lookup[tuple(-x for x in uj)] = j
         self._target_det: dict[frozenset[int], int] = {}
 
-    def _profiles(self) -> list[tuple]:
+    def _profiles(self) -> list:
         """Per-generator invariants that every realizable permutation preserves."""
         r, s, u, d = self.r, self.s, self.u, self.d
         if self.simplicial:
             # B is every generator in order, and the pairing is a multiple
-            # of the identity; the glue patterns tell positions apart
-            sign_free = [tuple(min(x, d - x) for x in c) for c in self.glue]
-            self.pattern_columns = [tuple(p[a] for p in sign_free) for a in range(r)]
-            return [tuple(sorted(col)) for col in self.pattern_columns]
+            # of the identity; C projects onto Z/d with index gcd(d, c_a)
+            return [gcd(d, *(c[a] for c in self.glue_gens)) for a in range(r)]
         comps = matroid_components(u)
         comp_of = {}
         for comp in comps:
@@ -471,8 +450,9 @@ class _AutSearch:
     def _glue_signs(self, target: list[int], k: int = 0, signs: dict | None = None) -> bool:
         """Whether signs e exist with c -> (e_a c_a at position target[a]) mapping C into C.
 
-        Checking the generators of C suffices; signs[a] holds the signs
-        fixed by the generators before the k-th.
+        Checking the generators of C suffices; each is matched against
+        the listed elements, and signs[a] holds the signs fixed by the
+        generators before the k-th.
         """
         if k == len(self.glue_gens):
             return True
@@ -497,6 +477,29 @@ class _AutSearch:
                     return True
         return False
 
+    def _flip_signs(self, target: list[int]) -> bool:
+        """_glue_signs without the list of C: try the sign vectors one by one.
+
+        Only the glue_signed positions have a sign that matters, and e
+        and -e give the same answer.  The sums sum_a e_a c_a u_target[a]
+        mod d, over the generators c of C, are kept as one flat list and
+        updated for one flipped sign per try (Gray code order).
+        """
+        d, u = self.d, self.u
+        terms = [[c[a] * x % d for c in self.glue_gens for x in u[target[a]]] for a in range(self.r)]
+        sums = [sum(col) % d for col in zip(*terms)]
+        flips = self.glue_signed[1:]
+        e = [1] * self.r
+        for step in range(1 << len(flips)):
+            self._tick()
+            if step:
+                a = flips[(step & -step).bit_length() - 1]
+                e[a] = -e[a]
+                sums = [(x + 2 * e[a] * y) % d for x, y in zip(sums, terms[a])]
+            if not any(sums):
+                return True
+        return False
+
     def _glue_integral(self, target: list[int], e: list[int]) -> bool:
         """Whether T = U_target E U_B^-1 is integral: sum_a e_a c_a u_target[a] = 0 mod d."""
         d, u, r = self.d, self.u, self.r
@@ -511,7 +514,7 @@ class _AutSearch:
         self.leaves += 1
         basis = self.basis
         if self.simplicial:
-            if self._glue_signs(target):
+            if self._glue_signs(target) if self.glue is not None else self._flip_signs(target):
                 images = [0] * self.s
                 for a in range(self.r):
                     images[basis[a]] = target[a] + 1
@@ -568,9 +571,10 @@ class _AutSearch:
         profiles = self._profiles()
         self.candidates = [[j for j in range(s) if profiles[j] == profiles[i]] for i in range(s)]
         self.assign_order = sorted(range(r), key=lambda a: len(self.candidates[self.basis[a]]))
-        if self.simplicial:
+        if self.glue is not None:
             # the sorted patterns of C on the first k positions of assign_order;
             # the targets of those positions must show the same ones
+            self.pattern_columns = [tuple(min(c[a], d - c[a]) for c in self.glue) for a in range(r)]
             self.pattern_base = d // 2 + 1
             codes, self.wanted_patterns = [0] * len(self.glue), []
             for a in self.assign_order:
@@ -578,8 +582,17 @@ class _AutSearch:
                 self.wanted_patterns.append(sorted(codes))
         self.nodes = self.leaves = 0
         results: set[tuple[int, ...]] = set()
-        self._extend(0, [0] * len(self.glue), [0] * self.r, [False] * self.s, results)
+        self._extend(0, [0] * len(self.glue or ()), [0] * self.r, [False] * self.s, results)
         return results
+
+    def _tick(self) -> None:
+        """Count one node of work against the budget."""
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise SearchBudgetExceeded(
+                self.spec.name, "search", self.node_budget,
+                {"nodes": self.nodes, "leaves": self.leaves},
+            )
 
     def _extend(self, level: int, codes: list[int], target: list[int], used: list[bool], results: set) -> None:
         """Try each candidate target for the level-th basis position of assign_order.
@@ -587,12 +600,7 @@ class _AutSearch:
         codes holds, per glue element, its sign-free pattern on the
         targets assigned so far, read as a number in base d // 2 + 1.
         """
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise SearchBudgetExceeded(
-                self.spec.name, "search", self.node_budget,
-                {"nodes": self.nodes, "leaves": self.leaves},
-            )
+        self._tick()
         if level == self.r:
             self._leaf(target, results)
             return
@@ -603,12 +611,12 @@ class _AutSearch:
             if used[j]:
                 continue
             nxt = codes
-            if self.simplicial:
+            if self.glue is not None:
                 base = self.pattern_base
                 nxt = [x * base + y for x, y in zip(codes, self.pattern_columns[j])]
                 if sorted(nxt) != self.wanted_patterns[level]:
                     continue
-            else:
+            elif not self.simplicial:
                 pair = self.pair
                 ok = True
                 for prev in range(level):
@@ -662,10 +670,14 @@ def _form_basis(spec: ConeSpec) -> list[int]:
     return greedy_independent_rows([_form_vector(v) for v in spec.generators])
 
 
-def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[tuple]]:
-    """(form basis indices 0-based, coordinates of every form in that basis)."""
+def form_coordinates(spec: ConeSpec, basis_idx: list[int] | None = None) -> tuple[list[int], list[tuple]]:
+    """(form basis indices 0-based, coordinates of every form in that basis).
+
+    basis_idx, when given, must be _form_basis(spec).
+    """
     forms = [_form_vector(v) for v in spec.generators]
-    basis_idx = _form_basis(spec)
+    if basis_idx is None:
+        basis_idx = greedy_independent_rows(forms)
     basis_rows = [forms[i] for i in basis_idx]
     coords = []
     for f in forms:
@@ -684,9 +696,10 @@ def cone_poincare_series(
     permutation is expressed in a maximal independent subset of the
     forms, which also checks that it induces a well-defined map.
     """
-    if len(_form_basis(spec)) == spec.n_generators:
+    basis_idx = _form_basis(spec)
+    if len(basis_idx) == spec.n_generators:
         return molien_series(LinearAction.natural(aut), order)
-    basis_idx, coords = form_coordinates(spec)
+    coords = form_coordinates(spec, basis_idx)[1]
     dim = len(basis_idx)
     matrices = {}
     for p in aut.elements:
@@ -731,14 +744,13 @@ def analyze(
     use_declared: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ConeAnalysis:
-    dimension = cone_dimension(spec)
+    basis_idx = _form_basis(spec)
     rank = cone_rank(spec)
     components = cone_components(spec)
     aut = cone_automorphisms(spec, use_declared=use_declared, node_budget=node_budget)
-    basis_idx = _form_basis(spec)
     poincare = cone_poincare_series(spec, aut, order)
     return ConeAnalysis(
-        dimension=dimension,
+        dimension=len(basis_idx),
         rank=rank,
         components=components,
         aut=aut,

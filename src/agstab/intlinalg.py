@@ -2,15 +2,15 @@
 
 Small dense matrices only (dimensions well under 100).  Gaussian
 elimination runs over Fraction; integer determinants use Bareiss'
-fraction-free algorithm; lattice saturation uses a Smith-style
-diagonalization that tracks the inverse of the accumulated column
-operations.
+fraction-free algorithm; lattice saturation works modulo the common
+denominator of the reduced row echelon form, so no entry grows past it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 Vector = tuple[int, ...]
@@ -21,10 +21,16 @@ def rational_rank(rows: Sequence[Sequence]) -> int:
 
 
 def greedy_independent_rows(rows: Sequence[Sequence]) -> list[int]:
-    """Indices of a maximal independent subset, scanning rows in order.
+    """Indices of a maximal independent subset, scanning rows in order."""
+    return _echelon(rows)[0]
 
-    Maintains a reduced echelon basis; a row joins the subset exactly
-    when it does not eliminate to zero against the rows kept so far.
+
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[int], list[list[Fraction]], list[int]]:
+    """(indices kept, echelon rows, their pivot columns), scanning rows in order.
+
+    A row joins exactly when it does not eliminate to zero against the
+    rows kept so far; each kept row has a 1 at its pivot and a 0 at the
+    pivots of the rows kept before it.
     """
     echelon: list[list[Fraction]] = []
     pivots: list[int] = []
@@ -42,7 +48,7 @@ def greedy_independent_rows(rows: Sequence[Sequence]) -> list[int]:
         echelon.append([a / inv for a in vec])
         pivots.append(piv)
         kept.append(idx)
-    return kept
+    return kept, echelon, pivots
 
 
 def solve_in_basis(basis_rows: Sequence[Sequence], target: Sequence) -> tuple[Fraction, ...] | None:
@@ -150,62 +156,76 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]
 def saturation_basis(rows: Sequence[Sequence[int]]) -> list[Vector]:
     """Basis of the saturation of the row lattice inside Z^g.
 
-    Diagonalize A by unimodular row and column operations while
-    tracking W = C^{-1} for the accumulated column matrix C.  Writing
-    A = R^{-1} D W with D = diag(d_1, .., d_r, 0, ..), the rational row
-    space is spanned by the first r rows of W, and since W is
-    unimodular those rows are a basis of the saturated lattice.
+    With R the reduced row echelon form of the rows (r rows, identity on
+    the pivot columns), every vector of the rational row space is c R
+    with c its entries on the pivots, so the saturation is the image of
+    the lattice of c in Z^r with c R integral.  For D the common
+    denominator of R, that lattice is the kernel of c -> c (D R) mod D,
+    and it contains D Z^r; both its generators and its triangular basis
+    are found modulo D.
     """
-    a = [list(map(int, row)) for row in rows]
-    s = len(a)
-    g = len(a[0]) if s else 0
-    w = [[1 if i == j else 0 for j in range(g)] for i in range(g)]
+    _, rref, pivots = _echelon(rows)
+    for i, p in enumerate(pivots):
+        for k, row in enumerate(rref):
+            if k != i and row[p]:
+                f = row[p]
+                rref[k] = [a - f * b for a, b in zip(row, rref[i])]
+    r = len(rref)
+    den = lcm(1, *(x.denominator for row in rref for x in row))
+    scaled = [[int(x * den) for x in row] for row in rref]
+    kernel = [[int(i == j) for j in range(r)] for i in range(r)]
+    for x in range(len(scaled[0]) if r else 0):
+        restrict_to_kernel(kernel, [row[x] for row in scaled], den)
+    return [
+        tuple(sum(ci * row[x] for ci, row in zip(c, scaled)) // den for x in range(len(scaled[0])))
+        for c in _triangular_basis(kernel, den, r)
+    ]
 
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        w[i], w[j] = w[j], w[i]
 
-    def col_addmul(j, i, q):
-        # col_j += q * col_i  mirrored as  w_row_i -= q * w_row_j
-        for row in a:
-            row[j] += q * row[i]
-        w[i] = [x - q * y for x, y in zip(w[i], w[j])]
+def restrict_to_kernel(gens: list[list[int]], coeff: Sequence[int], n: int) -> None:
+    """Replace generators of a subgroup of (Z/n)^m by generators of its part with coeff . c = 0 mod n.
 
-    rank = 0
+    Euclid on the values coeff . g, by unimodular changes of the
+    generating set, leaves one generator with a nonzero value v; its
+    multiples in the kernel are those by n / gcd(v, n).
+    """
+    values = [sum(a * b for a, b in zip(g, coeff)) % n for g in gens]
     while True:
-        pivot = None
-        for i in range(rank, s):
-            for j in range(rank, g):
-                if a[i][j] != 0:
-                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
+        live = [j for j, v in enumerate(values) if v]
+        if len(live) <= 1:
             break
-        pi, pj = pivot
-        a[rank], a[pi] = a[pi], a[rank]
-        if pj != rank:
-            col_swap(rank, pj)
-        while True:
-            dirty = False
-            for i in range(rank + 1, s):
-                if a[i][rank] != 0:
-                    q = a[i][rank] // a[rank][rank]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[rank])]
-                    if a[i][rank] != 0:
-                        a[rank], a[i] = a[i], a[rank]
-                        dirty = True
-            for j in range(rank + 1, g):
-                if a[rank][j] != 0:
-                    q = a[rank][j] // a[rank][rank]
-                    col_addmul(j, rank, -q)
-                    if a[rank][j] != 0:
-                        col_swap(rank, j)
-                        dirty = True
-            if not dirty:
-                break
-        rank += 1
-    return [tuple(w[i]) for i in range(rank)]
+        low = min(live, key=values.__getitem__)
+        for j in live:
+            if j != low:
+                q = values[j] // values[low]
+                gens[j] = [(a - q * b) % n for a, b in zip(gens[j], gens[low])]
+                values[j] -= q * values[low]
+    for j in live:
+        f = n // gcd(values[j], n)
+        gens[j] = [f * a % n for a in gens[j]]
+
+
+def _triangular_basis(gens: list[list[int]], n: int, m: int) -> list[list[int]]:
+    """A triangular basis of the lattice in Z^m spanned by gens and n Z^m.
+
+    Column k is cleared by Euclid among the rows and n e_k; entries right
+    of column k may be taken mod n, since every n e_j joins later.
+    """
+    rows = [list(g) for g in gens]
+    basis = []
+    for k in range(m):
+        rows.append([n * (j == k) for j in range(m)])
+        live = [row for row in rows if row[k]]
+        while len(live) > 1:
+            low = min(live, key=lambda row: abs(row[k]))
+            for row in live:
+                if row is not low:
+                    q = row[k] // low[k]
+                    row[k:] = [row[k] - q * low[k]] + [(a - q * b) % n for a, b in zip(row[k + 1:], low[k + 1:])]
+            live = [row for row in live if row[k]]
+        basis.append(live[0])
+        rows = [row for row in rows if row is not live[0]]
+    return basis
 
 
 def coordinates_in_lattice_basis(basis: Sequence[Vector], vector: Sequence[int]) -> Vector:

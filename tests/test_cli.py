@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -110,6 +111,27 @@ def test_cone_analyze_budget_exit(capsys, tmp_path):
     code, _, err = run(capsys, "cone", "analyze", str(path), "--no-declared",
                        "--node-budget", "5")
     assert code == 3
+
+
+@pytest.mark.parametrize("generators, declared, aut_order", [
+    ([[1000000000]], None, 1),
+    ([[1, 0], [1, 1000000000]], [[2, 1]], 2),
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 999999937]], [[1, 3, 2], [2, 1, 3]], 6),
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 999999937], [0, 1, 1]], None, 2),
+])
+def test_large_index_cone_is_analyzed_promptly(capsys, tmp_path, generators, declared, aut_order):
+    # the generators span a sublattice of index up to 10^9 of its saturation
+    payload = {"name": "big", "ambient": len(generators[0]), "generators": generators}
+    if declared:
+        payload["aut_generators"] = declared
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    for flags in ((), ("--no-declared",)):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "cone", "analyze", str(path), "--order", "4", *flags)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert json.loads(out)["aut_order"] == aut_order
 
 
 def test_cone_analyze_verification_exit(capsys, tmp_path):

@@ -129,6 +129,18 @@ def test_search_budget(all_specs):
         cone_automorphisms(all_specs["(7,7b)"], use_declared=False, node_budget=10)
 
 
+def test_sign_tries_count_against_the_budget(all_specs):
+    # every generator of (7,7b) scaled by 5: no glue list, and up to 64
+    # sign vectors per leaf, each a node
+    base = all_specs["(7,7b)"]
+    spec = ConeSpec("scaled", base.ambient, tuple(tuple(5 * x for x in v) for v in base.generators))
+    ctx = _AutSearch(spec, node_budget=20)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        ctx.search()
+    assert info.value.counters["nodes"] == 21
+    assert info.value.counters["leaves"] >= 1
+
+
 def test_search_budget_error_says_where_it_stopped(all_specs):
     with pytest.raises(SearchBudgetExceeded) as info:
         cone_automorphisms(all_specs["(7,7a)"], use_declared=False, node_budget=10)
@@ -395,18 +407,51 @@ def test_search_matches_brute_force_on_small_lattices(factors, extra, seed):
     # U = T1 diag(factors) T2 has glue groups such as Z/4 x Z/2 and
     # Z/6 x Z/6, where the signs of a leaf matter; extra generators are
     # small combinations of U's columns, for the leaf outside a basis
+    try:
+        spec = _diagonal_lattice(factors, extra, seed)
+    except InputError:
+        return
+    searched = cone_automorphisms(spec, use_declared=False)
+    assert {p.images for p in searched.elements} == _brute_force_images(spec)
+
+
+def _diagonal_lattice(factors: list[int], extra: list[list[int]], seed: int) -> ConeSpec:
+    """The columns of T1 diag(factors) T2 for random unimodular T1, T2, then combinations of them."""
     r = len(factors)
     rng = random.Random(seed)
     t1 = _moved(rng, [tuple(int(i == j) for j in range(r)) for i in range(r)])[0].generators
     t2 = _moved(rng, [tuple(int(i == j) for j in range(r)) for i in range(r)])[0].generators
     cols = [tuple(sum(t1[x][a] * factors[a] * t2[a][y] for a in range(r)) for x in range(r)) for y in range(r)]
     cols += [tuple(sum(k * c[x] for k, c in zip(coeffs, cols)) for x in range(r)) for coeffs in extra]
-    try:
-        spec = ConeSpec("small", r, tuple(cols))
-    except InputError:
-        return
+    return ConeSpec("small", r, tuple(cols))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    factors=st.lists(st.sampled_from((1, 2, 3, 65, 101, 1009)), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unlisted_glue_group_matches_brute_force(factors, seed):
+    # simplicial lattices whose glue group may be too large to list; the
+    # leaf then tries sign vectors against the generators of C alone
+    spec = _diagonal_lattice(factors, [], seed)
     searched = cone_automorphisms(spec, use_declared=False)
     assert {p.images for p in searched.elements} == _brute_force_images(spec)
+
+
+@pytest.mark.parametrize("name", ("(5,5)", "(6,6)", "(7,7a)", "(7,7c)"))
+def test_scaled_cone_keeps_its_group_without_listing_glue(all_specs, name):
+    # scaling every generator by a prime p scales the lattice, so the
+    # group is unchanged while the glue group grows by p^r
+    base = all_specs[name]
+    p = 1_000_000_007
+    spec = ConeSpec("scaled", base.ambient, tuple(tuple(p * x for x in v) for v in base.generators),
+                    base.declared_aut)
+    ctx = _AutSearch(spec)
+    assert ctx.glue is None and ctx.d % p ** len(base.generators) == 0
+    expected = {g.images for g in PermGroup.from_generators(base.declared_aut).elements}
+    assert ctx.search() == expected
+    assert cone_automorphisms(spec).order == len(expected)
 
 
 def _split_oracle(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:

@@ -1,6 +1,8 @@
 """Exact integer linear algebra helpers."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,40 @@ def test_saturation_basis_of_sublattice():
     for v in [(1, 1, 0), (0, 1, 1)]:
         coords = coordinates_in_lattice_basis(basis, v)
         assert all(isinstance(c, int) for c in coords)
+
+
+def _is_saturation_basis(rows, basis):
+    """basis has the rank of rows, spans every row over Z, and its maximal minors have gcd 1."""
+    if len(basis) != rational_rank(rows):
+        return False
+    for row in rows:
+        if any(row) and not all(isinstance(c, int) for c in coordinates_in_lattice_basis(basis, row)):
+            return False
+    g = 0
+    for cols in combinations(range(len(rows[0])), len(basis)):
+        g = gcd(g, det_int([[b[c] for c in cols] for b in basis]))
+    return g == 1
+
+
+def test_saturation_basis_of_large_entries():
+    # row-and-column elimination on these rows grew entries past 10^1000
+    rows = [(4078, -4099, -4021), (-2046, 2060, 2007), (3055, -3069, -3019),
+            (-6124, 6159, 6028), (-1023, 1030, 1005)]
+    basis = saturation_basis(rows)
+    assert _is_saturation_basis(rows, basis)
+    assert max(abs(x) for b in basis for x in b) < 10**20
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 6).flatmap(lambda g: st.lists(
+        st.lists(st.integers(-10**6, 10**6), min_size=g, max_size=g), min_size=1, max_size=6)),
+    relation=st.booleans(),
+)
+def test_saturation_basis_property(rows, relation):
+    if relation and len(rows) > 1:
+        rows[-1] = [a + 3 * b for a, b in zip(rows[0], rows[1])]
+    assert _is_saturation_basis(rows, saturation_basis(rows))
 
 
 def test_coordinates_round_trip():
