@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -25,22 +26,20 @@ from .errors import (
 )
 from .intlinalg import (
     adjugate_int,
-    all_circuits,
     coordinates_in_lattice_basis,
     det_int,
     greedy_independent_rows,
+    independent_rows_and_coordinates,
     matroid_components,
     rational_rank,
     restrict_to_kernel,
     saturation_basis,
-    solve_in_basis,
 )
 from .molien import LinearAction, molien_series
 from .perms import DEFAULT_CAP, PermGroup, Permutation
-from .series import DEFAULT_ORDER, RationalMatrix, TruncatedSeries
+from .series import DEFAULT_ORDER, TruncatedSeries
 
 DEFAULT_NODE_BUDGET = 2_000_000
-_CIRCUIT_SCAN_LIMIT = 12
 # simplicial searches list the glue group only up to this order
 _GLUE_LIST_LIMIT = 64
 
@@ -144,7 +143,7 @@ def _form_vector(v: tuple[int, ...]) -> tuple[int, ...]:
 
 def cone_dimension(spec: ConeSpec) -> int:
     """Dimension of the span of the forms v_i v_i^T."""
-    return len(_form_basis(spec))
+    return len(form_coordinates(spec)[0])
 
 
 def cone_rank(spec: ConeSpec) -> int:
@@ -305,11 +304,15 @@ class _AutSearch:
 
     Otherwise any realizable T preserves S = sum_i u_i u_i^T, hence the
     pairing G(i, j) = u_i^T adj(S) u_j satisfies |G(pi i, pi j)| =
-    |G(i, j)| with sign ratios eps_i eps_j.  That prunes candidate
-    images and pins the signs up to one flip per connected component of
-    the nonzero-pairing graph on B; each leaf tests the determinant
-    once and the glue condition per flip before mapping the generators
-    outside B.
+    |G(i, j)| with sign ratios eps_i eps_j.  A generator's candidate
+    images are those with the same norm G(i, i), the same sorted row
+    |G(i, .)| and a matroid component of the same size; no circuit
+    invariant is computed, since it pruned no candidate of any packaged
+    or generated cone the search was checked on.  The pairing pins the
+    signs up to one flip per connected component of the nonzero-pairing
+    graph on B; each leaf tests the determinant once and the glue
+    condition per flip before mapping the generators outside B, and
+    every flip tried counts as a node of the budget.
     """
 
     def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -390,27 +393,19 @@ class _AutSearch:
 
     def _profiles(self) -> list:
         """Per-generator invariants that every realizable permutation preserves."""
-        r, s, u, d = self.r, self.s, self.u, self.d
+        r, s, d = self.r, self.s, self.d
         if self.simplicial:
             # B is every generator in order, and the pairing is a multiple
             # of the identity; C projects onto Z/d with index gcd(d, c_a)
             return [gcd(d, *(c[a] for c in self.glue_gens)) for a in range(r)]
-        comps = matroid_components(u)
-        comp_of = {}
-        for comp in comps:
+        comp_size = {}
+        for comp in matroid_components(self.u):
             for i in comp:
-                comp_of[i] = comp
-        if s <= _CIRCUIT_SCAN_LIMIT:
-            circuits = all_circuits(u)
-            circuit_sizes = [
-                tuple(sorted(len(c) for c in circuits if i in c)) for i in range(s)
-            ]
-        else:
-            circuit_sizes = [() for _ in range(s)]
+                comp_size[i] = len(comp)
         profiles = []
         for i in range(s):
             row = tuple(sorted(abs(self.pair[i][j]) for j in range(s) if j != i))
-            profiles.append((self.pair[i][i], row, circuit_sizes[i], len(comp_of[i])))
+            profiles.append((self.pair[i][i], row, comp_size[i]))
         return profiles
 
     # -- leaf handling ----------------------------------------------------
@@ -535,6 +530,7 @@ class _AutSearch:
         # -T gives the same permutation as T, so the first component keeps its sign
         flips = self.flip_components[1:]
         for flip_bits in range(1 << len(flips)):
+            self._tick()
             e = list(eps)
             for ci, comp in enumerate(flips):
                 if flip_bits >> ci & 1:
@@ -665,54 +661,35 @@ def cone_automorphisms(
     return PermGroup.from_elements(spec.n_generators, map(Permutation, ctx.search()))
 
 
-def _form_basis(spec: ConeSpec) -> list[int]:
-    """Indices (0-based) of a maximal independent subset of the forms v_i v_i^T."""
-    return greedy_independent_rows([_form_vector(v) for v in spec.generators])
-
-
-def form_coordinates(spec: ConeSpec, basis_idx: list[int] | None = None) -> tuple[list[int], list[tuple]]:
-    """(form basis indices 0-based, coordinates of every form in that basis).
-
-    basis_idx, when given, must be _form_basis(spec).
-    """
-    forms = [_form_vector(v) for v in spec.generators]
-    if basis_idx is None:
-        basis_idx = greedy_independent_rows(forms)
-    basis_rows = [forms[i] for i in basis_idx]
-    coords = []
-    for f in forms:
-        c = solve_in_basis(basis_rows, f)
-        coords.append(c)
-    return basis_idx, coords
+def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[tuple[Fraction, ...]]]:
+    """(form basis indices 0-based, coordinates of every form in that basis), from one elimination."""
+    return independent_rows_and_coordinates([_form_vector(v) for v in spec.generators])
 
 
 def cone_poincare_series(
-    spec: ConeSpec, aut: PermGroup, order: int = DEFAULT_ORDER
+    spec: ConeSpec,
+    aut: PermGroup,
+    order: int = DEFAULT_ORDER,
+    *,
+    coordinates: tuple[list[int], list[tuple[Fraction, ...]]] | None = None,
 ) -> TruncatedSeries:
     """Molien series of the automorphism action on the span of the forms.
 
     When the forms are independent (a basic cone) the action is the
-    permutation action and cycle types suffice; otherwise each
-    permutation is expressed in a maximal independent subset of the
-    forms, which also checks that it induces a well-defined map.
+    permutation action and cycle types suffice.  Otherwise it is the
+    action on the span (LinearAction.on_span): each generator of aut is
+    checked to act linearly on the forms' coordinates in a maximal
+    independent subset of them, and each element is keyed by power
+    traces read from those coordinates, with no matrix built.
+    coordinates, when given, must be form_coordinates(spec).
     """
-    basis_idx = _form_basis(spec)
+    basis_idx, coords = coordinates or form_coordinates(spec)
     if len(basis_idx) == spec.n_generators:
         return molien_series(LinearAction.natural(aut), order)
-    coords = form_coordinates(spec, basis_idx)[1]
-    dim = len(basis_idx)
-    matrices = {}
-    for p in aut.elements:
-        cols = [coords[p(b + 1) - 1] for b in basis_idx]
-        mat = RationalMatrix([[cols[a][x] for a in range(dim)] for x in range(dim)])
-        for i in range(spec.n_generators):
-            image = mat.apply(coords[i])
-            if image != tuple(coords[p(i + 1) - 1]):
-                raise InconsistentAction(
-                    f"cone {spec.name!r}: {p!r} does not act linearly on the form span"
-                )
-        matrices[p] = mat
-    return molien_series(LinearAction.from_matrices(aut, matrices), order)
+    try:
+        return molien_series(LinearAction.on_span(aut, basis_idx, coords), order)
+    except InconsistentAction as exc:
+        raise InconsistentAction(f"cone {spec.name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -744,11 +721,12 @@ def analyze(
     use_declared: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ConeAnalysis:
-    basis_idx = _form_basis(spec)
+    coordinates = form_coordinates(spec)
+    basis_idx = coordinates[0]
     rank = cone_rank(spec)
     components = cone_components(spec)
     aut = cone_automorphisms(spec, use_declared=use_declared, node_budget=node_budget)
-    poincare = cone_poincare_series(spec, aut, order)
+    poincare = cone_poincare_series(spec, aut, order, coordinates=coordinates)
     return ConeAnalysis(
         dimension=len(basis_idx),
         rank=rank,

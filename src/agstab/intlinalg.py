@@ -1,89 +1,75 @@
 """Exact linear algebra over the integers and rationals.
 
-Small dense matrices only (dimensions well under 100).  Gaussian
-elimination runs over Fraction; integer determinants use Bareiss'
-fraction-free algorithm; lattice saturation works modulo the common
-denominator of the reduced row echelon form, so no entry grows past it.
+Small dense matrices only (dimensions well under 100).  Row
+elimination, coordinates, adjugates and determinants use Bareiss'
+fraction-free recurrence, so every intermediate entry is a minor of the
+input; lattice saturation works modulo the common denominator of the
+reduced row echelon form, so no entry grows past it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
 Vector = tuple[int, ...]
 
 
-def rational_rank(rows: Sequence[Sequence]) -> int:
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(greedy_independent_rows(rows))
 
 
-def greedy_independent_rows(rows: Sequence[Sequence]) -> list[int]:
+def greedy_independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
     """Indices of a maximal independent subset, scanning rows in order."""
     return _echelon(rows)[0]
 
 
-def _echelon(rows: Sequence[Sequence]) -> tuple[list[int], list[list[Fraction]], list[int]]:
-    """(indices kept, echelon rows, their pivot columns), scanning rows in order.
+def independent_rows_and_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[Fraction, ...]]]:
+    """(greedy_independent_rows(rows), every row's coordinates in those rows), from one elimination."""
+    kept, _, _, coords = _echelon(rows)
+    return kept, coords
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], list[int], list[tuple[Fraction, ...]]]:
+    """(indices kept, their rows eliminated, pivot columns, coordinates), scanning rows in order.
 
     A row joins exactly when it does not eliminate to zero against the
-    rows kept so far; each kept row has a 1 at its pivot and a 0 at the
-    pivots of the rows kept before it.
+    rows kept so far.  Elimination is Bareiss' fraction-free recurrence
+    on the rows extended by unit vectors, so every entry met is a minor
+    of the input.  An eliminated kept row is 0 at the pivots of the rows
+    kept before it; a row that eliminates to zero has, in its extension,
+    the numerators of its coordinates in the kept rows over the common
+    denominator on its own unit position (Cramer's rule).
     """
-    echelon: list[list[Fraction]] = []
+    if not rows:
+        return [], [], [], []
+    n, width = len(rows), len(rows[0])
+    reduced: list[list[int]] = []
     pivots: list[int] = []
     kept: list[int] = []
+    coords: list[tuple[Fraction, ...] | None] = []
     for idx, row in enumerate(rows):
-        vec = [Fraction(x) for x in row]
-        for basis_row, piv in zip(echelon, pivots):
-            if vec[piv] != 0:
-                factor = vec[piv]
-                vec = [a - factor * b for a, b in zip(vec, basis_row)]
-        piv = next((j for j, a in enumerate(vec) if a != 0), None)
+        vec = list(row) + [0] * n
+        vec[width + idx] = 1
+        prev = 1
+        for e, p in zip(reduced, pivots):
+            d, b = e[p], vec[p]
+            vec = [(d * x - b * y) // prev for x, y in zip(vec, e)]
+            prev = d
+        piv = next((j for j in range(width) if vec[j]), None)
         if piv is None:
+            den = vec[width + idx]
+            coords.append(tuple(Fraction(-vec[width + k], den) for k in kept))
             continue
-        inv = vec[piv]
-        echelon.append([a / inv for a in vec])
+        reduced.append(vec)
         pivots.append(piv)
         kept.append(idx)
-    return kept, echelon, pivots
-
-
-def solve_in_basis(basis_rows: Sequence[Sequence], target: Sequence) -> tuple[Fraction, ...] | None:
-    """Coefficients c with sum_i c_i * basis_rows[i] = target, or None.
-
-    The basis rows must be linearly independent.
-    """
-    m = len(basis_rows)
-    width = len(target)
-    # eliminate on the transposed system [basis^T | target]
-    cols = [[Fraction(basis_rows[i][j]) for i in range(m)] + [Fraction(target[j])] for j in range(width)]
-    pivot_row = 0
-    pivot_cols: list[int] = []
-    for var in range(m):
-        pivot = next((r for r in range(pivot_row, width) if cols[r][var] != 0), None)
-        if pivot is None:
-            continue
-        cols[pivot_row], cols[pivot] = cols[pivot], cols[pivot_row]
-        inv = cols[pivot_row][var]
-        cols[pivot_row] = [a / inv for a in cols[pivot_row]]
-        for r in range(width):
-            if r != pivot_row and cols[r][var] != 0:
-                factor = cols[r][var]
-                cols[r] = [a - factor * b for a, b in zip(cols[r], cols[pivot_row])]
-        pivot_cols.append(var)
-        pivot_row += 1
-    if len(pivot_cols) != m:
-        raise ValueError("basis rows are not linearly independent")
-    for r in range(pivot_row, width):
-        if cols[r][m] != 0:
-            return None
-    out = [Fraction(0)] * m
-    for r, var in enumerate(pivot_cols):
-        out[var] = cols[r][m]
-    return tuple(out)
+        coords.append(None)
+    r = len(kept)
+    unit = {k: tuple(Fraction(int(a == b)) for b in range(r)) for a, k in enumerate(kept)}
+    coords = [unit[i] if c is None else c + (Fraction(0),) * (r - len(c)) for i, c in enumerate(coords)]
+    return kept, [e[:width] for e in reduced], pivots, coords
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
@@ -112,40 +98,22 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def invert_rational(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Matrix inverse over Fraction by Gauss-Jordan elimination."""
-    n = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [a / inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(adjugate, determinant) with matrix * adj = det * I, all integer."""
+    """(adjugate, determinant) with matrix * adj = det * I, all integer.
+
+    The coordinates of the unit vectors in the rows of the matrix are
+    the rows of its inverse (_echelon), and adj = det * inverse.
+    """
     d = det_int(matrix)
     if d == 0:
         raise ZeroDivisionError("adjugate of a singular matrix")
-    inv = invert_rational(matrix)
     n = len(matrix)
-    adj = [[inv[i][j] * d for j in range(n)] for i in range(n)]
+    coords = _echelon(list(matrix) + [[int(i == j) for j in range(n)] for i in range(n)])[3]
     out = []
-    for row in adj:
+    for row in coords[n:]:
         int_row = []
         for x in row:
+            x *= d
             if x.denominator != 1:
                 raise ArithmeticError("adjugate entries must be integers")
             int_row.append(x.numerator)
@@ -164,7 +132,8 @@ def saturation_basis(rows: Sequence[Sequence[int]]) -> list[Vector]:
     and it contains D Z^r; both its generators and its triangular basis
     are found modulo D.
     """
-    _, rref, pivots = _echelon(rows)
+    _, reduced, pivots, _ = _echelon(rows)
+    rref = [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)]
     for i, p in enumerate(pivots):
         for k, row in enumerate(rref):
             if k != i and row[p]:
@@ -230,14 +199,14 @@ def _triangular_basis(gens: list[list[int]], n: int, m: int) -> list[list[int]]:
 
 def coordinates_in_lattice_basis(basis: Sequence[Vector], vector: Sequence[int]) -> Vector:
     """Integer coordinates of a lattice vector in a saturation basis."""
-    coords = solve_in_basis(basis, vector)
-    if coords is None:
-        raise ValueError(f"{vector} is not in the span of the basis")
+    kept, _, _, coords = _echelon(list(basis) + [vector])
+    if kept != list(range(len(basis))):
+        raise ValueError(f"{vector} is not in the span of the independent rows {basis}")
     out = []
-    for c in coords:
+    for c in coords[-1]:
         if c.denominator != 1:
             raise ArithmeticError(
-                f"{vector} has non-integer coordinates {coords} in the lattice basis"
+                f"{vector} has non-integer coordinates {coords[-1]} in the lattice basis"
             )
         out.append(c.numerator)
     return tuple(out)
@@ -267,38 +236,15 @@ def matroid_components(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    basis_idx = greedy_independent_rows(vectors)
-    basis_rows = [vectors[i] for i in basis_idx]
+    basis_idx, coords = independent_rows_and_coordinates(vectors)
     basis_set = set(basis_idx)
     for i in range(n):
-        if i in basis_set:
-            continue
-        coords = solve_in_basis(basis_rows, vectors[i])
-        for pos, c in enumerate(coords):
-            if c != 0:
-                union(i, basis_idx[pos])
+        if i not in basis_set:
+            for pos, c in enumerate(coords[i]):
+                if c != 0:
+                    union(i, basis_idx[pos])
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return sorted(tuple(sorted(v)) for v in groups.values())
 
-
-def all_circuits(vectors: Sequence[Sequence[int]], max_size: int | None = None) -> list[frozenset[int]]:
-    """All circuits (minimal dependent subsets) of a small configuration.
-
-    Subsets are scanned by increasing size; a dependent subset is a
-    circuit exactly when it contains no previously found circuit.
-    Only intended for configurations with at most a dozen vectors.
-    """
-    n = len(vectors)
-    rank_total = rational_rank(vectors)
-    limit = min(max_size if max_size is not None else n, rank_total + 1)
-    circuits: list[frozenset[int]] = []
-    for size in range(1, limit + 1):
-        for subset in combinations(range(n), size):
-            sset = frozenset(subset)
-            if any(c <= sset for c in circuits):
-                continue
-            if rational_rank([vectors[i] for i in subset]) < size:
-                circuits.append(sset)
-    return circuits

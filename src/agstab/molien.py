@@ -1,21 +1,28 @@
 """Molien series of finite linear actions.
 
-For a finite group G acting on Q^r the invariant-dimension generating
+For a finite group G acting on Q^n the invariant-dimension generating
 series is (1/|G|) sum_{A in G} 1/det(1 - tA).  The sum groups the
 elements by a key that determines det(1 - tA) and evaluates one term
 per key, weighted by the number of elements sharing it.  For a
 permutation action the key is the cycle type, since det(1 - tA) =
-prod_j (1 - t^{l_j}) over the cycle lengths.  For a matrix action on
-Q^n it is the power traces tr(A^k), k = 1..n, which fix the
-characteristic polynomial by Newton's identities.
+prod_j (1 - t^{l_j}) over the cycle lengths.  For a matrix action it is
+the power traces tr(A^k), k = 1..n; Newton's identities turn them into
+the integer coefficients of det(1 - tA), whose inverse is expanded in
+integers.  An action on the span of vectors that the group permutes
+(LinearAction.on_span) reads its traces from the vectors' coordinates
+and builds no matrix.  molien_series_naive expands det(1 - tA) of every
+element's explicit matrix instead, an independent oracle for the keyed
+sum.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
+from fractions import Fraction
+from math import lcm
+from typing import Mapping, Sequence
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InconsistentAction
 from .perms import Permutation, PermGroup
 from .series import (
     DEFAULT_ORDER,
@@ -29,13 +36,13 @@ NAIVE_CAP = 10**4
 
 
 class LinearAction:
-    """A permutation group together with a matrix for each element.
+    """A permutation group together with a linear action on Q^dim.
 
-    With no explicit matrices the natural permutation action on
-    Q^degree is used and Molien denominators come from cycle types.
+    With no explicit matrices and no span the natural permutation action
+    on Q^degree is used and Molien denominators come from cycle types.
     """
 
-    __slots__ = ("group", "dim", "_matrices")
+    __slots__ = ("group", "dim", "_matrices", "_span")
 
     def __init__(
         self,
@@ -48,6 +55,7 @@ class LinearAction:
         self.group = group
         self.dim = dim
         self._matrices = dict(matrices) if matrices is not None else None
+        self._span = None
         if self._matrices is not None:
             self._spot_check()
 
@@ -64,6 +72,37 @@ class LinearAction:
             raise ValueError("all matrices must share one size")
         return cls(group, dims.pop(), matrices)
 
+    @classmethod
+    def on_span(
+        cls, group: PermGroup, basis: Sequence[int], coordinates: Sequence[Sequence[Fraction]]
+    ) -> "LinearAction":
+        """The action on the span of vectors w_1..w_s that the group permutes.
+
+        basis holds the 0-based indices of a basis among the w_i, and
+        coordinates[i] the coordinates of w_i in it; scaled by their
+        common denominator D they form the integer table X[a][i].  The
+        permutation g acts by the matrix M_g whose column a is the
+        coordinates of w_g(basis[a]), and it acts linearly exactly when
+        M_g w_i = w_g(i) for every i, in integers
+        sum_a X[x][g(basis[a])] X[a][i] = D X[x][g(i)].  That property is
+        closed under products, so only the generators of the group are
+        checked; a failure raises InconsistentAction.
+        """
+        action = cls(group, len(basis))
+        den = lcm(1, *(c.denominator for col in coordinates for c in col))
+        table = [[int(col[a] * den) for col in coordinates] for a in range(len(basis))]
+        outside = sorted(set(range(len(coordinates))) - set(basis))
+        for g in group.generators:
+            img = [p - 1 for p in g.images]
+            cols = [img[b] for b in basis]
+            for i in outside:
+                for row in table:
+                    if sum(row[j] * table[a][i] for a, j in enumerate(cols)) != den * row[img[i]]:
+                        raise InconsistentAction(f"{g!r} does not act linearly on the span")
+        # rows padded at 0, so that 1-based images index them directly
+        action._span = (tuple(b + 1 for b in basis), [[0] + row for row in table], den)
+        return action
+
     def _spot_check(self) -> None:
         # homomorphism check on generator pairs only; full checks are the
         # caller's job when the assignment is untrusted
@@ -77,9 +116,12 @@ class LinearAction:
 
     @property
     def is_permutation_action(self) -> bool:
-        return self._matrices is None
+        return self._matrices is None and self._span is None
 
     def matrix(self, p: Permutation) -> RationalMatrix:
+        if self._span is not None:
+            basis, table, den = self._span
+            return RationalMatrix([[Fraction(row[p(b)], den) for b in basis] for row in table])
         if self._matrices is None:
             return RationalMatrix.permutation(p.images)
         try:
@@ -92,19 +134,54 @@ def _det_key(action: LinearAction, g: Permutation) -> tuple:
     """Elements with equal keys have equal det(1 - t * rho(g))."""
     if action.is_permutation_action:
         return g.cycle_type()
-    traces, power = [], g
-    for _ in range(action.dim):
-        traces.append(action.matrix(power).trace())
-        power = power * g
-    return tuple(traces)
+    if action._span is None:
+        traces, power = [], g
+        for _ in range(action.dim):
+            traces.append(action.matrix(power).trace())
+            power = power * g
+        return tuple(traces)
+    # D tr(M_g^k) = sum_a X[a][g^k(basis[a])], and a trace is an integer
+    basis, table, den = action._span
+    image = (0,) + g.images
+    sums = [0] * action.dim
+    for start, row in zip(basis, table):
+        point = start
+        for k in range(action.dim):
+            point = image[point]
+            sums[k] += row[point]
+    if any(x % den for x in sums):
+        traces = ", ".join(str(Fraction(x, den)) for x in sums)
+        raise InconsistentAction(f"{g!r} has power traces {traces}, not all integers")
+    return tuple(x // den for x in sums)
 
 
-def _class_term(action: LinearAction, rep: Permutation, order: int) -> TruncatedSeries:
-    """1 / det(1 - t * rho(rep)) truncated at the requested order."""
+def det_from_power_sums(traces: Sequence) -> list[int]:
+    """Coefficients c_0..c_n of det(1 - tA) from the power traces tr(A^k), k = 1..n.
+
+    Newton's identities: c_0 = 1 and k c_k = -(p_1 c_{k-1} + .. + p_k c_0).
+    A rational matrix of finite order has integer c_k; a remainder
+    raises InconsistentAction.
+    """
+    c = [1]
+    for k in range(1, len(traces) + 1):
+        q, rem = divmod(-sum(traces[i] * c[k - 1 - i] for i in range(k)), k)
+        if rem:
+            raise InconsistentAction(
+                f"power traces {', '.join(map(str, traces))} are not those of a matrix of finite order"
+            )
+        c.append(int(q))
+    return c
+
+
+def _class_term(action: LinearAction, key: tuple, order: int) -> TruncatedSeries:
+    """1 / det(1 - t * rho(g)) truncated at the requested order, for g of this key."""
     if action.is_permutation_action:
-        return product_form(Counter(rep.cycle_type()), order)
-    poly = det_one_minus_tA(action.matrix(rep))
-    return poly.as_order(order).inverse()
+        return product_form(Counter(key), order)
+    c = det_from_power_sums(key)
+    inverse = [1]
+    for m in range(1, order + 1):
+        inverse.append(-sum(c[k] * inverse[m - k] for k in range(1, min(m, action.dim) + 1)))
+    return TruncatedSeries(inverse)
 
 
 def _validated(series: TruncatedSeries) -> TruncatedSeries:
@@ -118,15 +195,10 @@ def _validated(series: TruncatedSeries) -> TruncatedSeries:
 
 def molien_series(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Molien sum with one term per det(1 - tA) key, weighted by its count."""
-    counts: Counter = Counter()
-    representative: dict[tuple, Permutation] = {}
-    for g in action.group:
-        key = _det_key(action, g)
-        counts[key] += 1
-        representative.setdefault(key, g)
+    counts = Counter(_det_key(action, g) for g in action.group)
     acc = TruncatedSeries.zero(order)
     for key, count in counts.items():
-        acc = acc + count * _class_term(action, representative[key], order)
+        acc = acc + count * _class_term(action, key, order)
     return _validated(acc / action.group.order)
 
 
@@ -138,5 +210,9 @@ def molien_series_naive(action: LinearAction, order: int = DEFAULT_ORDER) -> Tru
         )
     acc = TruncatedSeries.zero(order)
     for g in action.group:
-        acc = acc + _class_term(action, g, order)
+        if action.is_permutation_action:
+            term = product_form(Counter(g.cycle_type()), order)
+        else:
+            term = det_one_minus_tA(action.matrix(g)).as_order(order).inverse()
+        acc = acc + term
     return _validated(acc / action.group.order)

@@ -134,7 +134,12 @@ class PermGroup:
     """A finite permutation group with a fully enumerated element list.
 
     The sorted image tuples are packed into one array; ``elements`` and
-    iteration rebuild the Permutation objects on demand.
+    iteration rebuild the Permutation objects on demand.  ``generators``
+    generate the whole group: from_generators closes them,
+    from_elements picks them greedily (_greedy_generators), and the
+    other constructors name a generating set.  A property that holds
+    for the generators and is closed under products therefore holds for
+    every element.
     """
 
     __slots__ = ("degree", "generators", "order", "_packed")
@@ -169,16 +174,10 @@ class PermGroup:
         return cls(degree, tuple(generators), sorted(seen))
 
     @classmethod
-    def from_elements(
-        cls,
-        degree: int,
-        elements: Iterable[Permutation],
-        generators: Sequence[Permutation] | None = None,
-    ) -> "PermGroup":
+    def from_elements(cls, degree: int, elements: Iterable[Permutation]) -> "PermGroup":
+        """The group with exactly these elements, which must be closed under products."""
         images = sorted({p.images for p in elements})
-        if generators is None:
-            generators = _greedy_generators(degree, images)
-        return cls(degree, tuple(generators), images)
+        return cls(degree, _greedy_generators(degree, images), images)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":

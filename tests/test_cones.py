@@ -6,8 +6,8 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, permutations, product
-from math import lcm
+from itertools import chain, combinations, permutations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,16 +31,53 @@ from agstab.errors import InconsistentAction, InputError, SearchBudgetExceeded, 
 from agstab.intlinalg import (
     det_int,
     greedy_independent_rows,
-    invert_rational,
     matroid_components,
     saturation_basis,
-    solve_in_basis,
 )
+from agstab.molien import LinearAction, _det_key, det_from_power_sums, molien_series_naive
 from agstab.perms import PermGroup, Permutation
 from agstab.pipeline import load_cone_specs
 from agstab.reference import PERFECT_GROUP_ORDERS
-from agstab.series import expand_rational_form
+from agstab.series import RationalMatrix, det_one_minus_tA, expand_rational_form
 from agstab.symfunc import plethysm_h
+
+
+def solve_in_basis(basis_rows, target):
+    """Coefficients c with sum_i c_i * basis_rows[i] = target, or None.
+
+    Gauss-Jordan over Fraction on the transposed system, independent of
+    the fraction-free elimination in agstab.intlinalg; the basis rows must
+    be linearly independent.
+    """
+    m = len(basis_rows)
+    width = len(target)
+    # eliminate on the transposed system [basis^T | target]
+    cols = [[Fraction(basis_rows[i][j]) for i in range(m)] + [Fraction(target[j])] for j in range(width)]
+    pivot_row = 0
+    pivot_cols: list[int] = []
+    for var in range(m):
+        pivot = next((r for r in range(pivot_row, width) if cols[r][var] != 0), None)
+        if pivot is None:
+            continue
+        cols[pivot_row], cols[pivot] = cols[pivot], cols[pivot_row]
+        inv = cols[pivot_row][var]
+        cols[pivot_row] = [a / inv for a in cols[pivot_row]]
+        for r in range(width):
+            if r != pivot_row and cols[r][var] != 0:
+                factor = cols[r][var]
+                cols[r] = [a - factor * b for a, b in zip(cols[r], cols[pivot_row])]
+        pivot_cols.append(var)
+        pivot_row += 1
+    if len(pivot_cols) != m:
+        raise ValueError("basis rows are not linearly independent")
+    for r in range(pivot_row, width):
+        if cols[r][m] != 0:
+            return None
+    out = [Fraction(0)] * m
+    for r, var in enumerate(pivot_cols):
+        out[var] = cols[r][m]
+    return tuple(out)
+
 
 # rank of the vector span for each packaged cone, keyed by name
 EXPECTED_RANK = {
@@ -141,6 +178,37 @@ def test_sign_tries_count_against_the_budget(all_specs):
     assert info.value.counters["leaves"] >= 1
 
 
+# four lines e1, e2, e1-e2, e1+e2 span only the 3 binary quadratics
+SQUARE = ((1, 0), (0, 1), (1, -1), (1, 1))
+
+
+class _CountingSearch(_AutSearch):
+    """The search with its calls of _extend counted: the nodes of the tree alone."""
+
+    extends = 0
+
+    def _extend(self, *args):
+        self.extends += 1
+        super()._extend(*args)
+
+
+def test_sign_flips_count_against_the_budget():
+    # the pairing of the square is diagonal on its basis e1, e2, and e1 +- e2
+    # lie outside it, so every leaf tries two sign vectors; a budget that
+    # covers the search tree alone must not cover those tries
+    spec = ConeSpec("square", 2, SQUARE)
+    full = _CountingSearch(spec)
+    assert len(full.flip_components) >= 2
+    assert len(full.search()) == 4
+    assert full.nodes == full.extends + 2 * full.leaves
+    with pytest.raises(SearchBudgetExceeded) as info:
+        _AutSearch(spec, node_budget=full.extends).search()
+    exc = info.value
+    assert (exc.cone, exc.stage, exc.budget) == ("square", "search", full.extends)
+    assert exc.counters["nodes"] == full.extends + 1
+    assert 1 <= exc.counters["leaves"] <= full.leaves
+
+
 def test_search_budget_error_says_where_it_stopped(all_specs):
     with pytest.raises(SearchBudgetExceeded) as info:
         cone_automorphisms(all_specs["(7,7a)"], use_declared=False, node_budget=10)
@@ -155,8 +223,8 @@ def test_search_budget_error_says_where_it_stopped(all_specs):
 
 
 def test_glue_group_prunes_the_simplicial_search(all_specs):
-    # the pairing and circuit invariants accept all 7! assignments of
-    # (7,7a), a tree of 13,700 nodes, for a group of order 240
+    # the pairing invariants alone accept all 7! assignments of (7,7a),
+    # a tree of 13,700 nodes, for a group of order 240
     ctx = _AutSearch(replace(all_specs["(7,7a)"], declared_aut=None))
     assert len(ctx.search()) == 240
     assert ctx.nodes < 1370
@@ -214,8 +282,7 @@ def test_index_two_configuration_is_indecomposable():
 
 
 def test_non_basic_cone_uses_matrix_molien():
-    # four lines e1, e2, e1-e2, e1+e2 span only the 3 binary quadratics
-    spec = ConeSpec("square", 2, ((1, 0), (0, 1), (1, -1), (1, 1)), None, frozenset())
+    spec = ConeSpec("square", 2, SQUARE, None, frozenset())
     assert cone_dimension(spec) == 3
     assert spec.n_generators == 4
     group = cone_automorphisms(spec, use_declared=False)
@@ -227,9 +294,23 @@ def test_non_basic_cone_uses_matrix_molien():
 
 def test_inconsistent_action_detected():
     # swapping one axis with one diagonal breaks the linear relation
-    spec = ConeSpec("square", 2, ((1, 0), (0, 1), (1, -1), (1, 1)), None, frozenset())
+    spec = ConeSpec("square", 2, SQUARE, None, frozenset())
     with pytest.raises(InconsistentAction):
         cone_poincare_series(spec, PermGroup.symmetric(4), 6)
+
+
+def test_inconsistent_action_found_on_the_second_generator():
+    # (1 2) swaps the axes, a linear map of the span; (1 3) swaps an axis
+    # with a diagonal and is not, and the check must reach it
+    spec = ConeSpec("square", 2, SQUARE, None, frozenset())
+    good, bad = Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(1, 3)])
+    group = PermGroup.from_generators([good, bad])
+    with pytest.raises(InconsistentAction, match=r"\(1 3\)"):
+        LinearAction.on_span(group, *form_coordinates(spec))
+    with pytest.raises(InconsistentAction, match="cone 'square'"):
+        cone_poincare_series(spec, group, 6)
+    assert cone_poincare_series(spec, PermGroup.from_generators([good]), 6) == expand_rational_form(
+        (1,), {1: 2, 2: 1}, 6)
 
 
 def test_form_coordinates_round_trip(all_specs):
@@ -379,7 +460,8 @@ def _brute_force_images(spec: ConeSpec) -> set[tuple[int, ...]]:
     r = len(sat)
     u = [solve_in_basis(sat, v) for v in vectors]
     basis = greedy_independent_rows(u)
-    inverse = invert_rational([[u[b][x] for b in basis] for x in range(r)])
+    columns = [[u[b][x] for b in basis] for x in range(r)]
+    inverse = [solve_in_basis(columns, [int(x == y) for x in range(r)]) for y in range(r)]
     rays = {}
     for j, uj in enumerate(u):
         rays[tuple(uj)] = rays[tuple(-x for x in uj)] = j
@@ -526,3 +608,69 @@ def test_lattice_split_of_eleven_generators_is_fast():
     blocks = [range(5), range(5, 11)]
     assert comps == tuple(sorted(tuple(sorted(new_index[i] + 1 for i in b)) for b in blocks))
     assert comps == _split_oracle(spec)
+
+
+# -- non-basic cones: the form-span action against explicit matrices ----------
+
+NONBASIC = ("K_3", "K_4-1", "K_4", "C_321", "K_5-3")
+
+
+def _ray(v: tuple[int, ...]) -> tuple[int, ...]:
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    v = tuple(x // g for x in v)
+    return v if next(x for x in v if x) > 0 else tuple(-x for x in v)
+
+
+def _dependent_vectors(generators) -> list[tuple[int, ...]]:
+    """Vectors a -+ b, not on a generator's line, for generators a, b with a +- b present.
+
+    (a - b)(a - b)^T = 2 aa^T + 2 bb^T - (a + b)(a + b)^T, so adding one
+    makes the forms dependent and keeps the lattice.
+    """
+    rays = {_ray(v) for v in generators}
+    out = set()
+    for a, b in combinations(generators, 2):
+        plus = tuple(x + y for x, y in zip(a, b))
+        minus = tuple(x - y for x, y in zip(a, b))
+        for present, extra in ((plus, minus), (minus, plus)):
+            if any(present) and any(extra) and _ray(present) in rays and _ray(extra) not in rays:
+                out.add(extra)
+    return sorted(out)
+
+
+def _span_matrices(spec: ConeSpec, group: PermGroup) -> dict:
+    """Every element's matrix on the span of the forms, from a Fraction solve per form."""
+    g = spec.ambient
+    forms = [[v[i] * v[j] for i in range(g) for j in range(i, g)] for v in spec.generators]
+    basis = []
+    for i, f in enumerate(forms):
+        if not basis or solve_in_basis([forms[b] for b in basis], f) is None:
+            basis.append(i)
+    coords = [solve_in_basis([forms[b] for b in basis], f) for f in forms]
+    return {
+        p: RationalMatrix([[coords[p(b + 1) - 1][x] for b in basis] for x in range(len(basis))])
+        for p in group.elements
+    }
+
+
+@pytest.mark.parametrize("name", NONBASIC)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_nonbasic_series_matches_explicit_matrices_and_moves(name, seed):
+    rng = random.Random(seed)
+    source = _packaged()[name]
+    extra = rng.choice(_dependent_vectors(source.generators))
+    base = ConeSpec("nonbasic", source.ambient, source.generators + (extra,))
+    spec, _ = _moved(rng, base.generators)
+    assert cone_dimension(spec) == cone_dimension(base) < spec.n_generators
+    group, base_group = cone_automorphisms(spec, use_declared=False), cone_automorphisms(base, use_declared=False)
+    assert group.order == base_group.order
+    series = cone_poincare_series(spec, group, 10)
+    assert series == cone_poincare_series(base, base_group, 10)
+    matrices = _span_matrices(spec, group)
+    assert series == molien_series_naive(LinearAction.from_matrices(group, matrices), 10)
+    action = LinearAction.on_span(group, *form_coordinates(spec))
+    for p, m in matrices.items():
+        assert det_from_power_sums(_det_key(action, p)) == det_one_minus_tA(m).integer_coefficients()

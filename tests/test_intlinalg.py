@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from agstab.intlinalg import (
     adjugate_int,
-    all_circuits,
     coordinates_in_lattice_basis,
     det_int,
+    greedy_independent_rows,
+    independent_rows_and_coordinates,
     matroid_components,
     rational_rank,
     saturation_basis,
@@ -138,8 +139,15 @@ def test_matroid_components():
     assert matroid_components(rows) == [(0, 1, 2)]
 
 
-def test_all_circuits_uniform():
-    rows = [(1, 0), (0, 1), (1, 1)]
-    assert all_circuits(rows) == [frozenset({0, 1, 2})]
-    rows = [(1, 0), (2, 0)]
-    assert all_circuits(rows) == [frozenset({0, 1})]
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=7))
+def test_coordinates_rebuild_every_row(rows):
+    kept, coords = independent_rows_and_coordinates(rows)
+    assert kept == greedy_independent_rows(rows)
+    assert len(coords) == len(rows)
+    for i, (row, c) in enumerate(zip(rows, coords)):
+        assert len(c) == len(kept)
+        assert [sum(x * rows[k][j] for x, k in zip(c, kept)) for j in range(4)] == list(row)
+        if i in kept:
+            assert list(c) == [int(k == i) for k in kept]

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from agstab.errors import CapExceeded
-from agstab.molien import LinearAction, molien_series, molien_series_naive
+from agstab.errors import CapExceeded, InconsistentAction
+from agstab.intlinalg import independent_rows_and_coordinates
+from agstab.molien import LinearAction, det_from_power_sums, molien_series, molien_series_naive
 from agstab.perms import PermGroup, Permutation
 from agstab.series import RationalMatrix, expand_rational_form, product_form
 
@@ -119,3 +120,25 @@ def test_permutation_fast_path_equals_matrix_path():
     mats = {p: RationalMatrix.permutation(p.images) for p in g.elements}
     explicit = LinearAction.from_matrices(g, mats)
     assert molien_series(action, 10) == molien_series(explicit, 10)
+
+
+def test_newton_identities_give_det_one_minus_tA():
+    # a 4-cycle and a rotation by 60 degrees: tr(A^k) = 0, 0, 0, 4 and 1, -1, -2
+    assert det_from_power_sums((0, 0, 0, 4)) == [1, 0, 0, 0, -1]
+    assert det_from_power_sums((1, -1)) == [1, -1, 1]
+    with pytest.raises(InconsistentAction):
+        det_from_power_sums((1, 0))  # c_2 = -1/2
+
+
+def test_span_action_rejects_an_element_with_a_fractional_trace():
+    # the forms of e1, e2, e1 + 2 e2, e1 + e2: the last is (f1 + f3) / 2 - f2
+    # in the first three, so D = 2; a group whose named generators (the
+    # identity) miss its element (3 4) passes the generator check, and the
+    # trace 5/2 of (3 4) is caught when the element is keyed
+    forms = [(a * a, a * b, b * b) for a, b in ((1, 0), (0, 1), (1, 2), (1, 1))]
+    basis, coords = independent_rows_and_coordinates(forms)
+    swap = Permutation.from_cycles(4, [(3, 4)])
+    group = PermGroup(4, (Permutation.identity(4),), sorted([swap.images, (1, 2, 3, 4)]))
+    action = LinearAction.on_span(group, basis, coords)
+    with pytest.raises(InconsistentAction, match="5/2"):
+        molien_series(action, 4)
