@@ -16,6 +16,7 @@ from math import gcd
 from pathlib import Path
 
 from .errors import (
+    CapExceeded,
     InconsistentAction,
     InputError,
     SearchBudgetExceeded,
@@ -647,8 +648,8 @@ def cone_automorphisms(
     """The group of realizable generator permutations.
 
     With use_declared and a declared generating set present, each
-    declared permutation is verified realizable and the closure is
-    returned; otherwise the full backtracking search runs.
+    declared permutation is verified realizable and the closure, of at
+    most cap elements, is returned; otherwise the search runs.
     """
     ctx = _AutSearch(spec, node_budget)
     if use_declared and spec.declared_aut:
@@ -657,8 +658,11 @@ def cone_automorphisms(
                 raise VerificationFailed(
                     f"cone {spec.name!r}: declared automorphism {p!r} is not realizable"
                 )
-        return PermGroup.from_generators(spec.declared_aut, cap=cap)
-    return PermGroup.from_elements(spec.n_generators, map(Permutation, ctx.search()))
+        try:
+            return PermGroup.from_generators(spec.declared_aut, cap=cap)
+        except CapExceeded as exc:
+            raise CapExceeded(spec.name, exc.stage, exc.cap, exc.elements) from None
+    return PermGroup.from_elements(spec.n_generators, ctx.search())
 
 
 def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[tuple[Fraction, ...]]]:

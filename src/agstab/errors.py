@@ -41,7 +41,16 @@ class NonIntegralCoefficient(AgstabError):
 
 
 class CapExceeded(AgstabError):
-    """A group enumeration grew past its element cap."""
+    """A group enumeration grew past its element cap.
+
+    The message names the cone (when known), the stage, the cap and the
+    elements needed at that point; they are also kept as attributes.
+    """
+
+    def __init__(self, cone: str | None, stage: str, cap: int, elements: int):
+        self.cone, self.stage, self.cap, self.elements = cone, stage, cap, elements
+        where = "" if cone is None else f"cone {cone!r}: "
+        super().__init__(f"{where}{stage} exceeded its cap of {cap} elements: it needs at least {elements}")
 
 
 class DegreeMismatch(AgstabError):

@@ -4,15 +4,16 @@ For a finite group G acting on Q^n the invariant-dimension generating
 series is (1/|G|) sum_{A in G} 1/det(1 - tA).  The sum groups the
 elements by a key that determines det(1 - tA) and evaluates one term
 per key, weighted by the number of elements sharing it.  For a
-permutation action the key is the cycle type, since det(1 - tA) =
-prod_j (1 - t^{l_j}) over the cycle lengths.  For a matrix action it is
-the power traces tr(A^k), k = 1..n; Newton's identities turn them into
-the integer coefficients of det(1 - tA), whose inverse is expanded in
-integers.  An action on the span of vectors that the group permutes
+permutation action the key is the cycle type, read from the group's
+image tuples; the traces tr(A^k) follow from it.  For a matrix action
+the key is the power traces tr(A^k), k = 1..n.  Newton's identities
+turn the traces into the integer coefficients of det(1 - tA).  An
+action on the span of vectors that the group permutes
 (LinearAction.on_span) reads its traces from the vectors' coordinates
-and builds no matrix.  molien_series_naive expands det(1 - tA) of every
-element's explicit matrix instead, an independent oracle for the keyed
-sum.
+and builds no matrix.  Each term is expanded and added up in ints, and
+the sum is divided by |G| once, at the end.  molien_series_naive
+inverts det(1 - tA) of every element, from Permutation.cycles() or the
+explicit matrix, in fractions instead: an independent oracle.
 """
 
 from __future__ import annotations
@@ -130,10 +131,26 @@ class LinearAction:
             raise KeyError(f"no matrix assigned to {p!r}") from None
 
 
-def _det_key(action: LinearAction, g: Permutation) -> tuple:
-    """Elements with equal keys have equal det(1 - t * rho(g))."""
+def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Weakly increasing cycle lengths of the permutation with these images."""
+    seen = [False] * (len(images) + 1)
+    lengths = []
+    for start in range(1, len(images) + 1):
+        if not seen[start]:
+            length, point = 1, images[start - 1]
+            while point != start:
+                seen[point] = True
+                point = images[point - 1]
+                length += 1
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _det_key(action: LinearAction, images: tuple[int, ...]) -> tuple:
+    """Elements g with equal keys have equal det(1 - t * rho(g)); g is given by its images."""
     if action.is_permutation_action:
-        return g.cycle_type()
+        return _cycle_type(images)
+    g = Permutation._trusted(images)
     if action._span is None:
         traces, power = [], g
         for _ in range(action.dim):
@@ -142,7 +159,7 @@ def _det_key(action: LinearAction, g: Permutation) -> tuple:
         return tuple(traces)
     # D tr(M_g^k) = sum_a X[a][g^k(basis[a])], and a trace is an integer
     basis, table, den = action._span
-    image = (0,) + g.images
+    image = (0,) + images
     sums = [0] * action.dim
     for start, row in zip(basis, table):
         point = start
@@ -173,15 +190,15 @@ def det_from_power_sums(traces: Sequence) -> list[int]:
     return c
 
 
-def _class_term(action: LinearAction, key: tuple, order: int) -> TruncatedSeries:
-    """1 / det(1 - t * rho(g)) truncated at the requested order, for g of this key."""
-    if action.is_permutation_action:
-        return product_form(Counter(key), order)
+def _class_term(action: LinearAction, key: tuple, order: int) -> list[int]:
+    """The integer coefficients of 1 / det(1 - t * rho(g)) through t^order, for g of this key."""
+    if action.is_permutation_action:  # tr(A^k) counts the points on cycles of a length dividing k
+        key = [sum(length for length in key if k % length == 0) for k in range(1, action.dim + 1)]
     c = det_from_power_sums(key)
     inverse = [1]
     for m in range(1, order + 1):
         inverse.append(-sum(c[k] * inverse[m - k] for k in range(1, min(m, action.dim) + 1)))
-    return TruncatedSeries(inverse)
+    return inverse
 
 
 def _validated(series: TruncatedSeries) -> TruncatedSeries:
@@ -194,20 +211,19 @@ def _validated(series: TruncatedSeries) -> TruncatedSeries:
 
 
 def molien_series(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Molien sum with one term per det(1 - tA) key, weighted by its count."""
-    counts = Counter(_det_key(action, g) for g in action.group)
-    acc = TruncatedSeries.zero(order)
+    """Molien sum with one term per det(1 - tA) key, weighted by its count, added up in ints."""
+    counts = Counter(_det_key(action, p) for p in action.group.images())
+    total = [0] * (order + 1)
     for key, count in counts.items():
-        acc = acc + count * _class_term(action, key, order)
-    return _validated(acc / action.group.order)
+        for k, c in enumerate(_class_term(action, key, order)):
+            total[k] += count * c
+    return _validated(TruncatedSeries([Fraction(x, action.group.order) for x in total]))
 
 
 def molien_series_naive(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Element-by-element Molien sum; an oracle for the keyed sum."""
     if action.group.order > NAIVE_CAP:
-        raise CapExceeded(
-            f"naive Molien sum capped at order {NAIVE_CAP}, group has {action.group.order}"
-        )
+        raise CapExceeded(None, "naive Molien sum", NAIVE_CAP, action.group.order)
     acc = TruncatedSeries.zero(order)
     for g in action.group:
         if action.is_permutation_action:

@@ -1,10 +1,11 @@
 """Finite permutation groups via explicit element enumeration.
 
-Groups here are small (orders up to a few thousand), so full closure
-under composition is both simplest and fully deterministic: elements
-are kept sorted lexicographically by image list.  A group stores its
-elements packed, one machine integer per image, and builds Permutation
-objects only when they are asked for.
+Groups here are small (orders up to a few thousand), so each one is
+enumerated in full and deterministically: Dimino's coset closure
+adjoins one generator at a time and adds whole cosets of the group
+built so far, and elements are kept sorted lexicographically by image
+list.  A group stores its elements packed, one machine integer per
+image, and builds Permutation objects only when they are asked for.
 """
 
 from __future__ import annotations
@@ -133,10 +134,11 @@ def cycle_type_count(n: int, parts: Sequence[int]) -> int:
 class PermGroup:
     """A finite permutation group with a fully enumerated element list.
 
-    The sorted image tuples are packed into one array; ``elements`` and
-    iteration rebuild the Permutation objects on demand.  ``generators``
-    generate the whole group: from_generators closes them,
-    from_elements picks them greedily (_greedy_generators), and the
+    The sorted image tuples are packed into one array; images() yields
+    them, elements and iteration wrap them as Permutations.
+    ``generators`` generate the whole group: from_generators closes
+    them, from_elements picks them greedily (the lexicographically first
+    element outside the closure so far), both by _coset_closure, and the
     other constructors name a generating set.  A property that holds
     for the generators and is closed under products therefore holds for
     every element.
@@ -152,10 +154,13 @@ class PermGroup:
         typecode = "B" if degree < 1 << 8 else "H" if degree < 1 << 16 else "L"
         self._packed = array(typecode, itertools.chain.from_iterable(images))
 
-    def __iter__(self) -> Iterator[Permutation]:
+    def images(self) -> Iterator[tuple[int, ...]]:
+        """Every element's image tuple, in sorted order."""
         packed, n = self._packed, self.degree
-        for k in range(self.order):
-            yield Permutation._trusted(tuple(packed[k * n : (k + 1) * n]))
+        return (tuple(packed[k : k + n]) for k in range(0, len(packed), n))
+
+    def __iter__(self) -> Iterator[Permutation]:
+        return map(Permutation._trusted, self.images())
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
@@ -163,21 +168,22 @@ class PermGroup:
 
     @classmethod
     def from_generators(cls, generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> "PermGroup":
-        """Breadth-first closure of the generators under composition."""
+        """The closure of the generators under composition; past cap elements it raises CapExceeded."""
         if not generators:
             raise ValueError("need at least one generator (use Permutation.identity for the trivial group)")
         degrees = {g.degree for g in generators}
         if len(degrees) != 1:
             raise DegreeMismatch(f"generators mix degrees {sorted(degrees)}")
         degree = degrees.pop()
-        seen = _close([g.images for g in generators], degree, cap)
-        return cls(degree, tuple(generators), sorted(seen))
+        _, images = _coset_closure(degree, [g.images for g in generators], cap)
+        return cls(degree, tuple(generators), sorted(images))
 
     @classmethod
-    def from_elements(cls, degree: int, elements: Iterable[Permutation]) -> "PermGroup":
-        """The group with exactly these elements, which must be closed under products."""
-        images = sorted({p.images for p in elements})
-        return cls(degree, _greedy_generators(degree, images), images)
+    def from_elements(cls, degree: int, images: Iterable[tuple[int, ...]]) -> "PermGroup":
+        """The group with exactly these image tuples of bijections; CapExceeded if they are not closed."""
+        images = sorted(set(images))
+        gens, _ = _coset_closure(degree, images, cap=len(images))
+        return cls(degree, tuple(map(Permutation._trusted, gens)), images)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -199,38 +205,40 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def _greedy_generators(degree: int, images: list[tuple[int, ...]]) -> tuple[Permutation, ...]:
-    """A small generating set extracted from a sorted list of image tuples."""
-    gens: list[tuple[int, ...]] = []
-    known = {tuple(range(1, degree + 1))}
-    for p in images:
-        if p in known:
-            continue
-        gens.append(p)
-        known = _close(gens, degree, cap=len(images))
-    if not gens:
-        return (Permutation.identity(degree),)
-    return tuple(Permutation._trusted(g) for g in gens)
+def _coset_closure(degree: int, candidates: Iterable[tuple[int, ...]], cap: int) -> tuple[list, list]:
+    """(the candidates adjoined, or the identity if none, every element they generate): Dimino's algorithm.
 
-
-def _close(generators: Sequence[tuple[int, ...]], degree: int, cap: int) -> set[tuple[int, ...]]:
-    """Every product of the generators' image tuples, the identity included."""
-    lookups = [((0,) + g).__getitem__ for g in generators]
+    Each candidate image tuple outside the group H built so far is
+    adjoined: the left cosets rH are added whole, with representatives
+    r found breadth first as products g'r of an adjoined g' and a known
+    representative, and g'r is in a coset already present exactly when
+    it is an element already present.  So every element is composed
+    once.  The cap is checked before a coset is built, so at most cap
+    tuples are ever held.
+    """
     identity = tuple(range(1, degree + 1))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for g in lookups:
-                q = tuple(map(g, p))  # g * p
-                if q not in seen:
-                    seen.add(q)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"group closure exceeded cap {cap}")
-                    fresh.append(q)
-        frontier = fresh
-    return seen
+    elements, seen = [identity], {identity}
+    adjoined, lookups = [], []
+    for g in candidates:
+        if g in seen:
+            continue
+        adjoined.append(g)
+        lookups.append(((0,) + g).__getitem__)
+        subgroup = elements[:]
+        reps = [identity]
+        for r in reps:
+            for lookup in lookups:
+                q = tuple(map(lookup, r))  # g' * r
+                if q in seen:
+                    continue
+                if len(elements) + len(subgroup) > cap:
+                    raise CapExceeded(None, "closure", cap, len(elements) + len(subgroup))
+                left = ((0,) + q).__getitem__
+                coset = [tuple(map(left, h)) for h in subgroup]  # q * h
+                elements += coset
+                seen.update(coset)
+                reps.append(q)
+    return adjoined or [identity], elements
 
 
 def wreath_product(base: PermGroup, n: int, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -245,7 +253,7 @@ def wreath_product(base: PermGroup, n: int, cap: int = DEFAULT_CAP) -> PermGroup
     d = base.degree
     total = base.order**n * factorial(n)
     if total > cap:
-        raise CapExceeded(f"wreath product order {total} exceeds cap {cap}")
+        raise CapExceeded(None, "wreath product", cap, total)
 
     block_perms = [list(p) for p in itertools.permutations(range(n))]
     elements = []

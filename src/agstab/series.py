@@ -67,11 +67,6 @@ class TruncatedSeries:
         coeffs[degree] = coefficient
         return cls(coeffs, order)
 
-    @classmethod
-    def geometric(cls, step: int, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        """1/(1 - t^step)."""
-        return product_form({step: 1}, order)
-
     # -- basic accessors -------------------------------------------------
 
     @property
@@ -201,14 +196,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash(self._coeffs)
-
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Coefficient-wise equality up to the smaller order."""
-        n = self._common(other)
-        return self._coeffs[: n + 1] == other._coeffs[: n + 1]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
 
     def __repr__(self):
         return f"TruncatedSeries({self.polynomial_string()!r}, order={self.order})"
@@ -348,10 +335,6 @@ class RationalMatrix:
         return RationalMatrix(
             [[sum(ra[k] * cb[k] for k in range(n)) for cb in b_cols] for ra in self.rows]
         )
-
-    def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        n = self.size
-        return tuple(sum(row[k] * vector[k] for k in range(n)) for row in self.rows)
 
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.size))

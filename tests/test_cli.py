@@ -1,6 +1,7 @@
 """Command line behavior: outputs and exit codes."""
 
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agstab.cones
 from agstab.cli import main
 from agstab.cones import cyclic_cone
 
@@ -111,6 +113,17 @@ def test_cone_analyze_budget_exit(capsys, tmp_path):
     code, _, err = run(capsys, "cone", "analyze", str(path), "--no-declared",
                        "--node-budget", "5")
     assert code == 3
+
+
+def test_cone_analyze_cap_exit(capsys, monkeypatch, tmp_path, matroidal_specs):
+    # C_7's declared generators close to 5040 elements, past a cap of 100
+    capped = functools.partial(agstab.cones.cone_automorphisms, cap=100)
+    monkeypatch.setattr(agstab.cones, "cone_automorphisms", capped)
+    path = tmp_path / "c7.json"
+    path.write_text(json.dumps(matroidal_specs["C_7"].to_json_dict()))
+    code, _, err = run(capsys, "cone", "analyze", str(path))
+    assert code == 3
+    assert "cone 'C_7': closure exceeded its cap of 100 elements" in err
 
 
 @pytest.mark.parametrize("generators, declared, aut_order", [

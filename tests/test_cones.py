@@ -27,7 +27,13 @@ from agstab.cones import (
     form_coordinates,
     load_cone,
 )
-from agstab.errors import InconsistentAction, InputError, SearchBudgetExceeded, VerificationFailed
+from agstab.errors import (
+    CapExceeded,
+    InconsistentAction,
+    InputError,
+    SearchBudgetExceeded,
+    VerificationFailed,
+)
 from agstab.intlinalg import (
     det_int,
     greedy_independent_rows,
@@ -220,6 +226,16 @@ def test_search_budget_error_says_where_it_stopped(all_specs):
         f"cone '(7,7a)': search exceeded its budget of 10 nodes "
         f"(11 nodes, {exc.counters['leaves']} leaves)"
     )
+
+
+def test_closure_cap_error_says_where_it_stopped(all_specs):
+    # C_7 declares (1 2) and a 7-cycle: the closure adds cosets of <(1 2)>
+    # two elements at a time, so it stops holding 100 elements, one coset short
+    with pytest.raises(CapExceeded) as info:
+        cone_automorphisms(all_specs["C_7"], cap=100)
+    exc = info.value
+    assert (exc.cone, exc.stage, exc.cap, exc.elements) == ("C_7", "closure", 100, 102)
+    assert str(exc) == "cone 'C_7': closure exceeded its cap of 100 elements: it needs at least 102"
 
 
 def test_glue_group_prunes_the_simplicial_search(all_specs):
@@ -448,6 +464,20 @@ def test_search_commutes_with_gl_z_moves_relabelling_and_signs(name, seed):
     assert group.order == len(expected) == functools.reduce(int.__mul__, orders)
 
 
+@pytest.mark.parametrize("name", sorted(EXPECTED_RANK))
+def test_packaged_cone_invariants_survive_a_move(all_specs, name):
+    # one GL(Z) change of coordinates, relabelling and sign flip per cone,
+    # seeded by the cone's name; the moved cone has no declared group
+    spec = all_specs[name]
+    moved, _ = _moved(random.Random(name), spec.generators)
+    before = analyze(spec, order=16)
+    after = analyze(moved, order=16, use_declared=False)
+    assert after.rank == before.rank == EXPECTED_RANK[name]
+    assert after.dimension == before.dimension
+    assert after.aut.order == before.aut.order
+    assert after.poincare == before.poincare
+
+
 def _brute_force_images(spec: ConeSpec) -> set[tuple[int, ...]]:
     """Permutations realized by a unimodular T, trying every signed image of one basis.
 
@@ -673,4 +703,4 @@ def test_nonbasic_series_matches_explicit_matrices_and_moves(name, seed):
     assert series == molien_series_naive(LinearAction.from_matrices(group, matrices), 10)
     action = LinearAction.on_span(group, *form_coordinates(spec))
     for p, m in matrices.items():
-        assert det_from_power_sums(_det_key(action, p)) == det_one_minus_tA(m).integer_coefficients()
+        assert det_from_power_sums(_det_key(action, p.images)) == det_one_minus_tA(m).integer_coefficients()

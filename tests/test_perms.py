@@ -1,19 +1,72 @@
 """Permutation and group enumeration facts, checked against brute force."""
 
+import importlib.util
 import itertools
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from agstab.cones import cone_automorphisms
 from agstab.errors import CapExceeded, DegreeMismatch
+from agstab.molien import LinearAction, _cycle_type, molien_series, molien_series_naive
 from agstab.perms import (
     PermGroup,
     Permutation,
     cycle_type_count,
     wreath_product,
 )
+from agstab.pipeline import load_cone_specs
 from agstab.symfunc import partitions
+
+
+def bfs_closure(generators, degree):
+    """Image tuples of every product of the generators, breadth first: the closure oracle."""
+    identity = tuple(range(1, degree + 1))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in generators:
+                q = tuple(g[i - 1] for i in p)  # g * p
+                if q not in seen:
+                    seen.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    return seen
+
+
+def greedy_generators(degree, images):
+    """The reference definition: the lexicographically first element outside the closure so far."""
+    gens, known = [], {tuple(range(1, degree + 1))}
+    for p in sorted(images):
+        if p not in known:
+            gens.append(p)
+            known = bfs_closure(gens, degree)
+    return gens or [tuple(range(1, degree + 1))]
+
+
+def compose(a, b):
+    return tuple(a[i - 1] for i in b)
+
+
+@st.composite
+def generator_sets(draw, max_degree=7):
+    """Image tuples of random permutations, plus the identity, repeats and products of earlier ones."""
+    n = draw(st.integers(1, max_degree))
+    gens = draw(st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=3))
+    for kind in draw(st.lists(st.sampled_from(("identity", "repeat", "product")), max_size=3)):
+        if kind == "identity":
+            gens.append(tuple(range(1, n + 1)))
+        elif kind == "repeat":
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            gens.append(compose(draw(st.sampled_from(gens)), draw(st.sampled_from(gens))))
+    return n, draw(st.permutations(gens))
 
 
 def test_from_cycles_and_images():
@@ -121,3 +174,66 @@ def test_order48_product_group():
 def test_permutation_json():
     p = Permutation.from_cycles(4, [(1, 2, 3)])
     assert p.to_json() == [2, 3, 1, 4]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(generator_sets())
+def test_closure_matches_breadth_first_oracle(drawn):
+    n, gens = drawn
+    expected = bfs_closure(gens, n)
+    group = PermGroup.from_generators([Permutation(g) for g in gens])
+    assert set(group.images()) == expected
+    assert group.order == len(expected)
+    assert [g.images for g in group.generators] == gens
+    again = PermGroup.from_elements(n, expected)
+    assert list(again.images()) == sorted(expected)
+    assert [g.images for g in again.generators] == greedy_generators(n, expected)
+    if len(expected) > 1:
+        with pytest.raises(CapExceeded) as info:
+            PermGroup.from_generators([Permutation(g) for g in gens], cap=len(expected) - 1)
+        assert (info.value.stage, info.value.cap) == ("closure", len(expected) - 1)
+        assert info.value.elements > info.value.cap
+
+
+def test_from_elements_rejects_a_set_that_is_not_closed():
+    # a transposition without the identity closes to two elements, past a cap of one
+    with pytest.raises(CapExceeded):
+        PermGroup.from_elements(2, [(2, 1)])
+
+
+# the cones of both packaged families; the perfect family repeats some matroidal ones
+PACKAGED = [s for family in ("matroidal", "perfect") for s in load_cone_specs(family)[1]]
+
+
+def _lattice_sums_cases(seed):
+    """The lattice-sums benchmark cases of one seed, built by perfbench/lattice.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "lattice.py"
+    spec = importlib.util.spec_from_file_location("perfbench_lattice", path)
+    lattice = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lattice)
+    return lattice.generate(seed, {s.name: s for s in PACKAGED})
+
+
+def test_from_elements_picks_the_greedy_generators():
+    cases = _lattice_sums_cases(1)
+    groups = [cone_automorphisms(s) for s in PACKAGED]
+    groups += [cone_automorphisms(case.spec, use_declared=False) for case in cases]
+    assert len(groups) == 44 + 36
+    for group in groups:
+        images = list(group.images())
+        picked = PermGroup.from_elements(group.degree, images)
+        assert [g.images for g in picked.generators] == greedy_generators(group.degree, images)
+        assert list(picked.images()) == images
+
+
+def test_packed_cycle_type_matches_cycles():
+    for p in PermGroup.symmetric(6):
+        assert _cycle_type(p.images) == tuple(sorted(len(c) for c in p.cycles())) == p.cycle_type()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generator_sets(max_degree=6))
+def test_integer_keyed_sum_matches_naive_average(drawn):
+    n, gens = drawn
+    action = LinearAction.natural(PermGroup.from_generators([Permutation(g) for g in gens]))
+    assert molien_series(action, 10) == molien_series_naive(action, 10)

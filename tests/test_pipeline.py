@@ -30,7 +30,7 @@ def record(name, dim, rank, poincare, mult=1):
 
 
 def standard_record(order):
-    p = TruncatedSeries.geometric(1, order)
+    p = product_form({1: 1}, order)
     return record("sigma_1", 1, 1, p)
 
 
@@ -125,14 +125,14 @@ def test_perfect_generator_counts_matches_packaged_display(perfect_dataset):
 
 
 def test_generator_series_needs_enough_resolution():
-    p = TruncatedSeries.geometric(1, 4)
+    p = product_form({1: 1}, 4)
     ds = Dataset("short", (record("sigma_1", 1, 1, p),), None)
     with pytest.raises(InputError):
         generator_series(ds, 10)
 
 
 def test_record_validation():
-    p = TruncatedSeries.geometric(1, 8)
+    p = product_form({1: 1}, 8)
     with pytest.raises(InputError):
         record("bad", 0, 1, p)
     with pytest.raises(InputError):
@@ -152,7 +152,7 @@ def test_count_only_records():
 
 
 def test_dataset_validation():
-    p = TruncatedSeries.geometric(1, 8)
+    p = product_form({1: 1}, 8)
     a = record("x", 1, 1, p)
     with pytest.raises(InputError):
         Dataset("dup", (a, a), None)
@@ -163,7 +163,7 @@ def test_dataset_validation():
 def test_smallness_validation(matroidal_dataset, perfect_dataset):
     assert validate_smallness(matroidal_dataset).ok
     assert validate_smallness(perfect_dataset).ok
-    p = TruncatedSeries.geometric(1, 8)
+    p = product_form({1: 1}, 8)
     flat = Dataset("flat", (record("violator", 2, 4, p),), None)
     report = validate_smallness(flat)
     assert not report.ok

@@ -39,14 +39,14 @@ def test_h_coefficients_sum_to_one():
 
 
 def test_exp_of_geometric_is_partition_function():
-    inner = TruncatedSeries.geometric(1, 10).shift(1)
+    inner = product_form({1: 1}, 10).shift(1)
     s = exp_series(inner)
     assert s.integer_coefficients() == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
 def test_exp_two_evaluation_paths_agree():
     cases = [
-        TruncatedSeries.geometric(1, 20).shift(1),
+        product_form({1: 1}, 20).shift(1),
         TruncatedSeries.monomial(1, 20) + TruncatedSeries.monomial(4, 20, 2),
         product_form({2: 3}, 20).shift(3),
     ]
