@@ -57,10 +57,6 @@ class DegreeMismatch(AgstabError):
     """Permutations of different degrees were combined."""
 
 
-class PartitionMismatch(AgstabError):
-    """A cycle type does not partition the claimed number of points."""
-
-
 class SearchBudgetExceeded(AgstabError):
     """The automorphism backtracking search exceeded its node budget.
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, DegreeMismatch, PartitionMismatch
+from .errors import CapExceeded, DegreeMismatch
 
 DEFAULT_CAP = 10**6
 
@@ -114,21 +113,6 @@ class Permutation:
 
     def to_json(self) -> list[int]:
         return list(self.images)
-
-
-def cycle_type_count(n: int, parts: Sequence[int]) -> int:
-    """Number of permutations of S_n with the given cycle type.
-
-    n! / prod_i (i^{m_i} m_i!) where m_i is the multiplicity of part i.
-    """
-    parts = tuple(sorted(parts))
-    if sum(parts) != n or any(p < 1 for p in parts):
-        raise PartitionMismatch(f"{parts} is not a partition of {n}")
-    denom = 1
-    for length in set(parts):
-        m = parts.count(length)
-        denom *= length**m * factorial(m)
-    return factorial(n) // denom
 
 
 class PermGroup:
@@ -240,48 +224,3 @@ def _coset_closure(degree: int, candidates: Iterable[tuple[int, ...]], cap: int)
                 reps.append(q)
     return adjoined or [identity], elements
 
-
-def wreath_product(base: PermGroup, n: int, cap: int = DEFAULT_CAP) -> PermGroup:
-    """base wr S_n in its imprimitive action on n blocks of size degree(base).
-
-    The element ((g_1, .., g_n), pi) sends the point i of block j to the
-    point g_j(i) of block pi(j); enumerating all |base|^n * n! parameter
-    tuples gives the group directly, with its order exact by construction.
-    """
-    if n < 1:
-        raise ValueError("wreath power must be at least 1")
-    d = base.degree
-    total = base.order**n * factorial(n)
-    if total > cap:
-        raise CapExceeded(None, "wreath product", cap, total)
-
-    block_perms = [list(p) for p in itertools.permutations(range(n))]
-    elements = []
-    for pi in block_perms:
-        for gs in itertools.product(base.elements, repeat=n):
-            images = [0] * (d * n)
-            for j in range(n):
-                gj = gs[j].images
-                base_new = pi[j] * d
-                base_old = j * d
-                for i in range(d):
-                    images[base_old + i] = base_new + gj[i]
-            elements.append(tuple(images))
-    elements.sort()
-
-    gens: list[Permutation] = []
-    for g in base.generators:
-        images = list(g.images) + list(range(d + 1, d * n + 1))
-        gens.append(Permutation(images))
-    if n >= 2:
-        for cycle in ([tuple(range(1, n + 1))] if n > 2 else []) + [(1, 2)]:
-            block = Permutation.from_cycles(n, [cycle])
-            images = [0] * (d * n)
-            for j in range(n):
-                tgt = (block(j + 1) - 1) * d
-                for i in range(d):
-                    images[j * d + i] = tgt + i + 1
-            gens.append(Permutation(images))
-    if not gens:
-        gens = [Permutation.identity(d * n)]
-    return PermGroup(d * n, tuple(gens), elements)

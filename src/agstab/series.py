@@ -168,25 +168,6 @@ class TruncatedSeries:
             b[m] = -s / a[0]
         return TruncatedSeries(b)
 
-    def substitute_power(self, k: int) -> "TruncatedSeries":
-        """a(t) -> a(t^k), truncated at the original order."""
-        if k < 1:
-            raise ValueError("substitution exponent must be at least 1")
-        n = self.order
-        out = [_ZERO] * (n + 1)
-        for i, c in enumerate(self._coeffs):
-            if i * k > n:
-                break
-            out[i * k] = c
-        return TruncatedSeries(out)
-
-    def shift(self, d: int) -> "TruncatedSeries":
-        """Multiply by t^d, truncated at the original order."""
-        if d < 0:
-            raise ValueError("shift must be non-negative")
-        n = self.order
-        return TruncatedSeries([_ZERO] * min(d, n + 1) + list(self._coeffs[: max(n + 1 - d, 0)]), n)
-
     # -- comparison / presentation --------------------------------------
 
     def __eq__(self, other):

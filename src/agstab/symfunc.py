@@ -1,71 +1,53 @@
 """Complete homogeneous symmetric functions, plethysm, and Exp.
 
-Everything is expressed through power sums: h_n expands as
-sum over partitions (i_1, .., i_s) of n of c/n! * p_{i_1} .. p_{i_s},
-where c counts permutations with that cycle type.  Substituting a
-one-variable series P(t) for the power sums (p_i -> P(t^i)) yields the
-plethysm h_n[P], and the plethystic exponential Exp(P) = sum_n h_n[P]
-collapses to the product prod_i (1 - t^i)^(-c_i) when P = sum c_i t^i
-has non-negative integer coefficients and no constant term.
+Plethysm by a one-variable series P(t) is the ring map that sends the
+power sum p_k to P(t^k).  Newton's identity n h_n = sum_{k=1..n} p_k h_{n-k}
+therefore carries over to h_n[P], so each h_m[P] costs m series
+products given the lower ones.  The plethystic exponential
+Exp(P) = sum_n h_n[P] collapses to the product prod_i (1 - t^i)^(-c_i)
+when P = sum c_i t^i has non-negative integer coefficients and no
+constant term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import factorial, lcm
 
 from .errors import NonIntegralCoefficient, NonzeroConstant
-from .perms import cycle_type_count
 from .series import TruncatedSeries, product_form
 
 
-@lru_cache(maxsize=None)
-def partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n as weakly increasing tuples, lexicographically."""
-    if n < 0:
-        raise ValueError("partitions of a negative integer requested")
-
-    def rec(remaining: int, minimum: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(minimum, remaining + 1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(rec(n, 1))
-
-
-@lru_cache(maxsize=None)
-def h_in_power_sums(n: int) -> dict[tuple[int, ...], Fraction]:
-    """Power-sum expansion of h_n: partition -> coefficient c/n!."""
-    from math import factorial
-
-    return {
-        parts: Fraction(cycle_type_count(n, parts), factorial(n))
-        for parts in partitions(n)
-    }
-
-
 def plethysm_h(n: int, series: TruncatedSeries) -> TruncatedSeries:
-    """h_n[P]: substitute P(t^i) for each power sum p_i in h_n."""
+    """h_n[P] by Newton's identity n h_n[P] = sum_{k=1..n} P(t^k) h_{n-k}[P].
+
+    The recurrence runs in integers: with D the common denominator of P
+    and Q = D P, F_m = m! D^m h_m[P] satisfies
+    F_m = sum_{k=1..m} (m-1)!/(m-k)! D^(k-1) Q(t^k) F_{m-k},
+    and F_n is divided by n! D^n once at the end.
+    """
     order = series.order
-    if n == 0:
-        return TruncatedSeries.one(order)
-    substituted: dict[int, TruncatedSeries] = {}
-
-    def sub(i: int) -> TruncatedSeries:
-        if i not in substituted:
-            substituted[i] = series.substitute_power(i)
-        return substituted[i]
-
-    acc = TruncatedSeries.zero(order)
-    for parts, coeff in h_in_power_sums(n).items():
-        term = TruncatedSeries.one(order)
-        for i in parts:
-            term = term * sub(i)
-        acc = acc + coeff * term
-    return acc
+    d = lcm(*(c.denominator for c in series.coefficients))
+    q = [c.numerator * (d // c.denominator) for c in series.coefficients]
+    # the nonzero terms (degree, coefficient) of Q(t^k) through t^order;
+    # for k > order only the constant term is left
+    q_at = [None] + [
+        [(i * k, c) for i, c in enumerate(q[: order // k + 1]) if c] for k in range(1, order + 2)
+    ]
+    f = [[1] + [0] * order]
+    for m in range(1, n + 1):
+        acc = [0] * (order + 1)
+        weight = 1  # (m-1)!/(m-k)! D^(k-1)
+        for k in range(1, (m if q[0] else min(m, order)) + 1):
+            lower = f[m - k]
+            for shift, c in q_at[min(k, order + 1)]:
+                c *= weight
+                for j in range(order + 1 - shift):
+                    acc[shift + j] += c * lower[j]
+            weight *= (m - k) * d
+        f.append(acc)
+    denominator = factorial(n) * d**n
+    return TruncatedSeries([Fraction(c, denominator) for c in f[n]])
 
 
 def _exponent_map(series: TruncatedSeries) -> dict[int, int]:

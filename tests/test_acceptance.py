@@ -14,9 +14,11 @@ from agstab.cones import (
     form_coordinates,
 )
 from agstab.molien import LinearAction, molien_series, molien_series_naive
-from agstab.perms import PermGroup, wreath_product
+from agstab.perms import PermGroup
 from agstab.pipeline import Dataset, betti_series, generator_series, load_cone_specs, load_dataset
+from agstab.series import TruncatedSeries
 from agstab.symfunc import exp_series, exp_series_via_h, plethysm_h
+from wreath import wreath_product
 
 
 @pytest.fixture
@@ -107,7 +109,7 @@ def test_criterion_5_property_suite(announce):
     for name in ("K_3", "K_4", "(5,5)"):
         spec = corpus[name]
         p = cone_poincare_series(spec, cone_automorphisms(spec), 20)
-        samples.append(p.shift(spec.n_generators))
+        samples.append(p * TruncatedSeries.monomial(spec.n_generators, 20))
     for s in samples:
         ok = ok and exp_series(s) == exp_series_via_h(s)
 
@@ -128,8 +130,8 @@ def test_criterion_5_property_suite(announce):
         2, cone_poincare_series(a, ga, 12))
 
     secs = time.time() - t0
-    announce("5: property suite (keyed Molien sum, also on form spans, wreath, Exp, direct sums), < 120 s",
-             ok and secs < 120, secs)
+    announce("5: property suite (keyed Molien sum, also on form spans, wreath, Exp, direct sums), < 10 s",
+             ok and secs < 10, secs)
 
 
 def test_criterion_6_lower_bound_semantics(announce):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import agstab.cones
 from agstab.cli import main
 from agstab.cones import cyclic_cone
+from agstab.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -71,6 +72,29 @@ def test_series_plethysm(capsys, monkeypatch):
     assert code == 0
     # h_2 of the one-variable geometric series
     assert json.loads(out)["coefficients"][:4] == ["1", "1", "2", "2"]
+
+
+def test_series_plethysm_of_high_degree_is_prompt(capsys, monkeypatch):
+    # a sum over the partitions of 100 (about 1.9e8 of them) never returns
+    order, degree = 10, 100
+    payload = json.dumps({"order": order, "coefficients": ["1", "1"] + ["0"] * (order - 1)})
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "series", "plethysm", "--degree", str(degree), "--order", str(order))
+    secs = time.perf_counter() - t0
+    assert code == 0
+    assert secs < 2
+    # Newton's identity m h_m[P] = sum_{k=1..m} P(t^k) h_{m-k}[P], one step at a time
+    one = TruncatedSeries.one(order)
+    h = [one]
+    for m in range(1, degree + 1):
+        acc = TruncatedSeries.zero(order)
+        for k in range(1, m + 1):
+            acc = acc + (one + TruncatedSeries.monomial(k, order)) * h[m - k]
+        h.append(acc / m)
+    assert TruncatedSeries.from_json(out) == h[degree]
+    # h_n[1 + t] = sum_j h_j[1] h_(n-j)[t] = 1 + t + .. + t^n
+    assert h[degree] == TruncatedSeries([1] * (order + 1))
 
 
 def test_series_exp_rejects_garbage(capsys, monkeypatch):

@@ -2,9 +2,7 @@
 
 import importlib.util
 import itertools
-import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,14 +12,9 @@ from hypothesis import strategies as st
 from agstab.cones import cone_automorphisms
 from agstab.errors import CapExceeded, DegreeMismatch
 from agstab.molien import LinearAction, _cycle_type, molien_series, molien_series_naive
-from agstab.perms import (
-    PermGroup,
-    Permutation,
-    cycle_type_count,
-    wreath_product,
-)
+from agstab.perms import PermGroup, Permutation
 from agstab.pipeline import load_cone_specs
-from agstab.symfunc import partitions
+from wreath import wreath_product
 
 
 def bfs_closure(generators, degree):
@@ -115,24 +108,6 @@ def test_symmetric_group_matches_exhaustive_enumeration():
     assert got == expect
 
 
-def test_cycle_type_count_matches_enumeration():
-    n = 6
-    counts = Counter(p.cycle_type() for p in PermGroup.symmetric(n).elements)
-    for parts, count in counts.items():
-        assert cycle_type_count(n, parts) == count
-    assert sum(counts.values()) == math.factorial(n)
-
-
-def test_cycle_type_count_sums_to_factorial():
-    for n in range(1, 9):
-        assert sum(cycle_type_count(n, parts) for parts in partitions(n)) == math.factorial(n)
-
-
-def test_cycle_type_count_explicit():
-    # 7! / (1 * 2 * 4) permutations with cycle type (4, 2, 1)
-    assert cycle_type_count(7, (4, 2, 1)) == 630
-
-
 def test_direct_product():
     # S_3 on {1, 2, 3} and S_2 on {4, 5} generate their direct product
     g = PermGroup.from_generators([Permutation.from_cycles(5, [(1, 2)]),
@@ -152,6 +127,8 @@ def test_wreath_product_order_and_degree():
     w2 = wreath_product(PermGroup.symmetric(3), 2)
     assert w2.degree == 6
     assert w2.order == 6 * 6 * 2
+    with pytest.raises(CapExceeded):
+        wreath_product(PermGroup.symmetric(3), 3, cap=6 ** 3 * 6 - 1)
 
 
 def test_group_closure_cap():

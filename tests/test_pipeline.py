@@ -138,7 +138,7 @@ def test_record_validation():
     with pytest.raises(InputError):
         record("bad", 1, 0, p)
     with pytest.raises(InputError):
-        record("bad", 1, 1, p.shift(1))
+        record("bad", 1, 1, p * TruncatedSeries.monomial(1, 8))
     with pytest.raises(InputError):
         record("bad", 1, 1, p, mult=0)
 

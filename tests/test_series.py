@@ -94,13 +94,8 @@ def test_geometric_series():
 def test_monomial_and_shift():
     m = TruncatedSeries.monomial(3, 6, 5)
     assert m.integer_coefficients() == [0, 0, 0, 5, 0, 0, 0]
-    s = TruncatedSeries.one(4).shift(2)
-    assert s.integer_coefficients() == [0, 0, 1, 0, 0]
-
-
-def test_substitute_power():
-    s = product_form({1: 1}, 8)
-    assert s.substitute_power(2).integer_coefficients() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+    s = product_form({1: 1}, 4) * TruncatedSeries.monomial(2, 4)
+    assert s.integer_coefficients() == [0, 0, 1, 1, 1]
 
 
 def test_truncate_and_as_order():
