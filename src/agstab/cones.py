@@ -4,7 +4,9 @@ A cone is given by integer vectors v_1, .., v_s; the actual generators
 are the forms v_i v_i^T, so a cone automorphism is a permutation pi of
 the indices realized by some T with T v_i = +-v_{pi(i)} that maps the
 saturation of the lattice spanned by the v_i bijectively to itself.
-The search below enumerates exactly those permutations.
+The search below finds exactly those permutations, as the symmetric
+groups of the clone classes and the elements that keep each class in
+order.
 """
 
 from __future__ import annotations
@@ -152,6 +154,30 @@ def cone_rank(spec: ConeSpec) -> int:
     return rational_rank(spec.generators)
 
 
+def _classes(n: int, linked) -> list[list[int]]:
+    """The classes of the equivalence on 0..n-1 generated by the pairs i < j with linked(i, j).
+
+    Union-find; a pair already in one class is not asked.  Classes are
+    sorted, and listed by their least element.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if find(i) != find(j) and linked(i, j):
+                parent[find(j)] = find(i)
+    classes: dict[int, list[int]] = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
 def _split_blocks(vectors, blocks: list[tuple[int, ...]]) -> list[list[int]]:
     """Finest grouping of span-independent blocks that splits the lattice.
 
@@ -194,25 +220,8 @@ def _split_blocks(vectors, blocks: list[tuple[int, ...]]) -> list[list[int]]:
             for j in range(r):
                 coeff[owner[j]] += adj_y[i][j] * y[j][l]
             restrict_to_kernel(kernel, coeff, n)
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in range(m):
-        for l in range(k + 1, m):
-            g = n
-            for c in kernel:
-                g = gcd(g, c[k] - c[l])
-            if g > 1:
-                parent[find(l)] = find(k)
-    groups: dict[int, list[int]] = {}
-    for k, b in enumerate(blocks):
-        groups.setdefault(find(k), []).extend(b)
-    return [sorted(g) for g in groups.values()]
+    groups = _classes(m, lambda k, l: gcd(n, *(c[k] - c[l] for c in kernel)) > 1)
+    return [sorted(i for k in group for i in blocks[k]) for group in groups]
 
 
 def cone_components(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:
@@ -314,6 +323,16 @@ class _AutSearch:
     graph on B; each leaf tests the determinant once and the glue
     condition per flip before mapping the generators outside B, and
     every flip tried counts as a node of the budget.
+
+    The search lists only H = G/N.  Two generators are clones when their
+    transposition is realizable, which one leaf decides; the symmetric
+    groups of the clone classes form the normal subgroup N, and H, the
+    elements that keep every class in order, is a complement of N.  A
+    generator's candidate images must also lie in a class of its size,
+    at its place in that class, and clones must go to clones; a leaf
+    drops the images outside B that break this, so the leaves of the
+    tree are the elements of H.  Each swap test counts as a node of the
+    budget.
     """
 
     def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -354,24 +373,8 @@ class _AutSearch:
         self.pair = [[sum(u[i][x] * tmp[j][x] for x in range(r)) for j in range(s)] for i in range(s)]
 
         # connected components of the nonzero-pairing graph on basis positions
-        parent = list(range(r))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in range(r):
-            for c in range(a + 1, r):
-                if self.pair[self.basis[a]][self.basis[c]] != 0:
-                    ra, rc = find(a), find(c)
-                    if ra != rc:
-                        parent[max(ra, rc)] = min(ra, rc)
-        groups: dict[int, list[int]] = {}
-        for a in range(r):
-            groups.setdefault(find(a), []).append(a)
-        self.parity_components = sorted(groups.values())
+        basis = self.basis
+        self.parity_components = _classes(r, lambda a, c: self.pair[basis[a]][basis[c]] != 0)
 
         in_basis = set(self.basis)
         # numerators of each outside generator's coordinates in B
@@ -505,8 +508,13 @@ class _AutSearch:
                     return False
         return True
 
-    def _leaf(self, target: list[int], results: set[tuple[int, ...]]) -> None:
-        """Add the permutations realized with basis position a sent to +-target[a]."""
+    def _leaf(self, target: list[int], results: set[tuple[int, ...]], rank: list[int] | None = None) -> None:
+        """Add the permutations realized with basis position a sent to +-target[a].
+
+        rank, when given, holds each generator's place in its clone
+        class, and a permutation that moves a generator outside B to
+        another place is dropped (the targets in B are chosen in place).
+        """
         self.leaves += 1
         basis = self.basis
         if self.simplicial:
@@ -553,7 +561,7 @@ class _AutSearch:
                         for x, v in enumerate(u[target[a]]):
                             w[x] += k * v
                 j = self.lookup.get(tuple(v // self.dU for v in w))
-                if j is None or taken[j]:
+                if j is None or taken[j] or (rank is not None and rank[j] != rank[i]):
                     break
                 taken[j] = True
                 images[i] = j + 1
@@ -562,10 +570,23 @@ class _AutSearch:
 
     # -- search and single-permutation verification ------------------------
 
-    def search(self) -> set[tuple[int, ...]]:
-        """Image tuples of every realizable permutation; the identity is always one."""
+    def search(self, cap: int = DEFAULT_CAP) -> PermGroup:
+        """The group of realizable permutations, listed up to its clone classes.
+
+        The clone classes come first (_clone_classes); the tree then
+        assigns each basis position a target of the same profile, class
+        size and place in its class, so its leaves are the elements of
+        H.  The group lists G only when iterated, under cap.
+        """
         r, s, d = self.r, self.s, self.d
+        self.nodes = self.leaves = 0
         profiles = self._profiles()
+        classes = self._clone_classes(profiles)
+        self.class_of, self.rank = [0] * s, [0] * s
+        for k, members in enumerate(classes):
+            for place, i in enumerate(members):
+                self.class_of[i], self.rank[i] = k, place
+        profiles = [(p, len(classes[self.class_of[i]]), self.rank[i]) for i, p in enumerate(profiles)]
         self.candidates = [[j for j in range(s) if profiles[j] == profiles[i]] for i in range(s)]
         self.assign_order = sorted(range(r), key=lambda a: len(self.candidates[self.basis[a]]))
         if self.glue is not None:
@@ -577,10 +598,26 @@ class _AutSearch:
             for a in self.assign_order:
                 codes = [x * self.pattern_base + y for x, y in zip(codes, self.pattern_columns[a])]
                 self.wanted_patterns.append(sorted(codes))
-        self.nodes = self.leaves = 0
         results: set[tuple[int, ...]] = set()
         self._extend(0, [0] * len(self.glue or ()), [0] * self.r, [False] * self.s, results)
-        return results
+        points = [tuple(i + 1 for i in members) for members in classes]
+        return PermGroup.from_quotient(s, points, results, cap)
+
+    def _clone_classes(self, profiles: list) -> list[list[int]]:
+        """The clone classes, 0-based and sorted: i and j are clones when (i j) is realizable.
+
+        That is an equivalence, as (i k) = (i j)(j k)(i j), so only pairs
+        of one profile that are not yet in one class are tested
+        (_swap_test).
+        """
+        return _classes(self.s, lambda i, j: profiles[i] == profiles[j] and self._swap_test(i, j))
+
+    def _swap_test(self, i: int, j: int) -> bool:
+        """Whether the transposition of generators i and j is realizable; one node of the budget."""
+        self._tick()
+        images = list(range(1, self.s + 1))
+        images[i], images[j] = j + 1, i + 1
+        return self.verify(Permutation._trusted(tuple(images)))
 
     def _tick(self) -> None:
         """Count one node of work against the budget."""
@@ -591,6 +628,23 @@ class _AutSearch:
                 {"nodes": self.nodes, "leaves": self.leaves},
             )
 
+    def _consistent(self, level: int, i: int, j: int, target: list[int]) -> bool:
+        """Whether generator i may go to j given the targets of the first level positions.
+
+        Clones must stay clones and others apart, and outside simplicial
+        cones |G(i, b)| = |G(j, target(b))| for each assigned b.
+        """
+        order, basis, cls = self.assign_order, self.basis, self.class_of
+        pair = None if self.simplicial else self.pair
+        for prev in range(level):
+            c = order[prev]
+            b, t = basis[c], target[c]
+            if (cls[b] == cls[i]) != (cls[t] == cls[j]):
+                return False
+            if pair is not None and abs(pair[j][t]) != abs(pair[i][b]):
+                return False
+        return True
+
     def _extend(self, level: int, codes: list[int], target: list[int], used: list[bool], results: set) -> None:
         """Try each candidate target for the level-th basis position of assign_order.
 
@@ -599,29 +653,18 @@ class _AutSearch:
         """
         self._tick()
         if level == self.r:
-            self._leaf(target, results)
+            self._leaf(target, results, self.rank)
             return
-        order, basis = self.assign_order, self.basis
-        a = order[level]
-        i = basis[a]
+        a = self.assign_order[level]
+        i = self.basis[a]
         for j in self.candidates[i]:
-            if used[j]:
+            if used[j] or not self._consistent(level, i, j, target):
                 continue
             nxt = codes
             if self.glue is not None:
                 base = self.pattern_base
                 nxt = [x * base + y for x, y in zip(codes, self.pattern_columns[j])]
                 if sorted(nxt) != self.wanted_patterns[level]:
-                    continue
-            elif not self.simplicial:
-                pair = self.pair
-                ok = True
-                for prev in range(level):
-                    c = order[prev]
-                    if abs(pair[j][target[c]]) != abs(pair[i][basis[c]]):
-                        ok = False
-                        break
-                if not ok:
                     continue
             target[a] = j
             used[j] = True
@@ -649,7 +692,9 @@ def cone_automorphisms(
 
     With use_declared and a declared generating set present, each
     declared permutation is verified realizable and the closure, of at
-    most cap elements, is returned; otherwise the search runs.
+    most cap elements, is returned; otherwise the search runs, and the
+    group it returns lists its elements, at most cap of them, only when
+    they are iterated.
     """
     ctx = _AutSearch(spec, node_budget)
     if use_declared and spec.declared_aut:
@@ -662,7 +707,7 @@ def cone_automorphisms(
             return PermGroup.from_generators(spec.declared_aut, cap=cap)
         except CapExceeded as exc:
             raise CapExceeded(spec.name, exc.stage, exc.cap, exc.elements) from None
-    return PermGroup.from_elements(spec.n_generators, ctx.search())
+    return ctx.search(cap)
 
 
 def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[tuple[Fraction, ...]]]:
@@ -680,12 +725,13 @@ def cone_poincare_series(
     """Molien series of the automorphism action on the span of the forms.
 
     When the forms are independent (a basic cone) the action is the
-    permutation action and cycle types suffice.  Otherwise it is the
-    action on the span (LinearAction.on_span): each generator of aut is
-    checked to act linearly on the forms' coordinates in a maximal
-    independent subset of them, and each element is keyed by power
-    traces read from those coordinates, with no matrix built.
-    coordinates, when given, must be form_coordinates(spec).
+    permutation action, summed over aut's quotient H by class-weighted
+    cycle types.  Otherwise it is the action on the span
+    (LinearAction.on_span): each generator of aut is checked to act
+    linearly on the forms' coordinates in a maximal independent subset
+    of them, and each element of aut, listed, is keyed by power traces
+    read from those coordinates, with no matrix built.  coordinates,
+    when given, must be form_coordinates(spec).
     """
     basis_idx, coords = coordinates or form_coordinates(spec)
     if len(basis_idx) == spec.n_generators:
@@ -694,6 +740,8 @@ def cone_poincare_series(
         return molien_series(LinearAction.on_span(aut, basis_idx, coords), order)
     except InconsistentAction as exc:
         raise InconsistentAction(f"cone {spec.name!r}: {exc}") from None
+    except CapExceeded as exc:
+        raise CapExceeded(spec.name, exc.stage, exc.cap, exc.elements) from None
 
 
 @dataclass(frozen=True)

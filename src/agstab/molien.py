@@ -2,17 +2,26 @@
 
 For a finite group G acting on Q^n the invariant-dimension generating
 series is (1/|G|) sum_{A in G} 1/det(1 - tA).  The sum groups the
-elements by a key that determines det(1 - tA) and evaluates one term
-per key, weighted by the number of elements sharing it.  For a
-permutation action the key is the cycle type, read from the group's
-image tuples; the traces tr(A^k) follow from it.  For a matrix action
-the key is the power traces tr(A^k), k = 1..n.  Newton's identities
-turn the traces into the integer coefficients of det(1 - tA).  An
-action on the span of vectors that the group permutes
-(LinearAction.on_span) reads its traces from the vectors' coordinates
-and builds no matrix.  Each term is expanded and added up in ints, and
-the sum is divided by |G| once, at the end.  molien_series_naive
-inverts det(1 - tA) of every element, from Permutation.cycles() or the
+elements by a key that determines their term and evaluates one term
+per key, weighted by the number of elements sharing it.
+
+For a permutation action the sum runs over H = G/N alone, N the
+symmetric groups of the clone classes (see perms): averaging over the
+coset hN folds a cycle of h of length l through classes of size c into
+h_c[1/(1 - t)](t^l) = prod_{k=1..c} 1/(1 - t^(kl)).  The key of h is
+therefore its class-weighted cycle type, which lists l, 2l, .., cl for
+each such cycle, and its term is prod 1/(1 - t^m) over the key.  A group
+with no clone classes has c = 1 and H = G, and the key is the cycle
+type.
+
+For a matrix action the sum runs over every element of G, listed, and
+the key is the power traces tr(A^k), k = 1..n; Newton's identities turn
+them into the integer coefficients of det(1 - tA).  An action on the
+span of vectors that the group permutes (LinearAction.on_span) reads its
+traces from the vectors' coordinates and builds no matrix.  Each term is
+expanded and added up in ints, and the sum is divided by the number of
+elements summed once, at the end.  molien_series_naive inverts
+det(1 - tA) of every element of G, from Permutation.cycles() or the
 explicit matrix, in fractions instead: an independent oracle.
 """
 
@@ -40,7 +49,8 @@ class LinearAction:
     """A permutation group together with a linear action on Q^dim.
 
     With no explicit matrices and no span the natural permutation action
-    on Q^degree is used and Molien denominators come from cycle types.
+    on Q^degree is used and Molien terms come from class-weighted cycle
+    types.
     """
 
     __slots__ = ("group", "dim", "_matrices", "_span")
@@ -131,25 +141,45 @@ class LinearAction:
             raise KeyError(f"no matrix assigned to {p!r}") from None
 
 
-def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
-    """Weakly increasing cycle lengths of the permutation with these images."""
-    seen = [False] * (len(images) + 1)
+def _cycle_type(images: tuple[int, ...], leaders: Sequence[int] | None = None) -> tuple[int, ...]:
+    """The class-weighted cycle type of the permutation with these images, weakly increasing.
+
+    leaders[p - 1] is the size c of the clone class whose least point is
+    p, and 0 at the other points; the permutation keeps every class in
+    order, so a cycle through a leader meets leaders only, and it adds
+    l, 2l, .., cl for its length l.  With leaders None every point is a
+    class of its own and this is the cycle type.
+    """
+    image = (0,) + images
+    seen = [False] * len(image)
     lengths = []
-    for start in range(1, len(images) + 1):
-        if not seen[start]:
-            length, point = 1, images[start - 1]
+    for start, size in enumerate(leaders or (1,) * len(images), 1):
+        if size and not seen[start]:
+            length, point = 1, image[start]
             while point != start:
                 seen[point] = True
-                point = images[point - 1]
+                point = image[point]
                 length += 1
-            lengths.append(length)
-    return tuple(sorted(lengths))
+            if size == 1:
+                lengths.append(length)
+            else:
+                lengths.extend(range(length, size * length + 1, length))
+    lengths.sort()
+    return tuple(lengths)
+
+
+def _class_leaders(group: PermGroup) -> list[int]:
+    """The leaders argument of _cycle_type for this group's clone classes."""
+    leaders = [1] * group.degree
+    for points in group.classes:
+        for p in points:
+            leaders[p - 1] = 0
+        leaders[points[0] - 1] = len(points)
+    return leaders
 
 
 def _det_key(action: LinearAction, images: tuple[int, ...]) -> tuple:
-    """Elements g with equal keys have equal det(1 - t * rho(g)); g is given by its images."""
-    if action.is_permutation_action:
-        return _cycle_type(images)
+    """Elements g of a matrix action with equal keys have equal det(1 - t * rho(g)); g is given by its images."""
     g = Permutation._trusted(images)
     if action._span is None:
         traces, power = [], g
@@ -191,9 +221,13 @@ def det_from_power_sums(traces: Sequence) -> list[int]:
 
 
 def _class_term(action: LinearAction, key: tuple, order: int) -> list[int]:
-    """The integer coefficients of 1 / det(1 - t * rho(g)) through t^order, for g of this key."""
-    if action.is_permutation_action:  # tr(A^k) counts the points on cycles of a length dividing k
-        key = [sum(length for length in key if k % length == 0) for k in range(1, action.dim + 1)]
+    """The integer coefficients of the term of every element of this key through t^order."""
+    if action.is_permutation_action:  # prod 1/(1 - t^m) over the class-weighted cycle type
+        term = [1] + [0] * order
+        for m in key:
+            for k in range(m, order + 1):
+                term[k] += term[k - m]
+        return term
     c = det_from_power_sums(key)
     inverse = [1]
     for m in range(1, order + 1):
@@ -211,13 +245,23 @@ def _validated(series: TruncatedSeries) -> TruncatedSeries:
 
 
 def molien_series(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Molien sum with one term per det(1 - tA) key, weighted by its count, added up in ints."""
-    counts = Counter(_det_key(action, p) for p in action.group.images())
+    """Molien sum with one term per key, weighted by its count, added up in ints.
+
+    A permutation action sums over H with class-weighted cycle types, a
+    matrix action over all of G with power traces.
+    """
+    group = action.group
+    if action.is_permutation_action:
+        leaders = _class_leaders(group)
+        counts = Counter(_cycle_type(p, leaders) for p in group.quotient_images())
+    else:
+        counts = Counter(_det_key(action, p) for p in group.images())
     total = [0] * (order + 1)
     for key, count in counts.items():
         for k, c in enumerate(_class_term(action, key, order)):
             total[k] += count * c
-    return _validated(TruncatedSeries([Fraction(x, action.group.order) for x in total]))
+    summed = sum(counts.values())
+    return _validated(TruncatedSeries([Fraction(x, summed) for x in total]))
 
 
 def molien_series_naive(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:

@@ -1,17 +1,23 @@
-"""Finite permutation groups via explicit element enumeration.
+"""Finite permutation groups, split by their clone classes.
 
-Groups here are small (orders up to a few thousand), so each one is
-enumerated in full and deterministically: Dimino's coset closure
-adjoins one generator at a time and adds whole cosets of the group
-built so far, and elements are kept sorted lexicographically by image
-list.  A group stores its elements packed, one machine integer per
-image, and builds Permutation objects only when they are asked for.
+A clone class of a group G is a block of points whose every
+permutation, fixing the other points, lies in G.  The symmetric groups
+of the classes form a normal subgroup N = prod S_c, and the elements
+that keep every class in order (each class sent onto a class by the
+increasing bijection) form a complement H, so |G| = |H| prod c!.  A
+group lists H and counts G from it; G itself is listed only when it is
+iterated, by Dimino's coset closure of the generators, which adjoins
+one generator at a time and adds whole cosets of the group built so
+far.  A group with no clone classes has H = G.  Elements are kept
+sorted lexicographically by image list and packed, one machine integer
+per image, and Permutation objects are built only when asked for.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, DegreeMismatch
@@ -116,32 +122,64 @@ class Permutation:
 
 
 class PermGroup:
-    """A finite permutation group with a fully enumerated element list.
+    """A finite permutation group G = N H, N the symmetric groups of its clone classes.
 
-    The sorted image tuples are packed into one array; images() yields
-    them, elements and iteration wrap them as Permutations.
-    ``generators`` generate the whole group: from_generators closes
-    them, from_elements picks them greedily (the lexicographically first
-    element outside the closure so far), both by _coset_closure, and the
-    other constructors name a generating set.  A property that holds
-    for the generators and is closed under products therefore holds for
-    every element.
+    classes holds the clone classes of more than one point, each a
+    sorted tuple, and H, the elements that keep each class in order, is
+    listed: quotient_images() yields its sorted image tuples, packed
+    into one array, and order = |H| prod c!.  images() yields every
+    element of G and iteration wraps them as Permutations; with clone
+    classes they are listed on first use, by _coset_closure of the
+    generators under the group's cap, and kept.  ``generators`` generate
+    the whole group: from_generators closes them, from_elements picks
+    them greedily (the lexicographically first element outside the
+    closure so far), both by _coset_closure, from_quotient takes the
+    adjacent transpositions of every class and the greedy generators of
+    H, and the other constructors name a generating set.  A property
+    that holds for the generators and is closed under products
+    therefore holds for every element.
     """
 
-    __slots__ = ("degree", "generators", "order", "_packed")
+    __slots__ = ("degree", "generators", "order", "classes", "_cap", "_quotient", "_packed")
 
-    def __init__(self, degree: int, generators: tuple[Permutation, ...], images: Sequence[tuple[int, ...]]):
-        """images: every element's image tuple, sorted and without repeats."""
+    def __init__(
+        self,
+        degree: int,
+        generators: tuple[Permutation, ...],
+        images: Sequence[tuple[int, ...]],
+        classes: Sequence[tuple[int, ...]] = (),
+        cap: int = DEFAULT_CAP,
+    ):
+        """images: the image tuples of the elements of H, sorted and without repeats."""
         self.degree = degree
         self.generators = generators
-        self.order = len(images)
-        typecode = "B" if degree < 1 << 8 else "H" if degree < 1 << 16 else "L"
-        self._packed = array(typecode, itertools.chain.from_iterable(images))
+        self.classes = tuple(classes)
+        self.order = len(images) * prod(factorial(len(c)) for c in self.classes)
+        self._cap = cap
+        self._quotient = self._pack(images)
+        self._packed = None if self.classes else self._quotient
+
+    def _pack(self, images: Iterable[tuple[int, ...]]) -> array:
+        n = self.degree
+        typecode = "B" if n < 1 << 8 else "H" if n < 1 << 16 else "L"
+        return array(typecode, itertools.chain.from_iterable(images))
+
+    def _unpack(self, packed: array) -> Iterator[tuple[int, ...]]:
+        n = self.degree
+        return (tuple(packed[k : k + n]) for k in range(0, len(packed), n))
+
+    def quotient_images(self) -> Iterator[tuple[int, ...]]:
+        """The image tuple of every element of H, in sorted order."""
+        return self._unpack(self._quotient)
 
     def images(self) -> Iterator[tuple[int, ...]]:
-        """Every element's image tuple, in sorted order."""
-        packed, n = self._packed, self.degree
-        return (tuple(packed[k : k + n]) for k in range(0, len(packed), n))
+        """Every element's image tuple, in sorted order; past the cap it raises CapExceeded."""
+        if self._packed is None:
+            if self.order > self._cap:
+                raise CapExceeded(None, "closure", self._cap, self.order)
+            _, images = _coset_closure(self.degree, [g.images for g in self.generators], self._cap)
+            self._packed = self._pack(sorted(images))
+        return self._unpack(self._packed)
 
     def __iter__(self) -> Iterator[Permutation]:
         return map(Permutation._trusted, self.images())
@@ -165,9 +203,27 @@ class PermGroup:
     @classmethod
     def from_elements(cls, degree: int, images: Iterable[tuple[int, ...]]) -> "PermGroup":
         """The group with exactly these image tuples of bijections; CapExceeded if they are not closed."""
+        return cls.from_quotient(degree, (), images)
+
+    @classmethod
+    def from_quotient(
+        cls,
+        degree: int,
+        classes: Sequence[tuple[int, ...]],
+        images: Iterable[tuple[int, ...]],
+        cap: int = DEFAULT_CAP,
+    ) -> "PermGroup":
+        """The group N H from its clone classes (sorted tuples of points) and the image tuples of H.
+
+        H must be closed (CapExceeded otherwise); G is not listed.
+        """
         images = sorted(set(images))
-        gens, _ = _coset_closure(degree, images, cap=len(images))
-        return cls(degree, tuple(map(Permutation._trusted, gens)), images)
+        quotient_gens, _ = _coset_closure(degree, images, cap=len(images))
+        classes = tuple(tuple(c) for c in classes if len(c) > 1)
+        gens = [Permutation.from_cycles(degree, [c[k : k + 2]]) for c in classes for k in range(len(c) - 1)]
+        identity = Permutation.identity(degree)
+        gens += [Permutation._trusted(g) for g in quotient_gens if g != identity.images]
+        return cls(degree, tuple(gens) or (identity,), images, classes, cap)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -176,14 +232,9 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, degree: int, points: Sequence[int] | None = None) -> "PermGroup":
-        """The symmetric group on the given points (default: all of 1..degree)."""
-        pts = tuple(points) if points is not None else tuple(range(1, degree + 1))
-        if len(pts) < 2:
-            return cls.trivial(degree)
-        gens = [Permutation.from_cycles(degree, [pts[:2]])]
-        if len(pts) > 2:
-            gens.append(Permutation.from_cycles(degree, [pts]))
-        return cls.from_generators(gens)
+        """The symmetric group on the given points (default: all of 1..degree): one clone class."""
+        pts = tuple(sorted(points)) if points is not None else tuple(range(1, degree + 1))
+        return cls.from_quotient(degree, (pts,), (tuple(range(1, degree + 1)),))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"

@@ -21,33 +21,45 @@ from .series import TruncatedSeries, product_form
 def plethysm_h(n: int, series: TruncatedSeries) -> TruncatedSeries:
     """h_n[P] by Newton's identity n h_n[P] = sum_{k=1..n} P(t^k) h_{n-k}[P].
 
-    The recurrence runs in integers: with D the common denominator of P
-    and Q = D P, F_m = m! D^m h_m[P] satisfies
-    F_m = sum_{k=1..m} (m-1)!/(m-k)! D^(k-1) Q(t^k) F_{m-k},
-    and F_n is divided by n! D^n once at the end.
+    The constant term c of P = c + P' splits off first:
+    h_n[c + P'] = sum_j C(c+j-1, j) h_{n-j}[P'], since h_j[c] = C(c+j-1, j)
+    for any rational c, and h_m[P'] starts at t^m, so only the m = n - j
+    up to the order are needed.  The recurrence runs in integers: with D
+    the common denominator of P' and Q = D P', F_m = m! D^m h_m[P']
+    satisfies F_m = sum_{k=1..m} (m-1)!/(m-k)! D^(k-1) Q(t^k) F_{m-k},
+    and each F_m is divided by m! D^m once, at the end.
     """
     order = series.order
-    d = lcm(*(c.denominator for c in series.coefficients))
-    q = [c.numerator * (d // c.denominator) for c in series.coefficients]
-    # the nonzero terms (degree, coefficient) of Q(t^k) through t^order;
-    # for k > order only the constant term is left
-    q_at = [None] + [
-        [(i * k, c) for i, c in enumerate(q[: order // k + 1]) if c] for k in range(1, order + 2)
-    ]
+    constant = series.coefficients[0]
+    d = lcm(*(c.denominator for c in series.coefficients[1:]))
+    q = [0] + [c.numerator * (d // c.denominator) for c in series.coefficients[1:]]
+    # the nonzero terms (degree, coefficient) of Q(t^k) through t^order
+    q_at = [None] + [[(i * k, c) for i, c in enumerate(q[: order // k + 1]) if c] for k in range(1, order + 1)]
+    top = min(n, order)
     f = [[1] + [0] * order]
-    for m in range(1, n + 1):
+    for m in range(1, top + 1):
         acc = [0] * (order + 1)
         weight = 1  # (m-1)!/(m-k)! D^(k-1)
-        for k in range(1, (m if q[0] else min(m, order)) + 1):
+        for k in range(1, m + 1):
             lower = f[m - k]
-            for shift, c in q_at[min(k, order + 1)]:
+            for shift, c in q_at[k]:
                 c *= weight
                 for j in range(order + 1 - shift):
                     acc[shift + j] += c * lower[j]
             weight *= (m - k) * d
         f.append(acc)
-    denominator = factorial(n) * d**n
-    return TruncatedSeries([Fraction(c, denominator) for c in f[n]])
+    total = [Fraction(0)] * (order + 1)
+    binomial = Fraction(1)  # C(c+j-1, j) at j = n - m
+    for j in range(n + 1):
+        m = n - j
+        if m <= top:
+            scale = binomial / (factorial(m) * d**m)
+            for k, x in enumerate(f[m]):
+                total[k] += scale * x
+        binomial = binomial * (constant + j) / (j + 1)
+        if not binomial:  # c + j = 0 for an integer c <= 0, and every later one is 0 too
+            break
+    return TruncatedSeries(total)
 
 
 def _exponent_map(series: TruncatedSeries) -> dict[int, int]:

@@ -139,6 +139,15 @@ def test_cone_analyze_budget_exit(capsys, tmp_path):
     assert code == 3
 
 
+def test_clone_tests_count_against_the_node_budget(capsys, tmp_path):
+    # C_12 is one clone class, and its eleven swap tests alone pass a budget of 5
+    path = tmp_path / "c12.json"
+    path.write_text(json.dumps(cyclic_cone(12).to_json_dict()))
+    code, _, err = run(capsys, "cone", "analyze", str(path), "--no-declared", "--node-budget", "5")
+    assert code == 3
+    assert "search exceeded its budget of 5 nodes" in err
+
+
 def test_cone_analyze_cap_exit(capsys, monkeypatch, tmp_path, matroidal_specs):
     # C_7's declared generators close to 5040 elements, past a cap of 100
     capped = functools.partial(agstab.cones.cone_automorphisms, cap=100)

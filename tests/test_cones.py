@@ -7,7 +7,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -40,12 +40,13 @@ from agstab.intlinalg import (
     matroid_components,
     saturation_basis,
 )
-from agstab.molien import LinearAction, _det_key, det_from_power_sums, molien_series_naive
-from agstab.perms import PermGroup, Permutation
+from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums, molien_series_naive
+from agstab.perms import DEFAULT_CAP, PermGroup, Permutation
 from agstab.pipeline import load_cone_specs
 from agstab.reference import PERFECT_GROUP_ORDERS
-from agstab.series import RationalMatrix, det_one_minus_tA, expand_rational_form
+from agstab.series import RationalMatrix, det_one_minus_tA, expand_rational_form, product_form
 from agstab.symfunc import plethysm_h
+from wreath import wreath_product
 
 
 def solve_in_basis(basis_rows, target):
@@ -189,24 +190,30 @@ SQUARE = ((1, 0), (0, 1), (1, -1), (1, 1))
 
 
 class _CountingSearch(_AutSearch):
-    """The search with its calls of _extend counted: the nodes of the tree alone."""
+    """The search with its calls of _extend and _swap_test counted: the nodes of the tree and the clone tests."""
 
-    extends = 0
+    extends = swaps = 0
 
     def _extend(self, *args):
         self.extends += 1
         super()._extend(*args)
 
+    def _swap_test(self, *args):
+        self.swaps += 1
+        return super()._swap_test(*args)
+
 
 def test_sign_flips_count_against_the_budget():
     # the pairing of the square is diagonal on its basis e1, e2, and e1 +- e2
     # lie outside it, so every leaf tries two sign vectors; a budget that
-    # covers the search tree alone must not cover those tries
+    # covers the search tree alone must not cover those tries.  Each clone
+    # test, (1 2) and (3 4), is a node and a leaf of its own
     spec = ConeSpec("square", 2, SQUARE)
     full = _CountingSearch(spec)
     assert len(full.flip_components) >= 2
-    assert len(full.search()) == 4
-    assert full.nodes == full.extends + 2 * full.leaves
+    assert full.search().order == 4
+    assert (full.swaps, full.extends, full.leaves) == (2, 3, 3)
+    assert full.nodes == full.extends + full.swaps + 2 * full.leaves
     with pytest.raises(SearchBudgetExceeded) as info:
         _AutSearch(spec, node_budget=full.extends).search()
     exc = info.value
@@ -242,7 +249,7 @@ def test_glue_group_prunes_the_simplicial_search(all_specs):
     # the pairing invariants alone accept all 7! assignments of (7,7a),
     # a tree of 13,700 nodes, for a group of order 240
     ctx = _AutSearch(replace(all_specs["(7,7a)"], declared_aut=None))
-    assert len(ctx.search()) == 240
+    assert ctx.search().order == 240
     assert ctx.nodes < 1370
 
 
@@ -478,6 +485,42 @@ def test_packaged_cone_invariants_survive_a_move(all_specs, name):
     assert after.poincare == before.poincare
 
 
+# packaged cones, and direct sums of equal summands: wreath products
+QUOTIENT_CASES = sorted(EXPECTED_RANK) + ["sigma_1+sigma_1+sigma_1", "K_3+K_3", "K_3+K_3+K_3", "C_4+C_4", "K_4-1+K_4-1"]
+
+
+@pytest.mark.parametrize("name", QUOTIENT_CASES)
+def test_quotient_search_matches_the_full_closure_after_a_move(name):
+    # the searched group, kept as clone classes and H, against the closure
+    # of the declared generators moved along: the same elements, the same
+    # order, and the same series as the element-by-element Molien sum
+    parts = _summands(name)
+    declared = PermGroup.from_generators(parts[0].declared_aut or (Permutation.identity(parts[0].n_generators),))
+    images = set(wreath_product(declared, len(parts)).images())
+    spec, order = _moved(random.Random(name), _block_sum(parts))
+    new_index = {old: new for new, old in enumerate(order)}
+    expected = {tuple(new_index[p[old] - 1] + 1 for old in order) for p in images}
+    group = cone_automorphisms(spec, use_declared=False)
+    assert group.order == len(expected) <= NAIVE_CAP
+    assert set(PermGroup.from_generators(group.generators).images()) == expected
+    assert set(group.images()) == expected
+    full = PermGroup.from_elements(spec.n_generators, expected)
+    assert cone_poincare_series(spec, group, 12) == molien_series_naive(LinearAction.natural(full), 12)
+
+
+@pytest.mark.parametrize("n", (10, 12))
+def test_large_circuit_cone_is_searched_without_listing_its_group(n):
+    # S_n is one clone class with H trivial; 12! is past the closure cap,
+    # so the order and the series come from the quotient alone
+    result = analyze(cyclic_cone(n), order=20, use_declared=False)
+    assert result.aut.order == factorial(n)
+    assert result.poincare == product_form({k: 1 for k in range(1, n + 1)}, 20)
+    if n == 12:
+        assert factorial(n) > DEFAULT_CAP
+        with pytest.raises(CapExceeded):
+            next(result.aut.images())
+
+
 def _brute_force_images(spec: ConeSpec) -> set[tuple[int, ...]]:
     """Permutations realized by a unimodular T, trying every signed image of one basis.
 
@@ -562,7 +605,7 @@ def test_scaled_cone_keeps_its_group_without_listing_glue(all_specs, name):
     ctx = _AutSearch(spec)
     assert ctx.glue is None and ctx.d % p ** len(base.generators) == 0
     expected = {g.images for g in PermGroup.from_generators(base.declared_aut).elements}
-    assert ctx.search() == expected
+    assert set(ctx.search().images()) == expected
     assert cone_automorphisms(spec).order == len(expected)
 
 

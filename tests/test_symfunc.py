@@ -7,6 +7,7 @@ substituting P(t^i) for each p_i gives h_n[P].
 """
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -123,6 +124,23 @@ def test_plethysm_matches_partition_sum(coefficients, n):
     # rational coefficients of either sign, constant term included
     series = TruncatedSeries(coefficients)
     assert plethysm_h(n, series) == plethysm_by_partitions(n, series)
+
+
+@pytest.mark.parametrize("constant", [Fraction(2, 3), Fraction(-2), Fraction(-1, 2), Fraction(3)])
+def test_plethysm_with_a_constant_term_matches_partition_sum(constant):
+    # h_n[c + P'] = sum_j C(c+j-1, j) h_(n-j)[P'], with n past the order too
+    series = TruncatedSeries([constant, Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(2)])
+    for n in range(9):
+        assert plethysm_h(n, series) == plethysm_by_partitions(n, series), n
+
+
+def test_plethysm_of_high_degree_with_a_constant_term_is_prompt():
+    # h_n[1 + t] = sum_j h_j[1] h_(n-j)[t] = 1 + t + .. + t^n
+    order = 10
+    t0 = time.perf_counter()
+    result = plethysm_h(1000, TruncatedSeries([1, 1] + [0] * (order - 1)))
+    assert time.perf_counter() - t0 < 1
+    assert result == TruncatedSeries([1] * (order + 1))
 
 
 def test_exp_of_geometric_is_partition_function():
