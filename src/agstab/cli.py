@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .cones import DEFAULT_NODE_BUDGET, analyze, load_cone
+from .cones import DEFAULT_NODE_BUDGET, analyze, check_declared_automorphisms, load_cone
 from .errors import (
     AgstabError,
     CapExceeded,
@@ -27,6 +27,7 @@ from .perms import PermGroup, Permutation
 from .pipeline import (
     betti_series,
     display_report,
+    load_cone_specs,
     load_dataset,
     validate_smallness,
 )
@@ -66,9 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cone_analyze = cone_sub.add_parser("analyze", help="dimension, rank, components, automorphisms, Molien series")
     cone_analyze.add_argument("file", help="cone JSON file")
     cone_analyze.add_argument("--order", type=_order_arg, default=DEFAULT_ORDER)
-    cone_analyze.add_argument(
-        "--no-declared", action="store_true", help="ignore declared automorphisms and search"
-    )
     cone_analyze.add_argument("--node-budget", type=_budget_arg, default=DEFAULT_NODE_BUDGET)
 
     molien = sub.add_parser("molien", help="Molien series of a permutation group file")
@@ -97,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="recompute a reference suite and compare")
     verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
 
-    validate = sub.add_parser("validate", help="smallness checks for a dataset")
+    validate = sub.add_parser("validate", help="smallness and declared-generator checks for a dataset")
     validate.add_argument("--dataset", required=True)
     validate.add_argument("--order", type=_order_arg, default=DEFAULT_ORDER)
     return parser
@@ -144,12 +142,7 @@ def _load_group(path: str):
 
 def _cmd_cone_analyze(args) -> int:
     spec = load_cone(args.file)
-    result = analyze(
-        spec,
-        order=args.order,
-        use_declared=not args.no_declared,
-        node_budget=args.node_budget,
-    )
+    result = analyze(spec, order=args.order, node_budget=args.node_budget)
     payload = {"name": spec.name, **result.to_json_dict()}
     print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -195,6 +188,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    for spec in load_cone_specs(args.dataset)[1]:
+        check_declared_automorphisms(spec)
     dataset = load_dataset(args.dataset, order=min(args.order, 4))
     report = validate_smallness(dataset)
     print(json.dumps({"family": dataset.family, **report.to_json_dict()}, indent=2))

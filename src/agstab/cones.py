@@ -60,7 +60,10 @@ def _primitive_signature(vector: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """An integer vector configuration naming a rank-one-form cone."""
+    """An integer vector configuration naming a rank-one-form cone.
+
+    declared_aut (a file's aut_generators) is read only by check_declared_automorphisms.
+    """
 
     name: str
     ambient: int
@@ -672,11 +675,8 @@ class _AutSearch:
             used[j] = False
 
     def verify(self, perm: Permutation) -> bool:
-        if perm.degree != self.s:
-            return False
+        """Whether perm, a permutation of the s generators, is realizable."""
         target = [perm.images[self.basis[a]] - 1 for a in range(self.r)]
-        if len(set(target)) != self.r:
-            return False
         results: set[tuple[int, ...]] = set()
         self._leaf(target, results)
         return perm.images in results
@@ -684,30 +684,38 @@ class _AutSearch:
 
 def cone_automorphisms(
     spec: ConeSpec,
-    use_declared: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
     cap: int = DEFAULT_CAP,
 ) -> PermGroup:
-    """The group of realizable generator permutations.
+    """The group of realizable generator permutations, from the search.
 
-    With use_declared and a declared generating set present, each
-    declared permutation is verified realizable and the closure, of at
-    most cap elements, is returned; otherwise the search runs, and the
-    group it returns lists its elements, at most cap of them, only when
-    they are iterated.
+    Declared generators are not read (check_declared_automorphisms
+    compares them with the search).  The group lists its elements, at
+    most cap of them, only when they are iterated.
     """
-    ctx = _AutSearch(spec, node_budget)
-    if use_declared and spec.declared_aut:
-        for p in spec.declared_aut:
-            if not ctx.verify(p):
-                raise VerificationFailed(
-                    f"cone {spec.name!r}: declared automorphism {p!r} is not realizable"
-                )
-        try:
-            return PermGroup.from_generators(spec.declared_aut, cap=cap)
-        except CapExceeded as exc:
-            raise CapExceeded(spec.name, exc.stage, exc.cap, exc.elements) from None
-    return ctx.search(cap)
+    return _AutSearch(spec, node_budget).search(cap)
+
+
+def check_declared_automorphisms(spec: ConeSpec, cap: int = DEFAULT_CAP) -> None:
+    """Raise VerificationFailed unless the declared generators generate the searched group.
+
+    Each must be realizable, so their closure, of at most cap elements,
+    is a subgroup of the searched group, and equal to it exactly when
+    the orders agree.  A spec that declares no generators passes.
+    """
+    if not spec.declared_aut:
+        return
+    ctx = _AutSearch(spec)
+    for p in spec.declared_aut:
+        if not ctx.verify(p):
+            raise VerificationFailed(f"cone {spec.name!r}: declared automorphism {p!r} is not realizable")
+    try:
+        declared = PermGroup.from_generators(spec.declared_aut, cap=cap).order
+    except CapExceeded as exc:
+        raise CapExceeded(spec.name, exc.stage, exc.cap, exc.elements) from None
+    searched = ctx.search(cap).order
+    if declared != searched:
+        raise VerificationFailed(f"cone {spec.name!r}: declared automorphisms generate {declared} of {searched}")
 
 
 def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[tuple[Fraction, ...]]]:
@@ -770,14 +778,14 @@ class ConeAnalysis:
 def analyze(
     spec: ConeSpec,
     order: int = DEFAULT_ORDER,
-    use_declared: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ConeAnalysis:
+    """Dimension, rank, components, searched automorphism group and Poincare series of one cone."""
     coordinates = form_coordinates(spec)
     basis_idx = coordinates[0]
     rank = cone_rank(spec)
     components = cone_components(spec)
-    aut = cone_automorphisms(spec, use_declared=use_declared, node_budget=node_budget)
+    aut = cone_automorphisms(spec, node_budget=node_budget)
     poincare = cone_poincare_series(spec, aut, order, coordinates=coordinates)
     return ConeAnalysis(
         dimension=len(basis_idx),

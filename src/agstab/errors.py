@@ -71,7 +71,7 @@ class SearchBudgetExceeded(AgstabError):
 
 
 class VerificationFailed(AgstabError):
-    """A declared automorphism generator is not realizable on the cone."""
+    """A declared automorphism generator is not realizable, or they generate too small a group."""
 
 
 class InconsistentAction(AgstabError):

@@ -76,10 +76,6 @@ class Dataset:
                     )
 
     @property
-    def full_records(self) -> tuple[ConeClassRecord, ...]:
-        return tuple(r for r in self.records if not r.is_count_only)
-
-    @property
     def count_only_records(self) -> tuple[ConeClassRecord, ...]:
         return tuple(r for r in self.records if r.is_count_only)
 
@@ -156,15 +152,13 @@ def load_cone_specs(source: str | Path) -> tuple[dict, list[ConeSpec]]:
 def load_dataset(
     source: str | Path,
     order: int = DEFAULT_ORDER,
-    use_declared: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Dataset:
     """Assemble a dataset from a manifest path or a packaged family name.
 
-    Each cone file becomes one record from analyze(); with use_declared
-    a cone's declared automorphism generators are verified and closed,
-    otherwise its group comes from the full search.  count_only entries
-    become records without a series.
+    Each cone file becomes one record from analyze(), its group from
+    the search; declared automorphism generators are not read.
+    count_only entries become records without a series.
     """
     payload, specs = load_cone_specs(source)
     try:
@@ -175,7 +169,7 @@ def load_dataset(
         raise InputError(f"malformed dataset manifest: {exc}") from exc
     records = []
     for spec in specs:
-        result = analyze(spec, order=order, use_declared=use_declared, node_budget=node_budget)
+        result = analyze(spec, order=order, node_budget=node_budget)
         records.append(
             ConeClassRecord(spec.name, result.dimension, result.rank, result.poincare)
         )

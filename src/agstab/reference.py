@@ -114,7 +114,7 @@ def _suite_matroidal16() -> SuiteReport:
 
 
 def _suite_perfect16() -> SuiteReport:
-    dataset = load_dataset("perfect", order=8, use_declared=False)
+    dataset = load_dataset("perfect", order=8)
     report = betti_series(dataset, order=8)
     return SuiteReport(
         "perfect16", tuple(_coefficient_checks("betti", BETTI_PERFECT, report.series))
@@ -152,7 +152,7 @@ def _suite_table2() -> SuiteReport:
     checks = []
     for name, (numerator, denominator) in MOLIEN_CLOSED_FORMS.items():
         spec = by_name[name]
-        group = cone_automorphisms(spec, use_declared=True)
+        group = cone_automorphisms(spec)
         series = cone_poincare_series(spec, group, order)
         closed = expand_rational_form(numerator, denominator, order)
         ok = series == closed
@@ -172,7 +172,7 @@ def _suite_table4() -> SuiteReport:
     by_name = {s.name: s for s in specs}
     checks = []
     for name, want in PERFECT_GROUP_ORDERS.items():
-        group = cone_automorphisms(by_name[name], use_declared=False)
+        group = cone_automorphisms(by_name[name])
         checks.append(
             SuiteCheck(f"aut order {name}", str(want), str(group.order), group.order == want)
         )

@@ -41,7 +41,7 @@ def test_criterion_1_matroidal_betti_rows(announce, capsys):
     t0 = time.time()
     code = run_cli(capsys, "verify", "--suite", "matroidal16")
     secs = time.time() - t0
-    announce("1: matroidal Betti numbers through degree 16, < 10 s", code == 0 and secs < 10, secs)
+    announce("1: matroidal Betti numbers through degree 16, < 2 s", code == 0 and secs < 2, secs)
 
 
 def test_criterion_2_perfect_betti_rows(announce, capsys):
@@ -55,7 +55,7 @@ def test_criterion_3_display_series(announce, capsys):
     t0 = time.time()
     code = run_cli(capsys, "verify", "--suite", "section6")
     secs = time.time() - t0
-    announce("3: display-convention series through t^20, < 5 s", code == 0 and secs < 5, secs)
+    announce("3: display-convention series through t^20, < 2 s", code == 0 and secs < 2, secs)
 
 
 def test_criterion_4_group_tables(announce, capsys):
@@ -117,14 +117,14 @@ def test_criterion_5_property_suite(announce):
     a, b = cyclic_cone(3), cyclic_cone(4)
     s = direct_sum(a, b)
     ga, gb = cone_automorphisms(a), cone_automorphisms(b)
-    gs = cone_automorphisms(s, use_declared=False)
+    gs = cone_automorphisms(s)
     ok = ok and gs.order == ga.order * gb.order
     ok = ok and cone_poincare_series(s, gs, 12) == (
         cone_poincare_series(a, ga, 12) * cone_poincare_series(b, gb, 12))
 
     # doubling a summand gives the wreath closure and its plethysm
     double = direct_sum(cyclic_cone(3), cyclic_cone(3))
-    gd = cone_automorphisms(double, use_declared=False)
+    gd = cone_automorphisms(double)
     ok = ok and gd.order == 72
     ok = ok and cone_poincare_series(double, gd, 12) == plethysm_h(
         2, cone_poincare_series(a, ga, 12))
@@ -142,7 +142,7 @@ def test_criterion_6_lower_bound_semantics(announce):
     ok = True
 
     mat = load_dataset("matroidal", order=12)
-    records = mat.full_records
+    records = tuple(r for r in mat.records if not r.is_count_only)
     smaller = Dataset("s", records[:6], None)
     larger = Dataset("l", records, None)
     small_row = betti_series(smaller, 12).series.coefficients

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import agstab.cones
 from agstab.cli import main
 from agstab.cones import cyclic_cone
+from agstab.perms import Permutation
 from agstab.series import TruncatedSeries
 
 
@@ -134,8 +135,7 @@ def test_cone_analyze_budget_exit(capsys, tmp_path):
     spec = cyclic_cone(7)
     path = tmp_path / "c7.json"
     path.write_text(json.dumps(spec.to_json_dict()))
-    code, _, err = run(capsys, "cone", "analyze", str(path), "--no-declared",
-                       "--node-budget", "5")
+    code, _, err = run(capsys, "cone", "analyze", str(path), "--node-budget", "5")
     assert code == 3
 
 
@@ -143,20 +143,30 @@ def test_clone_tests_count_against_the_node_budget(capsys, tmp_path):
     # C_12 is one clone class, and its eleven swap tests alone pass a budget of 5
     path = tmp_path / "c12.json"
     path.write_text(json.dumps(cyclic_cone(12).to_json_dict()))
-    code, _, err = run(capsys, "cone", "analyze", str(path), "--no-declared", "--node-budget", "5")
+    code, _, err = run(capsys, "cone", "analyze", str(path), "--node-budget", "5")
     assert code == 3
     assert "search exceeded its budget of 5 nodes" in err
 
 
-def test_cone_analyze_cap_exit(capsys, monkeypatch, tmp_path, matroidal_specs):
-    # C_7's declared generators close to 5040 elements, past a cap of 100
+def test_cone_analyze_cap_exit(capsys, monkeypatch, tmp_path):
+    # three squares: a non-basic cone whose 384 automorphisms the span
+    # Molien sum lists, past a cap of 100
+    square = agstab.cones.ConeSpec("square", 2, ((1, 0), (0, 1), (1, -1), (1, 1)))
+    cubed = agstab.cones.direct_sum(agstab.cones.direct_sum(square, square), square, "square^3")
     capped = functools.partial(agstab.cones.cone_automorphisms, cap=100)
     monkeypatch.setattr(agstab.cones, "cone_automorphisms", capped)
-    path = tmp_path / "c7.json"
-    path.write_text(json.dumps(matroidal_specs["C_7"].to_json_dict()))
+    path = tmp_path / "square3.json"
+    path.write_text(json.dumps(cubed.to_json_dict()))
     code, _, err = run(capsys, "cone", "analyze", str(path))
     assert code == 3
-    assert "cone 'C_7': closure exceeded its cap of 100 elements" in err
+    assert "cone 'square^3': closure exceeded its cap of 100 elements" in err
+
+
+def _one_cone_manifest(tmp_path, payload) -> str:
+    (tmp_path / "cone.json").write_text(json.dumps(payload))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"family": "one", "cones": ["cone.json"]}))
+    return str(manifest)
 
 
 @pytest.mark.parametrize("generators, declared, aut_order", [
@@ -170,28 +180,54 @@ def test_large_index_cone_is_analyzed_promptly(capsys, tmp_path, generators, dec
     payload = {"name": "big", "ambient": len(generators[0]), "generators": generators}
     if declared:
         payload["aut_generators"] = declared
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(payload))
-    for flags in ((), ("--no-declared",)):
-        start = time.perf_counter()
-        code, out, _ = run(capsys, "cone", "analyze", str(path), "--order", "4", *flags)
-        assert time.perf_counter() - start < 5
-        assert code == 0
-        assert json.loads(out)["aut_order"] == aut_order
+    manifest = _one_cone_manifest(tmp_path, payload)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cone", "analyze", str(tmp_path / "cone.json"), "--order", "4")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["aut_order"] == aut_order
+    # the declared generators are checked against the search just as promptly
+    start = time.perf_counter()
+    assert run(capsys, "validate", "--dataset", manifest)[0] == 0
+    assert time.perf_counter() - start < 5
 
 
-def test_cone_analyze_verification_exit(capsys, tmp_path):
-    # a loop generator can never trade places with a path generator
+def test_validate_verification_exit(capsys, tmp_path):
+    # a loop generator can never trade places with a path generator;
+    # cone analyze ignores the claim, validate rejects it
     bad = {
         "name": "claim",
         "ambient": 3,
         "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, -1], [0, 1, -1]],
         "aut_generators": [[1, 2, 4, 3, 5]],
     }
-    path = tmp_path / "claim.json"
-    path.write_text(json.dumps(bad))
-    code, _, err = run(capsys, "cone", "analyze", str(path))
+    manifest = _one_cone_manifest(tmp_path, bad)
+    code, _, _ = run(capsys, "cone", "analyze", str(tmp_path / "cone.json"))
+    assert code == 0
+    code, _, err = run(capsys, "validate", "--dataset", manifest)
     assert code == 1
+    assert "cone 'claim': declared automorphism Permutation((3 4), n=5) is not realizable" in err
+
+
+def test_under_declared_cone_gets_its_searched_group(capsys, tmp_path, matroidal_specs):
+    # C_7 declaring only its 7-cycle: the group and the series come from
+    # the search, and validate names the cone whose generators fall short
+    c7 = matroidal_specs["C_7"]
+    cycle = Permutation.from_cycles(7, [tuple(range(1, 8))])
+    short = agstab.cones.ConeSpec(c7.name, c7.ambient, c7.generators, (cycle,), c7.tags)
+    result = agstab.cones.analyze(short, order=5)
+    assert result.aut.order == 5040
+    assert result.poincare.integer_coefficients() == [1, 1, 2, 3, 5, 7]
+    manifest = _one_cone_manifest(tmp_path, short.to_json_dict())
+    code, out, _ = run(capsys, "cone", "analyze", str(tmp_path / "cone.json"), "--order", "5")
+    assert code == 0
+    assert json.loads(out)["aut_order"] == 5040
+    code, _, err = run(capsys, "validate", "--dataset", manifest)
+    assert code == 1
+    assert "cone 'C_7': declared automorphisms generate 7 of 5040" in err
+    with pytest.raises(SystemExit) as info:
+        main(["cone", "analyze", str(tmp_path / "cone.json"), "--no-declared"])
+    assert info.value.code == 2
 
 
 def test_verify_suite_output(capsys):
@@ -279,7 +315,7 @@ def test_non_positive_node_budget_is_input_error(capsys, tmp_path):
     path.write_text(json.dumps(cyclic_cone(3).to_json_dict()))
     for budget in ("0", "-1"):
         with pytest.raises(SystemExit) as info:
-            main(["cone", "analyze", str(path), "--no-declared", "--node-budget", budget])
+            main(["cone", "analyze", str(path), "--node-budget", budget])
         assert info.value.code == 2
         assert "node budget must be positive" in capsys.readouterr().err
 
@@ -398,7 +434,7 @@ def test_fuzzed_json_exits_with_input_or_budget_code(kind, cone, group, series, 
         path = Path(tmp) / "input.json"
         if kind == "cone":
             path.write_text(json.dumps(cone))
-            argv = ["cone", "analyze", str(path), "--no-declared", "--node-budget", "50"]
+            argv = ["cone", "analyze", str(path), "--node-budget", "50"]
         elif kind == "group":
             path.write_text(json.dumps(group))
             argv = ["molien", str(path)]

@@ -4,6 +4,7 @@ import functools
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
@@ -17,6 +18,7 @@ from agstab.cones import (
     ConeSpec,
     _AutSearch,
     analyze,
+    check_declared_automorphisms,
     cone_automorphisms,
     cone_components,
     cone_dimension,
@@ -44,7 +46,7 @@ from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums
 from agstab.perms import DEFAULT_CAP, PermGroup, Permutation
 from agstab.pipeline import load_cone_specs
 from agstab.reference import PERFECT_GROUP_ORDERS
-from agstab.series import RationalMatrix, det_one_minus_tA, expand_rational_form, product_form
+from agstab.series import RationalMatrix, TruncatedSeries, det_one_minus_tA, expand_rational_form, product_form
 from agstab.symfunc import plethysm_h
 from wreath import wreath_product
 
@@ -106,6 +108,11 @@ EXPECTED_AUT_ORDER = {
 }
 
 
+def _declared_group(spec: ConeSpec) -> PermGroup:
+    """The closure of the declared generators; sigma_1 declares none."""
+    return PermGroup.from_generators(spec.declared_aut or (Permutation.identity(spec.n_generators),))
+
+
 @pytest.fixture(scope="module")
 def all_specs(matroidal_specs, perfect_specs):
     merged = dict(perfect_specs)
@@ -124,16 +131,15 @@ def test_every_packaged_cone_is_basic_and_irreducible(all_specs):
 
 def test_declared_groups_match_table_orders(all_specs):
     for name, spec in all_specs.items():
-        group = cone_automorphisms(spec)
-        assert group.order == EXPECTED_AUT_ORDER[name], name
+        assert _declared_group(spec).order == EXPECTED_AUT_ORDER[name], name
 
 
-def test_search_matches_declared_on_small_cones(all_specs):
-    for name in ("K_3", "C_4", "K_4-1", "C_321", "(5,7b)"):
-        spec = all_specs[name]
-        searched = cone_automorphisms(spec, use_declared=False)
-        declared = cone_automorphisms(spec, use_declared=True)
-        assert set(searched.elements) == set(declared.elements), name
+def test_declared_generators_pass_the_cross_check(all_specs):
+    # every packaged cone but sigma_1 declares generators of its whole searched group
+    for name, spec in all_specs.items():
+        assert spec.declared_aut or name == "sigma_1"
+        check_declared_automorphisms(spec)
+        assert cone_automorphisms(spec).order == EXPECTED_AUT_ORDER[name], name
 
 
 def test_cyclic_cone_construction():
@@ -142,7 +148,7 @@ def test_cyclic_cone_construction():
         assert spec.n_generators == max(k, 1)
         assert cone_dimension(spec) == max(k, 1)
         assert cone_rank(spec) == max(k - 1, 1)
-        group = cone_automorphisms(spec, use_declared=False)
+        group = cone_automorphisms(spec)
         assert group.order == expected_order
 
 
@@ -156,21 +162,21 @@ def test_verification_failure_on_bogus_declared_generator(all_specs):
     # swapping a loop generator with a path generator is not realizable
     bogus = ConeSpec(base.name, base.ambient, base.generators,
                      (Permutation.from_cycles(5, [(3, 4)]),), base.tags)
-    with pytest.raises(VerificationFailed):
-        cone_automorphisms(bogus)
+    with pytest.raises(VerificationFailed, match="not realizable"):
+        check_declared_automorphisms(bogus)
 
 
 def test_verification_failure_on_simplicial_cone(all_specs):
     # no choice of signs makes this swap map the glue group of (7,7a) onto itself
     base = all_specs["(7,7a)"]
     bogus = replace(base, declared_aut=(Permutation.from_cycles(7, [(1, 2)]),))
-    with pytest.raises(VerificationFailed):
-        cone_automorphisms(bogus)
+    with pytest.raises(VerificationFailed, match="not realizable"):
+        check_declared_automorphisms(bogus)
 
 
 def test_search_budget(all_specs):
     with pytest.raises(SearchBudgetExceeded):
-        cone_automorphisms(all_specs["(7,7b)"], use_declared=False, node_budget=10)
+        cone_automorphisms(all_specs["(7,7b)"], node_budget=10)
 
 
 def test_sign_tries_count_against_the_budget(all_specs):
@@ -224,7 +230,7 @@ def test_sign_flips_count_against_the_budget():
 
 def test_search_budget_error_says_where_it_stopped(all_specs):
     with pytest.raises(SearchBudgetExceeded) as info:
-        cone_automorphisms(all_specs["(7,7a)"], use_declared=False, node_budget=10)
+        cone_automorphisms(all_specs["(7,7a)"], node_budget=10)
     exc = info.value
     assert (exc.cone, exc.stage, exc.budget) == ("(7,7a)", "search", 10)
     assert exc.counters["nodes"] == 11
@@ -238,8 +244,13 @@ def test_search_budget_error_says_where_it_stopped(all_specs):
 def test_closure_cap_error_says_where_it_stopped(all_specs):
     # C_7 declares (1 2) and a 7-cycle: the closure adds cosets of <(1 2)>
     # two elements at a time, so it stops holding 100 elements, one coset short
+    declared = all_specs["C_7"].declared_aut
     with pytest.raises(CapExceeded) as info:
-        cone_automorphisms(all_specs["C_7"], cap=100)
+        PermGroup.from_generators(declared, cap=100)
+    assert (info.value.cone, info.value.stage, info.value.cap, info.value.elements) == (None, "closure", 100, 102)
+    # the cross-check closes them under its cap and names the cone
+    with pytest.raises(CapExceeded) as info:
+        check_declared_automorphisms(all_specs["C_7"], cap=100)
     exc = info.value
     assert (exc.cone, exc.stage, exc.cap, exc.elements) == ("C_7", "closure", 100, 102)
     assert str(exc) == "cone 'C_7': closure exceeded its cap of 100 elements: it needs at least 102"
@@ -263,14 +274,14 @@ def test_direct_sum_splits_into_components():
 
 def test_direct_sum_automorphisms_include_block_swap():
     double = direct_sum(cyclic_cone(3), cyclic_cone(3))
-    group = cone_automorphisms(double, use_declared=False)
+    group = cone_automorphisms(double)
     assert group.order == 72
 
 
 def test_direct_sum_poincare_is_wreath_plethysm():
     summand = cyclic_cone(3)
     double = direct_sum(summand, summand)
-    group = cone_automorphisms(double, use_declared=False)
+    group = cone_automorphisms(double)
     left = cone_poincare_series(double, group, 16)
     inner = cone_poincare_series(summand, cone_automorphisms(summand), 16)
     assert left == plethysm_h(2, inner)
@@ -279,7 +290,7 @@ def test_direct_sum_poincare_is_wreath_plethysm():
 def test_direct_sum_of_distinct_summands_factors():
     a, b = cyclic_cone(3), cyclic_cone(4)
     s = direct_sum(a, b)
-    group = cone_automorphisms(s, use_declared=False)
+    group = cone_automorphisms(s)
     ga, gb = cone_automorphisms(a), cone_automorphisms(b)
     assert group.order == ga.order * gb.order
     left = cone_poincare_series(s, group, 14)
@@ -290,7 +301,7 @@ def test_direct_sum_of_distinct_summands_factors():
 def test_two_loops_split():
     spec = ConeSpec("pair", 2, ((1, 0), (0, 1)), None, frozenset())
     assert cone_components(spec) == ((1,), (2,))
-    group = cone_automorphisms(spec, use_declared=False)
+    group = cone_automorphisms(spec)
     assert group.order == 2
     s = cone_poincare_series(spec, group, 10)
     assert s == expand_rational_form((1,), {1: 1, 2: 1}, 10)
@@ -308,7 +319,7 @@ def test_non_basic_cone_uses_matrix_molien():
     spec = ConeSpec("square", 2, SQUARE, None, frozenset())
     assert cone_dimension(spec) == 3
     assert spec.n_generators == 4
-    group = cone_automorphisms(spec, use_declared=False)
+    group = cone_automorphisms(spec)
     assert group.order == 4
     s = cone_poincare_series(spec, group, 16)
     # effective group is a four-group acting on (a+c, a-c, b)
@@ -465,7 +476,7 @@ def test_search_commutes_with_gl_z_moves_relabelling_and_signs(name, seed):
     expected = {
         tuple(new_index[p[old] - 1] + 1 for old in order) for p in _product_images(parts)
     }
-    group = cone_automorphisms(spec, use_declared=False)
+    group = cone_automorphisms(spec)
     assert {p.images for p in group.elements} == expected
     orders = [PERFECT_GROUP_ORDERS.get(p.name, EXPECTED_AUT_ORDER[p.name]) for p in parts]
     assert group.order == len(expected) == functools.reduce(int.__mul__, orders)
@@ -474,14 +485,14 @@ def test_search_commutes_with_gl_z_moves_relabelling_and_signs(name, seed):
 @pytest.mark.parametrize("name", sorted(EXPECTED_RANK))
 def test_packaged_cone_invariants_survive_a_move(all_specs, name):
     # one GL(Z) change of coordinates, relabelling and sign flip per cone,
-    # seeded by the cone's name; the moved cone has no declared group
+    # seeded by the cone's name
     spec = all_specs[name]
     moved, _ = _moved(random.Random(name), spec.generators)
     before = analyze(spec, order=16)
-    after = analyze(moved, order=16, use_declared=False)
+    after = analyze(moved, order=16)
     assert after.rank == before.rank == EXPECTED_RANK[name]
     assert after.dimension == before.dimension
-    assert after.aut.order == before.aut.order
+    assert after.aut.order == before.aut.order == EXPECTED_AUT_ORDER[name]
     assert after.poincare == before.poincare
 
 
@@ -495,12 +506,12 @@ def test_quotient_search_matches_the_full_closure_after_a_move(name):
     # of the declared generators moved along: the same elements, the same
     # order, and the same series as the element-by-element Molien sum
     parts = _summands(name)
-    declared = PermGroup.from_generators(parts[0].declared_aut or (Permutation.identity(parts[0].n_generators),))
+    declared = _declared_group(parts[0])
     images = set(wreath_product(declared, len(parts)).images())
     spec, order = _moved(random.Random(name), _block_sum(parts))
     new_index = {old: new for new, old in enumerate(order)}
     expected = {tuple(new_index[p[old] - 1] + 1 for old in order) for p in images}
-    group = cone_automorphisms(spec, use_declared=False)
+    group = cone_automorphisms(spec)
     assert group.order == len(expected) <= NAIVE_CAP
     assert set(PermGroup.from_generators(group.generators).images()) == expected
     assert set(group.images()) == expected
@@ -508,11 +519,45 @@ def test_quotient_search_matches_the_full_closure_after_a_move(name):
     assert cone_poincare_series(spec, group, 12) == molien_series_naive(LinearAction.natural(full), 12)
 
 
+@st.composite
+def _mixed_sums(draw, limit: int = 10) -> list[str]:
+    """Packaged summands in any order, one at least twice and one once, at most limit generators in all."""
+    size = {name: spec.n_generators for name, spec in _packaged().items()}
+    repeated = draw(st.sampled_from(sorted(n for n in size if 2 * size[n] < limit)))
+    smallest_other = min(size[n] for n in size if n != repeated)
+    counts = {repeated: draw(st.integers(2, (limit - smallest_other) // size[repeated]))}
+    for extra in range(2):  # one other summand, and maybe a third
+        room = limit - sum(m * size[n] for n, m in counts.items())
+        fits = sorted(n for n in size if n not in counts and size[n] <= room)
+        if not fits or extra and draw(st.booleans()):
+            break
+        name = draw(st.sampled_from(fits))
+        counts[name] = draw(st.integers(1, room // size[name]))
+    return draw(st.permutations([n for n, m in counts.items() for _ in range(m)]))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(names=_mixed_sums())
+def test_mixed_direct_sum_is_a_product_of_wreath_products(names):
+    # summands m_i times each: |Aut| = prod |G_i|^m_i m_i! and P = prod h_(m_i)[P_i],
+    # P_i from the closure of the declared generators
+    parts = [_packaged()[n] for n in names]
+    spec = ConeSpec("+".join(names), sum(p.ambient for p in parts), tuple(_block_sum(parts)))
+    order, series = 1, TruncatedSeries.one(10)
+    for name, m in Counter(names).items():
+        summand = _packaged()[name]
+        order *= EXPECTED_AUT_ORDER[name] ** m * factorial(m)
+        series = series * plethysm_h(m, cone_poincare_series(summand, _declared_group(summand), 10))
+    result = analyze(spec, order=10)
+    assert result.aut.order == order
+    assert result.poincare == series
+
+
 @pytest.mark.parametrize("n", (10, 12))
 def test_large_circuit_cone_is_searched_without_listing_its_group(n):
     # S_n is one clone class with H trivial; 12! is past the closure cap,
     # so the order and the series come from the quotient alone
-    result = analyze(cyclic_cone(n), order=20, use_declared=False)
+    result = analyze(cyclic_cone(n), order=20)
     assert result.aut.order == factorial(n)
     assert result.poincare == product_form({k: 1 for k in range(1, n + 1)}, 20)
     if n == 12:
@@ -566,7 +611,7 @@ def test_search_matches_brute_force_on_small_lattices(factors, extra, seed):
         spec = _diagonal_lattice(factors, extra, seed)
     except InputError:
         return
-    searched = cone_automorphisms(spec, use_declared=False)
+    searched = cone_automorphisms(spec)
     assert {p.images for p in searched.elements} == _brute_force_images(spec)
 
 
@@ -590,7 +635,7 @@ def test_unlisted_glue_group_matches_brute_force(factors, seed):
     # simplicial lattices whose glue group may be too large to list; the
     # leaf then tries sign vectors against the generators of C alone
     spec = _diagonal_lattice(factors, [], seed)
-    searched = cone_automorphisms(spec, use_declared=False)
+    searched = cone_automorphisms(spec)
     assert {p.images for p in searched.elements} == _brute_force_images(spec)
 
 
@@ -606,7 +651,7 @@ def test_scaled_cone_keeps_its_group_without_listing_glue(all_specs, name):
     assert ctx.glue is None and ctx.d % p ** len(base.generators) == 0
     expected = {g.images for g in PermGroup.from_generators(base.declared_aut).elements}
     assert set(ctx.search().images()) == expected
-    assert cone_automorphisms(spec).order == len(expected)
+    check_declared_automorphisms(spec)
 
 
 def _split_oracle(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:
@@ -738,7 +783,7 @@ def test_nonbasic_series_matches_explicit_matrices_and_moves(name, seed):
     base = ConeSpec("nonbasic", source.ambient, source.generators + (extra,))
     spec, _ = _moved(rng, base.generators)
     assert cone_dimension(spec) == cone_dimension(base) < spec.n_generators
-    group, base_group = cone_automorphisms(spec, use_declared=False), cone_automorphisms(base, use_declared=False)
+    group, base_group = cone_automorphisms(spec), cone_automorphisms(base)
     assert group.order == base_group.order
     series = cone_poincare_series(spec, group, 10)
     assert series == cone_poincare_series(base, base_group, 10)

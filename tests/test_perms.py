@@ -194,7 +194,7 @@ def _lattice_sums_cases(seed):
 def test_from_elements_picks_the_greedy_generators():
     cases = _lattice_sums_cases(1)
     groups = [cone_automorphisms(s) for s in PACKAGED]
-    groups += [cone_automorphisms(case.spec, use_declared=False) for case in cases]
+    groups += [cone_automorphisms(case.spec) for case in cases]
     assert len(groups) == 44 + 36
     for group in groups:
         images = list(group.images())
