@@ -27,7 +27,6 @@ from .perms import PermGroup, Permutation
 from .pipeline import (
     betti_series,
     display_report,
-    load_cone_specs,
     load_dataset,
     validate_smallness,
 )
@@ -188,9 +187,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    for spec in load_cone_specs(args.dataset)[1]:
-        check_declared_automorphisms(spec)
-    dataset = load_dataset(args.dataset, order=min(args.order, 4))
+    dataset = load_dataset(args.dataset, order=min(args.order, 4), check=check_declared_automorphisms)
     report = validate_smallness(dataset)
     print(json.dumps({"family": dataset.family, **report.to_json_dict()}, indent=2))
     return EXIT_OK if report.ok else EXIT_MISMATCH

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -28,11 +27,11 @@ from .errors import (
     json_list,
 )
 from .intlinalg import (
+    Vector,
     adjugate_int,
-    coordinates_in_lattice_basis,
     det_int,
-    greedy_independent_rows,
-    independent_rows_and_coordinates,
+    integer_coordinates,
+    lattice_coordinates,
     matroid_components,
     rational_rank,
     restrict_to_kernel,
@@ -124,10 +123,12 @@ class ConeSpec:
                     Permutation(json_int_list(images, "an automorphism"))
                     for images in json_list(payload["aut_generators"], "aut_generators")
                 )
-            tags = frozenset(str(t) for t in payload.get("tags", ()))
+            tags = json_list(payload.get("tags", []), "tags")
+            if not all(isinstance(t, str) for t in tags):
+                raise InputError(f"tags must be a list of strings, got {tags!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed cone payload: {exc}") from exc
-        return cls(name, ambient, generators, declared, tags)
+        return cls(name, ambient, generators, declared, frozenset(tags))
 
 
 def load_cone(path: str | Path) -> ConeSpec:
@@ -181,10 +182,11 @@ def _classes(n: int, linked) -> list[list[int]]:
     return list(classes.values())
 
 
-def _split_blocks(vectors, blocks: list[tuple[int, ...]]) -> list[list[int]]:
+def _split_blocks(u: list[Vector], blocks: list[tuple[int, ...]]) -> list[list[int]]:
     """Finest grouping of span-independent blocks that splits the lattice.
 
-    Let L = sat(all vectors) and L_k = sat(block k); the spans of the
+    The vectors u are in coordinates of their saturated lattice, so
+    L = sat(all vectors) is Z^r.  Let L_k = sat(block k); the spans of the
     blocks sum directly, so H = L / (L_1 + .. + L_m) is finite, of order
     N.  A grouping splits L exactly when the part of every x in L in the
     span of each group lies in L again, i.e. every h in H, projected onto
@@ -201,21 +203,19 @@ def _split_blocks(vectors, blocks: list[tuple[int, ...]]) -> list[list[int]]:
     m = len(blocks)
     if m == 1:
         return [sorted(blocks[0])]
-    whole = saturation_basis([vectors[i] for b in blocks for i in b])
-    owner, rows = [], []
+    # the basis rows y of the L_k, in coordinates of L, and e_i = adj_y . y / det_y
+    owner, y = [], []
     for k, b in enumerate(blocks):
-        for row in saturation_basis([vectors[i] for i in b]):
+        for row in saturation_basis([u[i] for i in b]):
             owner.append(k)
-            rows.append(row)
-    # rows = y . whole and whole = adj_y . rows / det_y
-    y = [coordinates_in_lattice_basis(whole, row) for row in rows]
+            y.append(row)
     adj_y, det_y = adjugate_int(y)
     n = abs(det_y)
     if n == 1:
         return [sorted(b) for b in blocks]
-    # c is in K when every whole_i, its block parts scaled by c, has
-    # integral coordinates: sum_j c_owner[j] adj_y[i][j] y[j][l] = 0 mod n
-    r = len(rows)
+    # c is in K when every e_i, its block parts scaled by c, is
+    # integral: sum_j c_owner[j] adj_y[i][j] y[j][l] = 0 mod n
+    r = len(y)
     kernel = [[int(k == l) for l in range(m)] for k in range(m)]
     for i in range(r):
         for l in range(r):
@@ -227,7 +227,22 @@ def _split_blocks(vectors, blocks: list[tuple[int, ...]]) -> list[list[int]]:
     return [sorted(i for k in group for i in blocks[k]) for group in groups]
 
 
-def cone_components(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:
+class _Lattice:
+    """The generators v_i as vectors u_i of Z^r, in a basis of the saturation of their lattice.
+
+    basis holds the indices of a maximal independent subset B, and
+    components the matroid components of the u_i, which are those of
+    the v_i.  One elimination of the v_i gives basis and u, and one of
+    the u_i the components.
+    """
+
+    def __init__(self, vectors):
+        self.basis, _, self.u = lattice_coordinates(vectors)
+        self.r = len(self.basis)
+        self.components = matroid_components(self.u)
+
+
+def cone_components(spec: ConeSpec, lattice: _Lattice | None = None) -> tuple[tuple[int, ...], ...]:
     """Finest direct-sum decomposition of the generator configuration, 1-based.
 
     Matroid components of the vectors give the finest split of the
@@ -237,10 +252,10 @@ def cone_components(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:
     unimodular configurations the two notions agree, but configurations
     of independent vectors spanning a proper-index sublattice (several of
     the non-matroidal cones) are indecomposable over the integers despite
-    their free matroid.
+    their free matroid.  lattice, when given, must be _Lattice(spec.generators).
     """
-    q_comps = matroid_components(spec.generators)
-    comps = _split_blocks(spec.generators, q_comps)
+    lattice = lattice or _Lattice(spec.generators)
+    comps = _split_blocks(lattice.u, lattice.components)
     return tuple(tuple(i + 1 for i in comp) for comp in sorted(comps))
 
 
@@ -338,17 +353,13 @@ class _AutSearch:
     budget.
     """
 
-    def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET):
+    def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET, lattice: _Lattice | None = None):
         self.spec = spec
         self.node_budget = node_budget
-        vectors = spec.generators
-        self.s = len(vectors)
-        sat = saturation_basis(vectors)
-        self.r = len(sat)
-        self.u = [coordinates_in_lattice_basis(sat, v) for v in vectors]
+        self.lattice = lattice or _Lattice(spec.generators)
+        self.s = len(spec.generators)
+        self.r, self.u, self.basis = self.lattice.r, self.lattice.u, self.lattice.basis
         r, s, u = self.r, self.s, self.u
-
-        self.basis = greedy_independent_rows(u)
         ub = [[u[b][x] for b in self.basis] for x in range(r)]
         self.adjU, self.dU = adjugate_int(ub)
         self.d = d = abs(self.dU)
@@ -406,7 +417,7 @@ class _AutSearch:
             # of the identity; C projects onto Z/d with index gcd(d, c_a)
             return [gcd(d, *(c[a] for c in self.glue_gens)) for a in range(r)]
         comp_size = {}
-        for comp in matroid_components(self.u):
+        for comp in self.lattice.components:
             for i in comp:
                 comp_size[i] = len(comp)
         profiles = []
@@ -686,18 +697,20 @@ def cone_automorphisms(
     spec: ConeSpec,
     node_budget: int = DEFAULT_NODE_BUDGET,
     cap: int = DEFAULT_CAP,
+    lattice: _Lattice | None = None,
 ) -> PermGroup:
     """The group of realizable generator permutations, from the search.
 
     Declared generators are not read (check_declared_automorphisms
     compares them with the search).  The group lists its elements, at
-    most cap of them, only when they are iterated.
+    most cap of them, only when they are iterated.  lattice, when given,
+    must be _Lattice(spec.generators).
     """
-    return _AutSearch(spec, node_budget).search(cap)
+    return _AutSearch(spec, node_budget, lattice).search(cap)
 
 
-def check_declared_automorphisms(spec: ConeSpec, cap: int = DEFAULT_CAP) -> None:
-    """Raise VerificationFailed unless the declared generators generate the searched group.
+def check_declared_automorphisms(spec: ConeSpec, aut: PermGroup, cap: int = DEFAULT_CAP) -> None:
+    """Raise VerificationFailed unless the declared generators generate aut, the searched group.
 
     Each must be realizable, so their closure, of at most cap elements,
     is a subgroup of the searched group, and equal to it exactly when
@@ -713,14 +726,13 @@ def check_declared_automorphisms(spec: ConeSpec, cap: int = DEFAULT_CAP) -> None
         declared = PermGroup.from_generators(spec.declared_aut, cap=cap).order
     except CapExceeded as exc:
         raise CapExceeded(spec.name, exc.stage, exc.cap, exc.elements) from None
-    searched = ctx.search(cap).order
-    if declared != searched:
-        raise VerificationFailed(f"cone {spec.name!r}: declared automorphisms generate {declared} of {searched}")
+    if declared != aut.order:
+        raise VerificationFailed(f"cone {spec.name!r}: declared automorphisms generate {declared} of {aut.order}")
 
 
-def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[tuple[Fraction, ...]]]:
-    """(form basis indices 0-based, coordinates of every form in that basis), from one elimination."""
-    return independent_rows_and_coordinates([_form_vector(v) for v in spec.generators])
+def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[Vector], int]:
+    """(form basis indices 0-based, every form's coordinates in that basis as integer numerators, their denominator)."""
+    return integer_coordinates([_form_vector(v) for v in spec.generators])
 
 
 def cone_poincare_series(
@@ -728,7 +740,7 @@ def cone_poincare_series(
     aut: PermGroup,
     order: int = DEFAULT_ORDER,
     *,
-    coordinates: tuple[list[int], list[tuple[Fraction, ...]]] | None = None,
+    coordinates: tuple[list[int], list[Vector], int] | None = None,
 ) -> TruncatedSeries:
     """Molien series of the automorphism action on the span of the forms.
 
@@ -741,11 +753,11 @@ def cone_poincare_series(
     read from those coordinates, with no matrix built.  coordinates,
     when given, must be form_coordinates(spec).
     """
-    basis_idx, coords = coordinates or form_coordinates(spec)
+    basis_idx, coords, den = coordinates or form_coordinates(spec)
     if len(basis_idx) == spec.n_generators:
         return molien_series(LinearAction.natural(aut), order)
     try:
-        return molien_series(LinearAction.on_span(aut, basis_idx, coords), order)
+        return molien_series(LinearAction.on_span(aut, basis_idx, coords, den), order)
     except InconsistentAction as exc:
         raise InconsistentAction(f"cone {spec.name!r}: {exc}") from None
     except CapExceeded as exc:
@@ -780,16 +792,19 @@ def analyze(
     order: int = DEFAULT_ORDER,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ConeAnalysis:
-    """Dimension, rank, components, searched automorphism group and Poincare series of one cone."""
+    """Dimension, rank, components, searched automorphism group and Poincare series of one cone.
+
+    The components and the search share one saturation of the generators' lattice.
+    """
     coordinates = form_coordinates(spec)
     basis_idx = coordinates[0]
-    rank = cone_rank(spec)
-    components = cone_components(spec)
-    aut = cone_automorphisms(spec, node_budget=node_budget)
+    lattice = _Lattice(spec.generators)
+    components = cone_components(spec, lattice)
+    aut = cone_automorphisms(spec, node_budget=node_budget, lattice=lattice)
     poincare = cone_poincare_series(spec, aut, order, coordinates=coordinates)
     return ConeAnalysis(
         dimension=len(basis_idx),
-        rank=rank,
+        rank=lattice.r,
         components=components,
         aut=aut,
         form_basis=tuple(i + 1 for i in basis_idx),

@@ -1,154 +1,166 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Small dense matrices only (dimensions well under 100).  Row
-elimination, coordinates, adjugates and determinants use Bareiss'
-fraction-free recurrence, so every intermediate entry is a minor of the
-input; lattice saturation works modulo the common denominator of the
-reduced row echelon form, so no entry grows past it.
+Small dense matrices only (dimensions well under 100), and no
+fractions.  Row elimination is a fraction-free Gauss-Jordan step that
+divides exactly by the previous pivot, so every entry met is a minor of
+the input; coordinates come out as integer numerators over one positive
+denominator, and the adjugate without any division.  Lattice
+saturation works modulo the common denominator of the reduced row
+echelon form, so no entry grows past it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 Vector = tuple[int, ...]
 
 
 def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(greedy_independent_rows(rows))
+    return len(_echelon(rows, track=False)[0])
 
 
-def greedy_independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of a maximal independent subset, scanning rows in order."""
-    return _echelon(rows)[0]
+def _echelon(rows: Sequence[Sequence[int]], track: bool = True):
+    """(kept, pivots, m, t, delta): fraction-free Gauss-Jordan elimination, scanning rows in order.
 
-
-def independent_rows_and_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[Fraction, ...]]]:
-    """(greedy_independent_rows(rows), every row's coordinates in those rows), from one elimination."""
-    kept, _, _, coords = _echelon(rows)
-    return kept, coords
-
-
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], list[int], list[tuple[Fraction, ...]]]:
-    """(indices kept, their rows eliminated, pivot columns, coordinates), scanning rows in order.
-
-    A row joins exactly when it does not eliminate to zero against the
-    rows kept so far.  Elimination is Bareiss' fraction-free recurrence
-    on the rows extended by unit vectors, so every entry met is a minor
-    of the input.  An eliminated kept row is 0 at the pivots of the rows
-    kept before it; a row that eliminates to zero has, in its extension,
-    the numerators of its coordinates in the kept rows over the common
-    denominator on its own unit position (Cramer's rule).
+    A row joins the kept rows K exactly when it is not in the span of
+    those kept before it; its pivot is its first nonzero column after
+    elimination.  With B the r x r matrix of K on the pivot columns (rows
+    in kept order, columns in pivot order) and delta = det B,
+    m = delta B^-1 K is delta times the reduced row echelon form and,
+    when track, t = delta B^-1 = adj B, so a row v of the span has the
+    integer numerators v_P t over delta as its coordinates in K, v_P its
+    entries on the pivot columns.  A new row v becomes
+    delta v - v_P m, the Bareiss minor of K and v; if it is kept, each
+    earlier row is brought to the new pivot d as (d m_j - m_j[p] v) /
+    delta, an exact division, since every entry stays a minor.  Callers
+    that need only kept, the pivots, m or delta pass track False.
     """
-    if not rows:
-        return [], [], [], []
-    n, width = len(rows), len(rows[0])
-    reduced: list[list[int]] = []
-    pivots: list[int] = []
     kept: list[int] = []
-    coords: list[tuple[Fraction, ...] | None] = []
+    pivots: list[int] = []
+    m: list[list[int]] = []
+    t: list[list[int]] = []
+    delta = 1
     for idx, row in enumerate(rows):
-        vec = list(row) + [0] * n
-        vec[width + idx] = 1
-        prev = 1
-        for e, p in zip(reduced, pivots):
-            d, b = e[p], vec[p]
-            vec = [(d * x - b * y) // prev for x, y in zip(vec, e)]
-            prev = d
-        piv = next((j for j in range(width) if vec[j]), None)
+        vec = [delta * x for x in row]
+        ext = [0] * len(kept) if track else []
+        for p, mj, tj in zip(pivots, m, t if track else m):
+            h = row[p]
+            if h:
+                vec = [a - h * b for a, b in zip(vec, mj)]
+                if track:
+                    ext = [a - h * b for a, b in zip(ext, tj)]
+        piv = next((j for j, x in enumerate(vec) if x), None)
         if piv is None:
-            den = vec[width + idx]
-            coords.append(tuple(Fraction(-vec[width + k], den) for k in kept))
             continue
-        reduced.append(vec)
-        pivots.append(piv)
+        d = vec[piv]
+        if track:
+            ext.append(delta)
+        for j, mj in enumerate(m):
+            h = mj[piv]
+            m[j] = [(d * a - h * b) // delta for a, b in zip(mj, vec)]
+            if track:
+                t[j] = [(d * a - h * b) // delta for a, b in zip(t[j] + [0], ext)]
         kept.append(idx)
-        coords.append(None)
-    r = len(kept)
-    unit = {k: tuple(Fraction(int(a == b)) for b in range(r)) for a, k in enumerate(kept)}
-    coords = [unit[i] if c is None else c + (Fraction(0),) * (r - len(c)) for i, c in enumerate(coords)]
-    return kept, [e[:width] for e in reduced], pivots, coords
+        pivots.append(piv)
+        m.append(vec)
+        t.append(ext)
+        delta = d
+    return kept, pivots, m, t, delta
+
+
+def integer_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[Vector], int]:
+    """(kept, every row's coordinates in the kept rows as integer numerators, their denominator).
+
+    kept, as in _echelon, indexes a maximal independent subset found by
+    scanning the rows in order.  One elimination; the denominator is
+    positive, and the same for every row.
+    """
+    kept, pivots, _, t, delta = _echelon(rows)
+    sign = 1 if delta > 0 else -1
+    nums = []
+    for row in rows:
+        c = [0] * len(kept)
+        for p, tj in zip(pivots, t):
+            h = sign * row[p]
+            if h:
+                c = [a + h * b for a, b in zip(c, tj)]
+        nums.append(tuple(c))
+    return kept, nums, abs(delta)
+
+
+def _sign(order: Sequence[int]) -> int:
+    """The sign of the permutation i -> order[i]."""
+    return (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by Bareiss' fraction-free elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = m[i], m[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    """Integer determinant: the elimination's det B, B = A P (adjugate_int), times det P."""
+    kept, pivots, _, _, delta = _echelon(matrix, track=False)
+    return delta * _sign(pivots) if len(kept) == len(matrix) else 0
 
 
 def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """(adjugate, determinant) with matrix * adj = det * I, all integer.
 
-    The coordinates of the unit vectors in the rows of the matrix are
-    the rows of its inverse (_echelon), and adj = det * inverse.
+    The elimination's t is adj B for B the matrix with its columns in
+    pivot order, B = A P with P the permutation matrix of the pivots, so
+    adj A = P adj B det P: row p_j of adj A is row j of t, times the sign
+    of the pivot order, and det A = det B det P.
     """
-    d = det_int(matrix)
-    if d == 0:
-        raise ZeroDivisionError("adjugate of a singular matrix")
     n = len(matrix)
-    coords = _echelon(list(matrix) + [[int(i == j) for j in range(n)] for i in range(n)])[3]
-    out = []
-    for row in coords[n:]:
-        int_row = []
-        for x in row:
-            x *= d
-            if x.denominator != 1:
-                raise ArithmeticError("adjugate entries must be integers")
-            int_row.append(x.numerator)
-        out.append(int_row)
-    return out, d
+    kept, pivots, _, t, delta = _echelon(matrix)
+    if len(kept) < n:
+        raise ZeroDivisionError("adjugate of a singular matrix")
+    sign = _sign(pivots)
+    adj = [[]] * n
+    for p, row in zip(pivots, t):
+        adj[p] = [sign * x for x in row]
+    return adj, sign * delta
 
 
 def saturation_basis(rows: Sequence[Sequence[int]]) -> list[Vector]:
-    """Basis of the saturation of the row lattice inside Z^g.
+    """Basis of the saturation of the row lattice inside Z^g (lattice_coordinates)."""
+    return lattice_coordinates(rows)[1]
+
+
+def lattice_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[Vector], list[Vector]]:
+    """(kept, a basis of the saturation of the row lattice, every row's integer coordinates in it).
 
     With R the reduced row echelon form of the rows (r rows, identity on
     the pivot columns), every vector of the rational row space is c R
     with c its entries on the pivots, so the saturation is the image of
-    the lattice of c in Z^r with c R integral.  For D the common
-    denominator of R, that lattice is the kernel of c -> c (D R) mod D,
-    and it contains D Z^r; both its generators and its triangular basis
-    are found modulo D.
+    the lattice of c in Z^r with c R integral.  The elimination gives
+    delta R in integers; dividing out the gcd of its entries leaves D R
+    with D the common denominator of R.  The lattice of c is the kernel
+    of c -> c (D R) mod D, and contains D Z^r; both its generators and
+    its triangular basis C are found modulo D, and the basis is C R.  A
+    row v then has the coordinates v_P C^-1, found by back substitution
+    in integers.
     """
-    _, reduced, pivots, _ = _echelon(rows)
-    rref = [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)]
-    for i, p in enumerate(pivots):
-        for k, row in enumerate(rref):
-            if k != i and row[p]:
-                f = row[p]
-                rref[k] = [a - f * b for a, b in zip(row, rref[i])]
-    r = len(rref)
-    den = lcm(1, *(x.denominator for row in rref for x in row))
-    scaled = [[int(x * den) for x in row] for row in rref]
+    kept, pivots, m, _, delta = _echelon(rows, track=False)
+    r = len(kept)
+    if not r:
+        return kept, [], [() for _ in rows]
+    g = gcd(*(x for row in m for x in row))
+    den = abs(delta) // g
+    scaled = [[x // (g if delta > 0 else -g) for x in row] for row in m]
     kernel = [[int(i == j) for j in range(r)] for i in range(r)]
-    for x in range(len(scaled[0]) if r else 0):
-        restrict_to_kernel(kernel, [row[x] for row in scaled], den)
-    return [
-        tuple(sum(ci * row[x] for ci, row in zip(c, scaled)) // den for x in range(len(scaled[0])))
-        for c in _triangular_basis(kernel, den, r)
-    ]
+    for col in zip(*scaled) if den > 1 else ():
+        restrict_to_kernel(kernel, col, den)
+    tri = _triangular_basis(kernel, den, r)
+    basis = [tuple(sum(ci * x for ci, x in zip(c, col)) // den for col in zip(*scaled)) for c in tri]
+    coords = []
+    for row in rows:
+        u = []
+        for k in range(r):
+            q, rem = divmod(row[pivots[k]] - sum(u[j] * tri[j][k] for j in range(k)), tri[k][k])
+            if rem:
+                raise ArithmeticError(f"{tuple(row)} has non-integer coordinates in the saturation basis")
+            u.append(q)
+        coords.append(tuple(u))
+    return kept, basis, coords
 
 
 def restrict_to_kernel(gens: list[list[int]], coeff: Sequence[int], n: int) -> None:
@@ -197,21 +209,6 @@ def _triangular_basis(gens: list[list[int]], n: int, m: int) -> list[list[int]]:
     return basis
 
 
-def coordinates_in_lattice_basis(basis: Sequence[Vector], vector: Sequence[int]) -> Vector:
-    """Integer coordinates of a lattice vector in a saturation basis."""
-    kept, _, _, coords = _echelon(list(basis) + [vector])
-    if kept != list(range(len(basis))):
-        raise ValueError(f"{vector} is not in the span of the independent rows {basis}")
-    out = []
-    for c in coords[-1]:
-        if c.denominator != 1:
-            raise ArithmeticError(
-                f"{vector} has non-integer coordinates {coords[-1]} in the lattice basis"
-            )
-        out.append(c.numerator)
-    return tuple(out)
-
-
 def matroid_components(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Connected components of the linear matroid on the given vectors.
 
@@ -222,29 +219,13 @@ def matroid_components(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]
     and form singleton components.  Indices returned are 0-based and
     each component is sorted.
     """
-    n = len(vectors)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    basis_idx, coords = independent_rows_and_coordinates(vectors)
-    basis_set = set(basis_idx)
-    for i in range(n):
-        if i not in basis_set:
-            for pos, c in enumerate(coords[i]):
-                if c != 0:
-                    union(i, basis_idx[pos])
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(tuple(sorted(v)) for v in groups.values())
-
+    kept, coords, _ = integer_coordinates(vectors)
+    comp = [{i} for i in range(len(vectors))]
+    for i, c in enumerate(coords):
+        for k, x in zip(kept, c):
+            if x and comp[k] is not comp[i]:
+                joined = comp[k]
+                comp[i] |= joined
+                for j in joined:
+                    comp[j] = comp[i]
+    return sorted({tuple(sorted(members)) for members in comp})

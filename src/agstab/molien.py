@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import CapExceeded, InconsistentAction
@@ -85,13 +84,14 @@ class LinearAction:
 
     @classmethod
     def on_span(
-        cls, group: PermGroup, basis: Sequence[int], coordinates: Sequence[Sequence[Fraction]]
+        cls, group: PermGroup, basis: Sequence[int], coordinates: Sequence[Sequence[int]], den: int
     ) -> "LinearAction":
         """The action on the span of vectors w_1..w_s that the group permutes.
 
         basis holds the 0-based indices of a basis among the w_i, and
-        coordinates[i] the coordinates of w_i in it; scaled by their
-        common denominator D they form the integer table X[a][i].  The
+        coordinates[i] the integer numerators, over the common positive
+        denominator D = den, of the coordinates of w_i in it; they form
+        the integer table X[a][i] = coordinates[i][a].  The
         permutation g acts by the matrix M_g whose column a is the
         coordinates of w_g(basis[a]), and it acts linearly exactly when
         M_g w_i = w_g(i) for every i, in integers
@@ -100,8 +100,7 @@ class LinearAction:
         checked; a failure raises InconsistentAction.
         """
         action = cls(group, len(basis))
-        den = lcm(1, *(c.denominator for col in coordinates for c in col))
-        table = [[int(col[a] * den) for col in coordinates] for a in range(len(basis))]
+        table = [list(row) for row in zip(*coordinates)]
         outside = sorted(set(range(len(coordinates))) - set(basis))
         for g in group.generators:
             img = [p - 1 for p in g.images]

@@ -12,9 +12,11 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from .cones import DEFAULT_NODE_BUDGET, ConeSpec, analyze
 from .errors import InputError
+from .perms import PermGroup
 from .series import DEFAULT_ORDER, TruncatedSeries
 from .symfunc import exp_series
 
@@ -153,12 +155,13 @@ def load_dataset(
     source: str | Path,
     order: int = DEFAULT_ORDER,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    check: Callable[[ConeSpec, PermGroup], None] | None = None,
 ) -> Dataset:
     """Assemble a dataset from a manifest path or a packaged family name.
 
     Each cone file becomes one record from analyze(), its group from
-    the search; declared automorphism generators are not read.
-    count_only entries become records without a series.
+    the search; check, when given, is called with each cone and that
+    group.  count_only entries become records without a series.
     """
     payload, specs = load_cone_specs(source)
     try:
@@ -170,6 +173,8 @@ def load_dataset(
     records = []
     for spec in specs:
         result = analyze(spec, order=order, node_budget=node_budget)
+        if check is not None:
+            check(spec, result.aut)
         records.append(
             ConeClassRecord(spec.name, result.dimension, result.rank, result.poincare)
         )

@@ -278,6 +278,13 @@ def test_order_zero_gives_constant_row(capsys):
      {"name": "x", "ambient": 1, "generators": [[1]], "aut_generators": [5]}),
     (["cone", "analyze"], "cone.json",
      {"name": "x", "ambient": 1, "generators": [[1]], "tags": 5}),
+    # a string or an object was read as its characters or keys
+    (["cone", "analyze"], "cone.json",
+     {"name": "x", "ambient": 1, "generators": [[1]], "tags": "ab"}),
+    (["cone", "analyze"], "cone.json",
+     {"name": "x", "ambient": 1, "generators": [[1]], "tags": {"a": 1}}),
+    (["cone", "analyze"], "cone.json",
+     {"name": "x", "ambient": 1, "generators": [[1]], "tags": ["a", 1]}),
     (["series", "exp"], None, {"order": 1, "coefficients": ["0", "1/0"]}),
     (["series", "exp"], None, {"order": -1, "coefficients": []}),
     # numbers that are not JSON integers, and strings where lists belong
@@ -294,7 +301,8 @@ def test_order_zero_gives_constant_row(capsys):
     (["molien"], "group.json", {"degree": 2, "generators": ["21"]}),
     (["series", "exp"], None, {"order": 1, "coefficients": "01"}),
     (["series", "exp"], None, {"order": 1.5, "coefficients": ["0", "1"]}),
-], ids=["group-degree-0", "cone-aut-int", "cone-tags-int", "series-1/0", "series-order-neg",
+], ids=["group-degree-0", "cone-aut-int", "cone-tags-int", "cone-tags-str", "cone-tags-dict",
+        "cone-tags-entry-int", "series-1/0", "series-order-neg",
         "cone-ambient-float", "cone-ambient-bool", "cone-entry-float", "cone-entry-str",
         "cone-vector-str", "cone-generators-str", "cone-aut-float", "group-degree-str",
         "group-image-bool", "group-images-str", "series-coefficients-str", "series-order-float"])

@@ -38,8 +38,9 @@ from agstab.errors import (
 )
 from agstab.intlinalg import (
     det_int,
-    greedy_independent_rows,
+    integer_coordinates,
     matroid_components,
+    rational_rank,
     saturation_basis,
 )
 from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums, molien_series_naive
@@ -138,8 +139,9 @@ def test_declared_generators_pass_the_cross_check(all_specs):
     # every packaged cone but sigma_1 declares generators of its whole searched group
     for name, spec in all_specs.items():
         assert spec.declared_aut or name == "sigma_1"
-        check_declared_automorphisms(spec)
-        assert cone_automorphisms(spec).order == EXPECTED_AUT_ORDER[name], name
+        aut = cone_automorphisms(spec)
+        check_declared_automorphisms(spec, aut)
+        assert aut.order == EXPECTED_AUT_ORDER[name], name
 
 
 def test_cyclic_cone_construction():
@@ -163,7 +165,7 @@ def test_verification_failure_on_bogus_declared_generator(all_specs):
     bogus = ConeSpec(base.name, base.ambient, base.generators,
                      (Permutation.from_cycles(5, [(3, 4)]),), base.tags)
     with pytest.raises(VerificationFailed, match="not realizable"):
-        check_declared_automorphisms(bogus)
+        check_declared_automorphisms(bogus, cone_automorphisms(bogus))
 
 
 def test_verification_failure_on_simplicial_cone(all_specs):
@@ -171,7 +173,7 @@ def test_verification_failure_on_simplicial_cone(all_specs):
     base = all_specs["(7,7a)"]
     bogus = replace(base, declared_aut=(Permutation.from_cycles(7, [(1, 2)]),))
     with pytest.raises(VerificationFailed, match="not realizable"):
-        check_declared_automorphisms(bogus)
+        check_declared_automorphisms(bogus, cone_automorphisms(bogus))
 
 
 def test_search_budget(all_specs):
@@ -250,7 +252,7 @@ def test_closure_cap_error_says_where_it_stopped(all_specs):
     assert (info.value.cone, info.value.stage, info.value.cap, info.value.elements) == (None, "closure", 100, 102)
     # the cross-check closes them under its cap and names the cone
     with pytest.raises(CapExceeded) as info:
-        check_declared_automorphisms(all_specs["C_7"], cap=100)
+        check_declared_automorphisms(all_specs["C_7"], cone_automorphisms(all_specs["C_7"]), cap=100)
     exc = info.value
     assert (exc.cone, exc.stage, exc.cap, exc.elements) == ("C_7", "closure", 100, 102)
     assert str(exc) == "cone 'C_7': closure exceeded its cap of 100 elements: it needs at least 102"
@@ -350,12 +352,11 @@ def test_inconsistent_action_found_on_the_second_generator():
 def test_form_coordinates_round_trip(all_specs):
     for name in ("K_3", "(5,5)"):
         spec = all_specs[name]
-        basis, coords = form_coordinates(spec)
+        basis, coords, den = form_coordinates(spec)
         assert len(basis) == cone_dimension(spec)
         assert len(coords) == spec.n_generators
-        for i in basis:
-            unit = coords[i]
-            assert sum(1 for c in unit if c != 0) == 1
+        for a, i in enumerate(basis):
+            assert coords[i] == tuple(den * (b == a) for b in range(len(basis)))
 
 
 def test_spec_rejects_bad_input():
@@ -463,6 +464,17 @@ def _product_images(parts: list[ConeSpec]) -> set[tuple[int, ...]]:
         block = [tuple(offset + x for x in g.images) for g in PermGroup.from_generators(p.declared_aut).elements]
         images = {left + right for left in images for right in block}
     return images
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_analyze_rank_is_the_rational_rank(seed):
+    # analyze reads the rank from the saturated lattice it shares with the search
+    rng = random.Random(seed)
+    for name, spec in _packaged().items():
+        moved, _ = _moved(rng, spec.generators)
+        for cone in (spec, moved):
+            assert analyze(cone, order=2).rank == rational_rank(cone.generators) == EXPECTED_RANK[name], name
 
 
 @pytest.mark.parametrize("name", SEARCHED)
@@ -577,7 +589,7 @@ def _brute_force_images(spec: ConeSpec) -> set[tuple[int, ...]]:
     sat = saturation_basis(vectors)
     r = len(sat)
     u = [solve_in_basis(sat, v) for v in vectors]
-    basis = greedy_independent_rows(u)
+    basis = integer_coordinates(u)[0]
     columns = [[u[b][x] for b in basis] for x in range(r)]
     inverse = [solve_in_basis(columns, [int(x == y) for x in range(r)]) for y in range(r)]
     rays = {}
@@ -650,8 +662,9 @@ def test_scaled_cone_keeps_its_group_without_listing_glue(all_specs, name):
     ctx = _AutSearch(spec)
     assert ctx.glue is None and ctx.d % p ** len(base.generators) == 0
     expected = {g.images for g in PermGroup.from_generators(base.declared_aut).elements}
-    assert set(ctx.search().images()) == expected
-    check_declared_automorphisms(spec)
+    group = ctx.search()
+    assert set(group.images()) == expected
+    check_declared_automorphisms(spec, group)
 
 
 def _split_oracle(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:

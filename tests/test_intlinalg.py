@@ -1,20 +1,21 @@
-"""Exact integer linear algebra helpers."""
+"""Exact integer linear algebra helpers, against Fraction oracles."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agstab.intlinalg import (
+    _triangular_basis,
     adjugate_int,
-    coordinates_in_lattice_basis,
     det_int,
-    greedy_independent_rows,
-    independent_rows_and_coordinates,
+    integer_coordinates,
+    lattice_coordinates,
     matroid_components,
     rational_rank,
+    restrict_to_kernel,
     saturation_basis,
 )
 
@@ -40,12 +41,101 @@ def fraction_gauss_det(rows):
     return det
 
 
+def fraction_coordinates(rows):
+    """(greedy independent rows, every row's coordinates in them) by Gauss elimination over Fraction.
+
+    Each row is reduced against the kept rows in echelon form, with the
+    combination of input rows it has become carried alongside.
+    """
+    echelon = []  # (pivot, reduced row, its combination of the input rows)
+    kept, coords = [], []
+    for idx, row in enumerate(rows):
+        x = [Fraction(v) for v in row]
+        c = [Fraction(0)] * len(rows)  # row = x + sum c[a] rows[a]
+        for p, e, comb in echelon:
+            if x[p]:
+                f = x[p] / e[p]
+                x = [a - f * b for a, b in zip(x, e)]
+                c = [a + f * b for a, b in zip(c, comb)]
+        if any(x):
+            comb = [-a for a in c]
+            comb[idx] = Fraction(1)
+            echelon.append((next(j for j, v in enumerate(x) if v), x, comb))
+            kept.append(idx)
+            coords.append(None)
+        else:
+            coords.append(c)
+    out = []
+    for idx, c in enumerate(coords):
+        out.append(tuple(Fraction(int(k == idx)) for k in kept) if c is None else tuple(c[k] for k in kept))
+    return kept, out
+
+
+def fraction_saturation_basis(rows):
+    """The saturation basis through a Fraction reduced row echelon form: the oracle for saturation_basis.
+
+    With R the RREF (identity on the pivot columns) and D the common
+    denominator of its entries, the saturation is c R for the c in Z^r
+    with c (D R) = 0 mod D.
+    """
+    kept, _ = fraction_coordinates(rows)
+    rref = [[Fraction(x) for x in rows[k]] for k in kept]
+    for i in range(len(rref)):
+        p = next(j for j, x in enumerate(rref[i]) if x)
+        rref[i] = [x / rref[i][p] for x in rref[i]]
+        for k in range(len(rref)):
+            if k != i and rref[k][p]:
+                f = rref[k][p]
+                rref[k] = [a - f * b for a, b in zip(rref[k], rref[i])]
+    r = len(rref)
+    if not r:
+        return []
+    den = lcm(1, *(x.denominator for row in rref for x in row))
+    scaled = [[int(x * den) for x in row] for row in rref]
+    kernel = [[int(i == j) for j in range(r)] for i in range(r)]
+    for x in range(len(scaled[0])):
+        restrict_to_kernel(kernel, [row[x] for row in scaled], den)
+    return [
+        tuple(sum(ci * row[x] for ci, row in zip(c, scaled)) // den for x in range(len(scaled[0])))
+        for c in _triangular_basis(kernel, den, r)
+    ]
+
+
+def fraction_solve(basis, vector):
+    """The coordinates of vector in the independent rows basis, over Fraction, or None off their span."""
+    kept, coords = fraction_coordinates(list(basis) + [vector])
+    if kept != list(range(len(basis))):
+        return None
+    return coords[-1]
+
+
+def integral_in(basis, vector):
+    coords = fraction_solve(basis, vector)
+    return coords is not None and all(c.denominator == 1 for c in coords)
+
+
 square = st.integers(min_value=2, max_value=4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
         min_size=n, max_size=n,
     )
 )
+big_square = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n), min_size=n, max_size=n,
+    )
+)
+
+
+def _deficient(rows, relation):
+    """rows with the last replaced by a combination of the first two, when relation."""
+    if relation and len(rows) > 2:
+        rows[-1] = [a - 7 * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+wide_rows = st.integers(1, 6).flatmap(lambda g: st.lists(
+    st.lists(st.integers(-10**6, 10**6), min_size=g, max_size=g), min_size=1, max_size=7))
 
 
 @settings(max_examples=80, deadline=None)
@@ -65,6 +155,21 @@ def test_adjugate_identity(rows):
     assert prod == [[det if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(big_square)
+def test_adjugate_matches_the_fraction_inverse(rows):
+    det = fraction_gauss_det(rows)
+    assume(det != 0)
+    n = len(rows)
+    adj, d = adjugate_int(rows)
+    assert d == det
+    # column j of the inverse is the coordinates of e_j in the columns of rows
+    columns = [[rows[i][j] for i in range(n)] for j in range(n)]
+    for j in range(n):
+        inverse_col = fraction_solve(columns, [int(i == j) for i in range(n)])
+        assert [Fraction(adj[i][j]) for i in range(n)] == [det * c for c in inverse_col]
+
+
 def test_rational_rank():
     assert rational_rank([(1, 0), (0, 1), (1, 1)]) == 2
     assert rational_rank([(2, 4), (1, 2)]) == 1
@@ -82,8 +187,7 @@ def test_saturation_basis_of_sublattice():
     assert len(basis) == 2
     # both generators must have integral coordinates in the basis
     for v in [(1, 1, 0), (0, 1, 1)]:
-        coords = coordinates_in_lattice_basis(basis, v)
-        assert all(isinstance(c, int) for c in coords)
+        assert integral_in(basis, v)
 
 
 def _is_saturation_basis(rows, basis):
@@ -91,7 +195,7 @@ def _is_saturation_basis(rows, basis):
     if len(basis) != rational_rank(rows):
         return False
     for row in rows:
-        if any(row) and not all(isinstance(c, int) for c in coordinates_in_lattice_basis(basis, row)):
+        if any(row) and not integral_in(basis, row):
             return False
     g = 0
     for cols in combinations(range(len(rows[0])), len(basis)):
@@ -120,12 +224,33 @@ def test_saturation_basis_property(rows, relation):
     assert _is_saturation_basis(rows, saturation_basis(rows))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=wide_rows, relation=st.booleans())
+def test_saturation_basis_spans_the_oracle_lattice(rows, relation):
+    rows = _deficient(rows, relation)
+    basis, oracle = saturation_basis(rows), fraction_saturation_basis(rows)
+    assert len(basis) == len(oracle) == rational_rank(rows)
+    assert all(integral_in(basis, row) for row in oracle)
+    assert all(integral_in(oracle, row) for row in basis)
+
+
 def test_coordinates_round_trip():
-    basis = saturation_basis([(1, 2, 3), (0, 1, 1)])
-    v = tuple(2 * a - 5 * b for a, b in zip(basis[0], basis[1]))
-    coords = coordinates_in_lattice_basis(basis, v)
-    rebuilt = [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(3)]
-    assert tuple(rebuilt) == v
+    rows = [(1, 2, 3), (0, 1, 1), (2, 5, 7)]
+    _, basis, coords = lattice_coordinates(rows)
+    for row, c in zip(rows, coords):
+        assert tuple(sum(x * b[i] for x, b in zip(c, basis)) for i in range(3)) == row
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=wide_rows, relation=st.booleans())
+def test_lattice_coordinates_match_the_oracle(rows, relation):
+    rows = _deficient(rows, relation)
+    kept, basis, coords = lattice_coordinates(rows)
+    assert kept == fraction_coordinates(rows)[0]
+    assert len(coords) == len(rows)
+    for row, c in zip(rows, coords):
+        assert all(type(x) is int for x in c)
+        assert fraction_solve(basis, row) == tuple(Fraction(x) for x in c)
 
 
 def test_matroid_components():
@@ -139,15 +264,23 @@ def test_matroid_components():
     assert matroid_components(rows) == [(0, 1, 2)]
 
 
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=7))
 def test_coordinates_rebuild_every_row(rows):
-    kept, coords = independent_rows_and_coordinates(rows)
-    assert kept == greedy_independent_rows(rows)
-    assert len(coords) == len(rows)
+    kept, coords, den = integer_coordinates(rows)
+    assert kept == lattice_coordinates(rows)[0] == fraction_coordinates(rows)[0]
+    assert len(coords) == len(rows) and den > 0
     for i, (row, c) in enumerate(zip(rows, coords)):
         assert len(c) == len(kept)
-        assert [sum(x * rows[k][j] for x, k in zip(c, kept)) for j in range(4)] == list(row)
+        assert [sum(x * rows[k][j] for x, k in zip(c, kept)) for j in range(4)] == [den * x for x in row]
         if i in kept:
-            assert list(c) == [int(k == i) for k in kept]
+            assert list(c) == [den * int(k == i) for k in kept]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=wide_rows, relation=st.booleans())
+def test_integer_coordinates_match_the_oracle(rows, relation):
+    rows = _deficient(rows, relation)
+    kept, nums, den = integer_coordinates(rows)
+    assert den > 0
+    assert (kept, [tuple(Fraction(x, den) for x in c) for c in nums]) == fraction_coordinates(rows)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from agstab.errors import CapExceeded, InconsistentAction
-from agstab.intlinalg import independent_rows_and_coordinates
+from agstab.intlinalg import integer_coordinates
 from agstab.molien import LinearAction, det_from_power_sums, molien_series, molien_series_naive
 from agstab.perms import PermGroup, Permutation
 from agstab.series import RationalMatrix, expand_rational_form, product_form
@@ -136,9 +136,9 @@ def test_span_action_rejects_an_element_with_a_fractional_trace():
     # identity) miss its element (3 4) passes the generator check, and the
     # trace 5/2 of (3 4) is caught when the element is keyed
     forms = [(a * a, a * b, b * b) for a, b in ((1, 0), (0, 1), (1, 2), (1, 1))]
-    basis, coords = independent_rows_and_coordinates(forms)
+    basis, coords, den = integer_coordinates(forms)
     swap = Permutation.from_cycles(4, [(3, 4)])
     group = PermGroup(4, (Permutation.identity(4),), sorted([swap.images, (1, 2, 3, 4)]))
-    action = LinearAction.on_span(group, basis, coords)
+    action = LinearAction.on_span(group, basis, coords, den)
     with pytest.raises(InconsistentAction, match="5/2"):
         molien_series(action, 4)
