@@ -14,13 +14,13 @@ from .cones import DEFAULT_NODE_BUDGET, analyze, check_declared_automorphisms, l
 from .errors import (
     AgstabError,
     CapExceeded,
-    FixtureMismatch,
     InputError,
     SearchBudgetExceeded,
     VerificationFailed,
     json_int,
     json_int_list,
     json_list,
+    read_json,
 )
 from .molien import LinearAction, molien_series
 from .perms import PermGroup, Permutation
@@ -114,13 +114,7 @@ def _read_stdin_series(order) -> TruncatedSeries:
 
 
 def _load_group(path: str):
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read group file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"group file {path} is not valid JSON: {exc}") from exc
+    payload = read_json(path, "group file")
     try:
         degree = json_int(payload["degree"], "degree")
         generators = [
@@ -196,6 +190,9 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact coefficients may run past the interpreter's 4,300-digit int/str limit
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     handlers = {
         "cone": _cmd_cone_analyze,
         "molien": _cmd_molien,
@@ -209,12 +206,14 @@ def main(argv=None) -> int:
     except (SearchBudgetExceeded, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (VerificationFailed, FixtureMismatch) as exc:
+    except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except AgstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,8 @@ order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import gcd
-from pathlib import Path
 
 from .errors import (
     CapExceeded,
@@ -25,6 +23,8 @@ from .errors import (
     json_int,
     json_int_list,
     json_list,
+    json_str,
+    read_json,
 )
 from .intlinalg import (
     Vector,
@@ -112,7 +112,7 @@ class ConeSpec:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ConeSpec":
         try:
-            name = str(payload["name"])
+            name = json_str(payload["name"], "name")
             ambient = json_int(payload["ambient"], "ambient")
             generators = tuple(
                 json_int_list(v, "a generator") for v in json_list(payload["generators"], "generators")
@@ -131,15 +131,13 @@ class ConeSpec:
         return cls(name, ambient, generators, declared, frozenset(tags))
 
 
-def load_cone(path: str | Path) -> ConeSpec:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read cone file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"cone file {path} is not valid JSON: {exc}") from exc
-    return ConeSpec.from_json_dict(payload)
+def load_cone(source) -> ConeSpec:
+    """The cone in a JSON file: a path (str or Path) or a resources Traversable.
+
+    The only reader of cone files; the payload rules are those of
+    ConeSpec.from_json_dict, and any breach is an InputError.
+    """
+    return ConeSpec.from_json_dict(read_json(source, "cone file"))
 
 
 def _form_vector(v: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and the JSON input rules."""
+
+import json
+from pathlib import Path
 
 
 class AgstabError(Exception):
@@ -7,6 +10,28 @@ class AgstabError(Exception):
 
 class InputError(AgstabError):
     """Malformed user input (files, JSON payloads, option values)."""
+
+
+def read_json(source, what: str):
+    """The JSON value in a file (a str or Path path, or a resources Traversable).
+
+    The only reader of JSON files: read and decode failures are input errors.
+    """
+    if isinstance(source, str):
+        source = Path(source)
+    try:
+        return json.loads(source.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {source}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise InputError(f"{what} {source} is not valid JSON: {exc}") from exc
+
+
+def json_str(value, what: str) -> str:
+    """value itself if it is a JSON string; anything else is an input error."""
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def json_int(value, what: str) -> int:
@@ -76,7 +101,3 @@ class VerificationFailed(AgstabError):
 
 class InconsistentAction(AgstabError):
     """A permutation does not induce a linear action on the cone's span."""
-
-
-class FixtureMismatch(AgstabError):
-    """A verification suite disagreed with its stored reference values."""

@@ -8,14 +8,13 @@ exponential of that series plus the odd-degree lambda-class part.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .cones import DEFAULT_NODE_BUDGET, ConeSpec, analyze
-from .errors import InputError
+from .cones import DEFAULT_NODE_BUDGET, ConeSpec, analyze, load_cone
+from .errors import InputError, json_int, json_list, json_str, read_json
 from .perms import PermGroup
 from .series import DEFAULT_ORDER, TruncatedSeries
 from .symfunc import exp_series
@@ -114,41 +113,38 @@ class BettiReport:
 
 
 def _manifest_root(source: str | Path):
-    """(traversable directory, manifest payload) for a path or family name."""
+    """(traversable directory, manifest payload) for a path or family name.
+
+    The payload is checked in full: family a string, completeness_dim an
+    integer or absent, cones a list of strings, count_only a list of
+    objects with integer dimension, rank and count.
+    """
     if isinstance(source, str) and source in PACKAGED_FAMILIES:
         root = resources.files("agstab").joinpath("data")
         manifest = root.joinpath(f"{source}.json")
     else:
-        path = Path(source)
-        root = path.parent
-        manifest = path
-    try:
-        payload = json.loads(manifest.read_text())
-    except (OSError, FileNotFoundError) as exc:
-        raise InputError(f"cannot read dataset manifest {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"dataset manifest {source} is not valid JSON: {exc}") from exc
+        manifest = Path(source)
+        root = manifest.parent
+    payload = read_json(manifest, "dataset manifest")
     if not isinstance(payload, dict):
         raise InputError(f"dataset manifest {source} must be a JSON object")
+    json_str(payload.get("family"), "family")
+    if payload.get("completeness_dim") is not None:
+        json_int(payload["completeness_dim"], "completeness_dim")
+    for rel in json_list(payload.get("cones", []), "cones"):
+        json_str(rel, "an entry of cones")
+    for entry in json_list(payload.get("count_only", []), "count_only"):
+        if not isinstance(entry, dict):
+            raise InputError(f"a count_only entry must be an object, got {entry!r}")
+        for key in ("dimension", "rank", "count"):
+            json_int(entry.get(key), f"{key} of a count_only entry")
     return root, payload
 
 
 def load_cone_specs(source: str | Path) -> tuple[dict, list[ConeSpec]]:
-    """Manifest payload and the cone specs it points to."""
+    """The checked manifest payload and its cones, read by load_cone relative to the manifest."""
     root, payload = _manifest_root(source)
-    specs = []
-    for rel in payload.get("cones", []):
-        ref = root
-        for part in str(rel).split("/"):
-            ref = ref.joinpath(part)
-        try:
-            cone_payload = json.loads(ref.read_text())
-        except (OSError, FileNotFoundError) as exc:
-            raise InputError(f"cannot read cone file {rel}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cone file {rel} is not valid JSON: {exc}") from exc
-        specs.append(ConeSpec.from_json_dict(cone_payload))
-    return payload, specs
+    return payload, [load_cone(root.joinpath(rel)) for rel in payload.get("cones", [])]
 
 
 def load_dataset(
@@ -159,17 +155,16 @@ def load_dataset(
 ) -> Dataset:
     """Assemble a dataset from a manifest path or a packaged family name.
 
-    Each cone file becomes one record from analyze(), its group from
-    the search; check, when given, is called with each cone and that
-    group.  count_only entries become records without a series.
+    load_cone_specs checks the manifest and every cone file in full before
+    any cone is analyzed.  Each cone then becomes one record from analyze(),
+    its group from the search; check, when given, is called with each cone
+    and that group.  count_only entries become records without a series.
     """
     payload, specs = load_cone_specs(source)
-    try:
-        family = str(payload["family"])
-        completeness = payload.get("completeness_dim")
-        completeness = None if completeness is None else int(completeness)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed dataset manifest: {exc}") from exc
+    count_only = []
+    for entry in payload.get("count_only", []):
+        dim, rank = entry["dimension"], entry["rank"]
+        count_only.append(ConeClassRecord(f"count-only-d{dim}-r{rank}", dim, rank, None, entry["count"]))
     records = []
     for spec in specs:
         result = analyze(spec, order=order, node_budget=node_budget)
@@ -178,15 +173,7 @@ def load_dataset(
         records.append(
             ConeClassRecord(spec.name, result.dimension, result.rank, result.poincare)
         )
-    for entry in payload.get("count_only", []):
-        try:
-            dim, rank, count = int(entry["dimension"]), int(entry["rank"]), int(entry["count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed count_only entry: {exc}") from exc
-        records.append(
-            ConeClassRecord(f"count-only-d{dim}-r{rank}", dim, rank, None, count)
-        )
-    return Dataset(family, tuple(records), completeness)
+    return Dataset(payload["family"], tuple(records + count_only), payload.get("completeness_dim"))
 
 
 # -- series assembly -------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import cone_automorphisms, cone_poincare_series
-from .errors import FixtureMismatch, InputError
+from .errors import InputError
 from .pipeline import (
     Dataset,
     betti_series,
@@ -188,13 +188,7 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, raise_on_mismatch: bool = False) -> SuiteReport:
+def run_suite(name: str) -> SuiteReport:
     if name not in _SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    report = _SUITES[name]()
-    if raise_on_mismatch and not report.ok:
-        first = next(c for c in report.checks if not c.ok)
-        raise FixtureMismatch(
-            f"suite {name}: {first.label} expected {first.expected}, got {first.actual}"
-        )
-    return report
+    return _SUITES[name]()

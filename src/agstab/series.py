@@ -233,7 +233,7 @@ class TruncatedSeries:
     def from_json(cls, text: str) -> "TruncatedSeries":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(payload)
 

@@ -98,6 +98,21 @@ def test_series_plethysm_of_high_degree_is_prompt(capsys, monkeypatch):
     assert h[degree] == TruncatedSeries([1] * (order + 1))
 
 
+def test_series_plethysm_prints_exact_coefficients_of_any_length(capsys, monkeypatch):
+    # h_10000[1/2 + t] has a coefficient of 6,020 digits, past Python's default
+    # 4,300-digit limit on int/str conversion
+    payload = json.dumps({"order": 10, "coefficients": ["1/2", "1"] + ["0"] * 9})
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "series", "plethysm", "--degree", "10000")
+    assert time.perf_counter() - start < 5
+    assert code == 0, err
+    assert max(len(c) for c in json.loads(out)["coefficients"]) > 4300
+    # h_1[P] = P: the output reads back exactly
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert run(capsys, "series", "plethysm", "--degree", "1") == (0, out, "")
+
+
 def test_series_exp_rejects_garbage(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("nonsense"))
     code, _, err = run(capsys, "series", "exp", "--order", "4")
@@ -257,6 +272,18 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [b'{"name": "\xe9"}', b"[" * 100000], ids=["latin-1", "deep"])
+def test_undecodable_json_is_input_error(capsys, monkeypatch, tmp_path, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    for argv in (["cone", "analyze"], ["molien"], ["betti", "--dataset"]):
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert "is not valid JSON" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(content.decode("latin-1")))
+    assert run(capsys, "series", "exp")[0] == 2
+
+
 def test_negative_order_is_input_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["betti", "--dataset", "matroidal", "--order", "-3"])
@@ -301,11 +328,29 @@ def test_order_zero_gives_constant_row(capsys):
     (["molien"], "group.json", {"degree": 2, "generators": ["21"]}),
     (["series", "exp"], None, {"order": 1, "coefficients": "01"}),
     (["series", "exp"], None, {"order": 1.5, "coefficients": ["0", "1"]}),
+    (["cone", "analyze"], "cone.json", {"name": 5, "ambient": 1, "generators": [[1]]}),
+    # manifests: each was coerced (7.9 to 7, true to 1, a dict to its keys) or checked late
+    (["betti", "--dataset"], "manifest.json", {"family": "x", "completeness_dim": 7.9, "cones": []}),
+    (["betti", "--dataset"], "manifest.json", {"family": "x", "completeness_dim": "8", "cones": []}),
+    (["betti", "--dataset"], "manifest.json",
+     {"family": "x", "cones": [], "count_only": [{"dimension": 1, "rank": 1, "count": 2.5}]}),
+    (["betti", "--dataset"], "manifest.json",
+     {"family": "x", "cones": [], "count_only": [{"dimension": 1, "rank": 1, "count": True}]}),
+    (["betti", "--dataset"], "manifest.json",
+     {"family": "x", "cones": [], "count_only": [{"dimension": 3.7, "rank": 1, "count": 1}]}),
+    (["betti", "--dataset"], "manifest.json", {"family": "x", "cones": {}}),
+    (["betti", "--dataset"], "manifest.json", {"family": "x", "cones": [5]}),
+    (["betti", "--dataset"], "manifest.json", {"family": ["a"], "cones": []}),
+    (["betti", "--dataset"], "manifest.json", {"family": "x", "cones": [], "count_only": "x"}),
 ], ids=["group-degree-0", "cone-aut-int", "cone-tags-int", "cone-tags-str", "cone-tags-dict",
         "cone-tags-entry-int", "series-1/0", "series-order-neg",
         "cone-ambient-float", "cone-ambient-bool", "cone-entry-float", "cone-entry-str",
         "cone-vector-str", "cone-generators-str", "cone-aut-float", "group-degree-str",
-        "group-image-bool", "group-images-str", "series-coefficients-str", "series-order-float"])
+        "group-image-bool", "group-images-str", "series-coefficients-str", "series-order-float",
+        "cone-name-int", "manifest-completeness-float", "manifest-completeness-str",
+        "manifest-count-float", "manifest-count-bool", "manifest-dimension-float",
+        "manifest-cones-dict", "manifest-cones-entry-int", "manifest-family-list",
+        "manifest-count-only-str"])
 def test_malformed_input_is_input_error(capsys, monkeypatch, tmp_path, argv, filename, payload):
     if filename is None:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
@@ -367,6 +412,10 @@ _valid_cone = st.integers(1, 3).map(lambda n: {
 })
 _valid_group = st.integers(1, 3).map(lambda n: {"degree": n, "generators": [[*range(2, n + 1), 1]]})
 _valid_series = st.integers(0, 3).map(lambda k: {"order": k, "coefficients": ["0"] + ["1"] * k})
+_valid_manifest = st.integers(1, 3).map(lambda n: {
+    "family": "x", "completeness_dim": n, "cones": [],
+    "count_only": [{"dimension": n, "rank": n, "count": 2}],
+})
 
 
 def _typed_paths(value, path=()):
@@ -411,8 +460,16 @@ def _int_lists(value) -> bool:
     )
 
 
-def _ill_typed(kind, cone, group, series) -> bool:
+def _ill_typed(kind, cone, group, series, manifest) -> bool:
     """A non-integer where an integer belongs, or a non-list where a list belongs."""
+    if kind == "manifest":
+        entries = manifest["count_only"]
+        return not (
+            _is_int(manifest["completeness_dim"])
+            and isinstance(manifest["cones"], list)
+            and isinstance(entries, list)
+            and all(isinstance(e, dict) and all(map(_is_int, e.values())) for e in entries)
+        )
     if kind == "cone":
         return isinstance(cone, dict) and not (
             _is_int(cone["ambient"])
@@ -430,17 +487,21 @@ def _ill_typed(kind, cone, group, series) -> bool:
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(["cone", "group", "exp", "plethysm"]),
+    kind=st.sampled_from(["cone", "group", "manifest", "exp", "plethysm"]),
     cone=st.one_of(_maybe(_cone), _mistyped(_valid_cone)),
     group=st.one_of(_maybe(_group), _mistyped(_valid_group)),
     series=st.one_of(_maybe(_series), _mistyped(_valid_series)),
+    manifest=_mistyped(_valid_manifest),
     order=st.integers(0, 4),
     degree=st.integers(-1, 3),
 )
-def test_fuzzed_json_exits_with_input_or_budget_code(kind, cone, group, series, order, degree):
+def test_fuzzed_json_exits_with_input_or_budget_code(kind, cone, group, series, manifest, order, degree):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
-        if kind == "cone":
+        if kind == "manifest":
+            path.write_text(json.dumps(manifest))
+            argv = ["betti", "--dataset", str(path)]
+        elif kind == "cone":
             path.write_text(json.dumps(cone))
             argv = ["cone", "analyze", str(path), "--node-budget", "50"]
         elif kind == "group":
@@ -454,5 +515,5 @@ def test_fuzzed_json_exits_with_input_or_budget_code(kind, cone, group, series, 
             code = main(argv + ["--order", str(order)])
     assert code in (0, 2, 3), err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
-    if _ill_typed(kind, cone, group, series):
+    if _ill_typed(kind, cone, group, series, manifest):
         assert code == 2, err.getvalue()

@@ -221,3 +221,25 @@ def test_load_dataset_from_manifest_path(tmp_path):
     # K_3 enters at t^3 with its Molien tail, the pair of unknowns at t^4
     assert g.integer_coefficients()[3] == 1
     assert g.integer_coefficients()[4] == 1 + 2
+
+
+def test_manifest_is_checked_before_any_cone_is_analyzed(tmp_path, monkeypatch):
+    import json
+
+    import agstab.pipeline
+
+    calls = []
+    analyze = agstab.pipeline.analyze
+    monkeypatch.setattr(agstab.pipeline, "analyze", lambda *a, **k: calls.append(a) or analyze(*a, **k))
+    (tmp_path / "k3.json").write_text(json.dumps(cyclic_cone(3).to_json_dict()))
+    manifest = {"family": "tiny", "cones": ["k3.json"], "count_only": [{"dimension": 4, "rank": 3, "count": "2"}]}
+    mpath = tmp_path / "tiny.json"
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(InputError, match="count of a count_only entry must be an integer"):
+        load_dataset(mpath)
+    assert calls == []
+    # the well-formed manifest loads through the same counted analyze
+    manifest["count_only"][0]["count"] = 2
+    mpath.write_text(json.dumps(manifest))
+    assert len(load_dataset(mpath, order=4).records) == 2
+    assert len(calls) == 1

@@ -1,0 +1,53 @@
+"""The README's command examples that show output, run through the CLI."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from agstab.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _examples():
+    """(files the block writes with echo, argv, shown output) per `$ agstab` line followed by output."""
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        files = {}
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            written = re.fullmatch(r"\$ echo '(.*)' > (\S+)", line)
+            if written:
+                files[written.group(2)] = written.group(1)
+            if not line.startswith("$ agstab "):
+                continue
+            shown = []
+            for out in lines[i + 1:]:
+                if not out or out.startswith(("$", "#")):
+                    break
+                shown.append(out)
+            if shown:
+                examples.append((dict(files), shlex.split(line[2:])[1:], "\n".join(shown) + "\n"))
+    return examples
+
+
+EXAMPLES = _examples()
+
+
+def test_the_examples_with_output_are_found():
+    assert [" ".join(argv) for _, argv, _ in EXAMPLES] == [
+        "betti --dataset matroidal --order 8 --format csv",
+        "betti --dataset perfect --order 8 --paper-display --format csv",
+        "molien s3.json --order 6",
+    ]
+
+
+@pytest.mark.parametrize("files, argv, shown", EXAMPLES, ids=[" ".join(e[1]) for e in EXAMPLES])
+def test_readme_example_output(capsys, monkeypatch, tmp_path, files, argv, shown):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == shown

@@ -40,10 +40,5 @@ def test_suite_report_lines():
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_raise_on_mismatch_passes_clean_suite():
-    report = run_suite("matroidal16", raise_on_mismatch=True)
-    assert report.ok
-
-
 def test_suite_names_complete():
     assert SUITE_NAMES == ("matroidal16", "perfect16", "section6", "table2", "table4")
