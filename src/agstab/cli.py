@@ -20,6 +20,7 @@ from .errors import (
     json_int,
     json_int_list,
     json_list,
+    json_object,
     read_json,
 )
 from .molien import LinearAction, molien_series
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+GROUP_KEYS = ("degree", "generators")
 
 
 def _order_arg(text: str) -> int:
@@ -114,7 +116,7 @@ def _read_stdin_series(order) -> TruncatedSeries:
 
 
 def _load_group(path: str):
-    payload = read_json(path, "group file")
+    payload = json_object(read_json(path, "group file"), GROUP_KEYS, "group file")
     try:
         degree = json_int(payload["degree"], "degree")
         generators = [

@@ -23,6 +23,7 @@ from .errors import (
     json_int,
     json_int_list,
     json_list,
+    json_object,
     json_str,
     read_json,
 )
@@ -42,8 +43,7 @@ from .perms import DEFAULT_CAP, PermGroup, Permutation
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 DEFAULT_NODE_BUDGET = 2_000_000
-# simplicial searches list the glue group only up to this order
-_GLUE_LIST_LIMIT = 64
+CONE_KEYS = ("name", "ambient", "generators", "aut_generators", "tags")
 
 
 def _primitive_signature(vector: tuple[int, ...]) -> tuple[int, ...]:
@@ -113,6 +113,7 @@ class ConeSpec:
     def from_json_dict(cls, payload: dict) -> "ConeSpec":
         try:
             name = json_str(payload["name"], "name")
+            json_object(payload, CONE_KEYS, f"cone {name!r}")
             ambient = json_int(payload["ambient"], "ambient")
             generators = tuple(
                 json_int_list(v, "a generator") for v in json_list(payload["generators"], "generators")
@@ -283,22 +284,6 @@ def direct_sum(a: ConeSpec, b: ConeSpec, name: str | None = None) -> ConeSpec:
     return ConeSpec(name or f"{a.name}+{b.name}", a.ambient + b.ambient, gens)
 
 
-def _glue_elements(gens: list[tuple[int, ...]], d: int, r: int) -> list[tuple[int, ...]]:
-    """Every element of the subgroup of (Z/d)^r that gens generate, sorted."""
-    elements = {(0,) * r}
-    for g in gens:
-        frontier = list(elements)
-        while frontier:
-            fresh = []
-            for c in frontier:
-                nxt = tuple((x + y) % d for x, y in zip(c, g))
-                if nxt not in elements:
-                    elements.add(nxt)
-                    fresh.append(nxt)
-            frontier = fresh
-    return sorted(elements)
-
-
 class _AutSearch:
     """Backtracking search for the realizable generator permutations.
 
@@ -313,20 +298,20 @@ class _AutSearch:
     sign e_a fixes T = U_target E U_B^-1, and (pi, signs) is realizable
     exactly when T is integral with det +-1 and permutes the generators.
     T is integral exactly when sum_a e_a c_a u_target[a] = 0 mod d for
-    every c in C; det T = +-1 needs |det U_target| = d.
+    every generator c of C; det T = +-1 needs |det U_target| = d.  C is
+    never listed (d is unbounded: the generators may be far from
+    primitive).
 
-    Simplicial cones (s == r, every generator in B) use C alone: a
-    signed permutation of B is realizable exactly when it maps C onto
-    C, and then T is integral with det +-1 automatically.  Position a
-    and its target must project C onto subgroups of Z/d of one order.
-    When C has at most _GLUE_LIST_LIMIT elements it is listed: the
-    search prunes each partial assignment by the sign-free patterns
-    c_a -> min(c_a, d - c_a) of the glue elements, which must occur in C
-    at the target positions, and a leaf matches the generators of C
-    against the list to solve for one sign vector.  A larger C (d is
-    unbounded: the generators may be far from primitive) is never
-    listed; a leaf then tries the sign vectors on the generators of C,
-    each try counted as a node of the budget.
+    One sign routine (_valid_signs) serves every leaf: it flips the
+    sign components (flip_components) in Gray code order, keeps the sums
+    above mod d as one flat list updated per flip, and counts every try
+    as a node of the budget.  When the generators form a basis (s == r, every
+    generator in B), a signed permutation of B is realizable exactly
+    when T is integral, and then det T = +-1 automatically; the flip
+    components are the single positions whose sign can change the sums,
+    every sign starts at +1, and the leaf stops at the first integral T.
+    Position a and its target must project C onto subgroups of Z/d of
+    one order, gcd(d, c_a).
 
     Otherwise any realizable T preserves S = sum_i u_i u_i^T, hence the
     pairing G(i, j) = u_i^T adj(S) u_j satisfies |G(pi i, pi j)| =
@@ -336,9 +321,9 @@ class _AutSearch:
     invariant is computed, since it pruned no candidate of any packaged
     or generated cone the search was checked on.  The pairing pins the
     signs up to one flip per connected component of the nonzero-pairing
-    graph on B; each leaf tests the determinant once and the glue
-    condition per flip before mapping the generators outside B, and
-    every flip tried counts as a node of the budget.
+    graph on B.  Each leaf tests the determinant once, then starts the
+    sign routine from the signs the pairing gives, and maps the
+    generators outside B under every integral T it yields.
 
     The search lists only H = G/N.  Two generators are clones when their
     transposition is realizable, which one leaf decides; the symmetric
@@ -364,13 +349,11 @@ class _AutSearch:
         self.glue_gens = sorted({tuple(self.adjU[a][y] % d for a in range(r)) for y in range(r)} - {(0,) * r})
         # positions whose sign can change whether T is integral
         self.glue_signed = [a for a in range(r) if any(2 * c[a] % d for c in self.glue_gens)]
-        self.simplicial = s == r
-        self.glue = None
-        if self.simplicial and d <= _GLUE_LIST_LIMIT:
-            self.glue = _glue_elements(self.glue_gens, d, r)
+        self.all_in_basis = s == r
         self.nodes = self.leaves = 0
-
-        if not self.simplicial:
+        if self.all_in_basis:
+            self.flip_components = [[a] for a in self.glue_signed]
+        else:
             self._pairing()
 
     def _pairing(self) -> None:
@@ -410,7 +393,7 @@ class _AutSearch:
     def _profiles(self) -> list:
         """Per-generator invariants that every realizable permutation preserves."""
         r, s, d = self.r, self.s, self.d
-        if self.simplicial:
+        if self.all_in_basis:
             # B is every generator in order, and the pairing is a multiple
             # of the identity; C projects onto Z/d with index gcd(d, c_a)
             return [gcd(d, *(c[a] for c in self.glue_gens)) for a in range(r)]
@@ -458,67 +441,29 @@ class _AutSearch:
                         return None
         return eps
 
-    def _glue_signs(self, target: list[int], k: int = 0, signs: dict | None = None) -> bool:
-        """Whether signs e exist with c -> (e_a c_a at position target[a]) mapping C into C.
+    def _valid_signs(self, target: list[int], e: list[int]):
+        """Yield e, each flip component but the first flipped in turn, whenever T is integral.
 
-        Checking the generators of C suffices; each is matched against
-        the listed elements, and signs[a] holds the signs fixed by the
-        generators before the k-th.
+        T = U_target E U_B^-1 is integral exactly when sum_a e_a c_a
+        u_target[a] = 0 mod d for every generator c of C.  Those sums
+        are kept as one flat list and updated for one flipped component
+        per try (Gray code order); -e gives the same answer as e, so the
+        first component keeps its sign.  Every try is a node of the
+        budget.  e is changed in place, and the caller reads each
+        yielded vector before the next.
         """
-        if k == len(self.glue_gens):
-            return True
-        d, g = self.d, self.glue_gens[k]
-        signs = signs or {}
-        for c in self.glue:
-            fixed = dict(signs)
-            for a, x in enumerate(g):
-                y = c[target[a]]
-                if y == x:
-                    if (x + x) % d == 0:
-                        continue  # either sign works
-                    sign = 1
-                elif y == (d - x) % d:
-                    sign = -1
-                else:
-                    break
-                if fixed.setdefault(a, sign) != sign:
-                    break
-            else:
-                if self._glue_signs(target, k + 1, fixed):
-                    return True
-        return False
-
-    def _flip_signs(self, target: list[int]) -> bool:
-        """_glue_signs without the list of C: try the sign vectors one by one.
-
-        Only the glue_signed positions have a sign that matters, and e
-        and -e give the same answer.  The sums sum_a e_a c_a u_target[a]
-        mod d, over the generators c of C, are kept as one flat list and
-        updated for one flipped sign per try (Gray code order).
-        """
-        d, u = self.d, self.u
-        terms = [[c[a] * x % d for c in self.glue_gens for x in u[target[a]]] for a in range(self.r)]
-        sums = [sum(col) % d for col in zip(*terms)]
-        flips = self.glue_signed[1:]
-        e = [1] * self.r
+        d, u, gens = self.d, self.u, self.glue_gens
+        sums = [sum(e[a] * c[a] * u[j][x] for a, j in enumerate(target)) % d for c in gens for x in range(self.r)]
+        flips = self.flip_components[1:]
+        terms = {a: [c[a] * x % d for c in gens for x in u[target[a]]] for comp in flips for a in comp}
         for step in range(1 << len(flips)):
             self._tick()
             if step:
-                a = flips[(step & -step).bit_length() - 1]
-                e[a] = -e[a]
-                sums = [(x + 2 * e[a] * y) % d for x, y in zip(sums, terms[a])]
+                for a in flips[(step & -step).bit_length() - 1]:
+                    e[a] = -e[a]
+                    sums = [(x + 2 * e[a] * y) % d for x, y in zip(sums, terms[a])]
             if not any(sums):
-                return True
-        return False
-
-    def _glue_integral(self, target: list[int], e: list[int]) -> bool:
-        """Whether T = U_target E U_B^-1 is integral: sum_a e_a c_a u_target[a] = 0 mod d."""
-        d, u, r = self.d, self.u, self.r
-        for c in self.glue_gens:
-            for x in range(r):
-                if sum(e[a] * c[a] * u[target[a]][x] for a in range(r)) % d:
-                    return False
-        return True
+                yield e
 
     def _leaf(self, target: list[int], results: set[tuple[int, ...]], rank: list[int] | None = None) -> None:
         """Add the permutations realized with basis position a sent to +-target[a].
@@ -529,8 +474,8 @@ class _AutSearch:
         """
         self.leaves += 1
         basis = self.basis
-        if self.simplicial:
-            if self._glue_signs(target) if self.glue is not None else self._flip_signs(target):
+        if self.all_in_basis:
+            if next(self._valid_signs(target, [1] * self.r), None) is not None:
                 images = [0] * self.s
                 for a in range(self.r):
                     images[basis[a]] = target[a] + 1
@@ -545,20 +490,7 @@ class _AutSearch:
             self._target_det[key] = abs(det_int([[u[j][x] for j in target] for x in range(r)]))
         if self._target_det[key] != d:
             return
-        # mod 2 the signs do not matter, so one glue test covers every flip
-        if d == 2 and not self._glue_integral(target, eps):
-            return
-        # -T gives the same permutation as T, so the first component keeps its sign
-        flips = self.flip_components[1:]
-        for flip_bits in range(1 << len(flips)):
-            self._tick()
-            e = list(eps)
-            for ci, comp in enumerate(flips):
-                if flip_bits >> ci & 1:
-                    for a in comp:
-                        e[a] = -e[a]
-            if d > 2 and not self._glue_integral(target, e):
-                continue
+        for e in self._valid_signs(target, eps):
             images = [0] * s
             taken = [False] * s
             for a in range(r):
@@ -590,7 +522,7 @@ class _AutSearch:
         size and place in its class, so its leaves are the elements of
         H.  The group lists G only when iterated, under cap.
         """
-        r, s, d = self.r, self.s, self.d
+        r, s = self.r, self.s
         self.nodes = self.leaves = 0
         profiles = self._profiles()
         classes = self._clone_classes(profiles)
@@ -601,17 +533,8 @@ class _AutSearch:
         profiles = [(p, len(classes[self.class_of[i]]), self.rank[i]) for i, p in enumerate(profiles)]
         self.candidates = [[j for j in range(s) if profiles[j] == profiles[i]] for i in range(s)]
         self.assign_order = sorted(range(r), key=lambda a: len(self.candidates[self.basis[a]]))
-        if self.glue is not None:
-            # the sorted patterns of C on the first k positions of assign_order;
-            # the targets of those positions must show the same ones
-            self.pattern_columns = [tuple(min(c[a], d - c[a]) for c in self.glue) for a in range(r)]
-            self.pattern_base = d // 2 + 1
-            codes, self.wanted_patterns = [0] * len(self.glue), []
-            for a in self.assign_order:
-                codes = [x * self.pattern_base + y for x, y in zip(codes, self.pattern_columns[a])]
-                self.wanted_patterns.append(sorted(codes))
         results: set[tuple[int, ...]] = set()
-        self._extend(0, [0] * len(self.glue or ()), [0] * self.r, [False] * self.s, results)
+        self._extend(0, [0] * r, [False] * s, results)
         points = [tuple(i + 1 for i in members) for members in classes]
         return PermGroup.from_quotient(s, points, results, cap)
 
@@ -643,11 +566,12 @@ class _AutSearch:
     def _consistent(self, level: int, i: int, j: int, target: list[int]) -> bool:
         """Whether generator i may go to j given the targets of the first level positions.
 
-        Clones must stay clones and others apart, and outside simplicial
-        cones |G(i, b)| = |G(j, target(b))| for each assigned b.
+        Clones must stay clones and others apart, and unless the
+        generators form a basis |G(i, b)| = |G(j, target(b))| for each
+        assigned b.
         """
         order, basis, cls = self.assign_order, self.basis, self.class_of
-        pair = None if self.simplicial else self.pair
+        pair = None if self.all_in_basis else self.pair
         for prev in range(level):
             c = order[prev]
             b, t = basis[c], target[c]
@@ -657,12 +581,8 @@ class _AutSearch:
                 return False
         return True
 
-    def _extend(self, level: int, codes: list[int], target: list[int], used: list[bool], results: set) -> None:
-        """Try each candidate target for the level-th basis position of assign_order.
-
-        codes holds, per glue element, its sign-free pattern on the
-        targets assigned so far, read as a number in base d // 2 + 1.
-        """
+    def _extend(self, level: int, target: list[int], used: list[bool], results: set) -> None:
+        """Try each candidate target for the level-th basis position of assign_order."""
         self._tick()
         if level == self.r:
             self._leaf(target, results, self.rank)
@@ -672,15 +592,9 @@ class _AutSearch:
         for j in self.candidates[i]:
             if used[j] or not self._consistent(level, i, j, target):
                 continue
-            nxt = codes
-            if self.glue is not None:
-                base = self.pattern_base
-                nxt = [x * base + y for x, y in zip(codes, self.pattern_columns[j])]
-                if sorted(nxt) != self.wanted_patterns[level]:
-                    continue
             target[a] = j
             used[j] = True
-            self._extend(level + 1, nxt, target, used, results)
+            self._extend(level + 1, target, used, results)
             used[j] = False
 
     def verify(self, perm: Permutation) -> bool:

@@ -41,6 +41,16 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_object(value, keys: tuple[str, ...], what: str) -> dict:
+    """value itself if it is a JSON object with no key outside keys; anything else is an input error."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be an object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise InputError(f"{what} has an unknown key {key!r} (allowed: {', '.join(keys)})")
+    return value
+
+
 def json_list(value, what: str) -> list:
     """value itself if it is a JSON list (a tuple also passes); anything else is an input error."""
     if not isinstance(value, (list, tuple)):

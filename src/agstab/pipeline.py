@@ -14,13 +14,15 @@ from pathlib import Path
 from typing import Callable
 
 from .cones import DEFAULT_NODE_BUDGET, ConeSpec, analyze, load_cone
-from .errors import InputError, json_int, json_list, json_str, read_json
+from .errors import InputError, json_int, json_list, json_object, json_str, read_json
 from .perms import PermGroup
 from .series import DEFAULT_ORDER, TruncatedSeries
 from .symfunc import exp_series
 
 DEGREE_CONVENTION = "t^k corresponds to cohomological (co)degree 2k"
 PACKAGED_FAMILIES = ("matroidal", "perfect")
+MANIFEST_KEYS = ("family", "completeness_dim", "cones", "count_only")
+COUNT_ONLY_KEYS = ("dimension", "rank", "count")
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,10 @@ class BettiReport:
 def _manifest_root(source: str | Path):
     """(traversable directory, manifest payload) for a path or family name.
 
-    The payload is checked in full: family a string, completeness_dim an
-    integer or absent, cones a list of strings, count_only a list of
-    objects with integer dimension, rank and count.
+    The payload is checked in full: no key outside MANIFEST_KEYS, family
+    a string, completeness_dim an integer or absent, cones a list of
+    strings, count_only a list of objects with integer dimension, rank
+    and count and no other key.
     """
     if isinstance(source, str) and source in PACKAGED_FAMILIES:
         root = resources.files("agstab").joinpath("data")
@@ -125,18 +128,15 @@ def _manifest_root(source: str | Path):
     else:
         manifest = Path(source)
         root = manifest.parent
-    payload = read_json(manifest, "dataset manifest")
-    if not isinstance(payload, dict):
-        raise InputError(f"dataset manifest {source} must be a JSON object")
+    payload = json_object(read_json(manifest, "dataset manifest"), MANIFEST_KEYS, f"dataset manifest {source}")
     json_str(payload.get("family"), "family")
     if payload.get("completeness_dim") is not None:
         json_int(payload["completeness_dim"], "completeness_dim")
     for rel in json_list(payload.get("cones", []), "cones"):
         json_str(rel, "an entry of cones")
     for entry in json_list(payload.get("count_only", []), "count_only"):
-        if not isinstance(entry, dict):
-            raise InputError(f"a count_only entry must be an object, got {entry!r}")
-        for key in ("dimension", "rank", "count"):
+        json_object(entry, COUNT_ONLY_KEYS, "a count_only entry")
+        for key in COUNT_ONLY_KEYS:
             json_int(entry.get(key), f"{key} of a count_only entry")
     return root, payload
 
@@ -157,10 +157,14 @@ def load_dataset(
 
     load_cone_specs checks the manifest and every cone file in full before
     any cone is analyzed.  Each cone then becomes one record from analyze(),
-    its group from the search; check, when given, is called with each cone
-    and that group.  count_only entries become records without a series.
+    its group from the search.  A cone with more than one component, or
+    whose forms are dependent (not simplicial), is an input error: the
+    records stand for irreducible simplicial cones.  check, when given, is
+    called with each cone and its group.  count_only entries become
+    records without a series.
     """
     payload, specs = load_cone_specs(source)
+    family = payload["family"]
     count_only = []
     for entry in payload.get("count_only", []):
         dim, rank = entry["dimension"], entry["rank"]
@@ -168,12 +172,22 @@ def load_dataset(
     records = []
     for spec in specs:
         result = analyze(spec, order=order, node_budget=node_budget)
+        if len(result.components) > 1:
+            raise InputError(
+                f"dataset {family!r}: cone {spec.name!r} is reducible: "
+                f"it splits into {len(result.components)} components"
+            )
+        if result.dimension < spec.n_generators:
+            raise InputError(
+                f"dataset {family!r}: cone {spec.name!r} is not simplicial: "
+                f"its {spec.n_generators} forms span only dimension {result.dimension}"
+            )
         if check is not None:
             check(spec, result.aut)
         records.append(
             ConeClassRecord(spec.name, result.dimension, result.rank, result.poincare)
         )
-    return Dataset(payload["family"], tuple(records + count_only), payload.get("completeness_dim"))
+    return Dataset(family, tuple(records + count_only), payload.get("completeness_dim"))
 
 
 # -- series assembly -------------------------------------------------------

@@ -13,9 +13,10 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, NonIntegralCoefficient, ZeroConstantTerm, json_int, json_list
+from .errors import InputError, NonIntegralCoefficient, ZeroConstantTerm, json_int, json_list, json_object
 
 DEFAULT_ORDER = 32
+SERIES_KEYS = ("order", "coefficients")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -215,7 +216,8 @@ class TruncatedSeries:
         return json.dumps(self.to_json_dict())
 
     @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "TruncatedSeries":
+    def from_json_dict(cls, payload: dict) -> "TruncatedSeries":
+        json_object(payload, SERIES_KEYS, "series payload")
         try:
             order = json_int(payload["order"], "series order")
             coeffs = [Fraction(str(c)) for c in json_list(payload["coefficients"], "coefficients")]

@@ -7,6 +7,7 @@ import json
 import sys
 import tempfile
 import time
+from importlib import resources
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import agstab.cones
 from agstab.cli import main
-from agstab.cones import cyclic_cone
+from agstab.cones import ConeSpec, cyclic_cone, direct_sum
 from agstab.perms import Permutation
 from agstab.series import TruncatedSeries
 
@@ -363,6 +364,53 @@ def test_malformed_input_is_input_error(capsys, monkeypatch, tmp_path, argv, fil
     assert err.startswith("error:")
 
 
+def _packaged_manifest_with(old: str, new: str) -> dict:
+    payload = json.loads(resources.files("agstab").joinpath("data/matroidal.json").read_text())
+    payload[new] = payload.pop(old)
+    return payload
+
+
+@pytest.mark.parametrize("argv, filename, payload, where, key", [
+    # ignored, the renamed key left t^9 and t^10 of the matroidal rows marked valid
+    (["betti", "--dataset"], "manifest.json", _packaged_manifest_with("completeness_dim", "completeness"),
+     "dataset manifest", "completeness"),
+    (["betti", "--dataset"], "manifest.json", {"family": "x", "cones": [], "count_onyl": []},
+     "dataset manifest", "count_onyl"),
+    (["betti", "--dataset"], "manifest.json",
+     {"family": "x", "cones": [], "count_only": [{"dimension": 1, "rank": 1, "count": 1, "multiplicity": 2}]},
+     "a count_only entry", "multiplicity"),
+    (["cone", "analyze"], "cone.json", {"name": "x", "ambient": 1, "generators": [[1]], "tag": ["a"]},
+     "cone 'x'", "tag"),
+    (["molien"], "group.json", {"degree": 2, "generators": [[2, 1]], "order": 2}, "group file", "order"),
+    (["series", "exp"], None, {"order": 1, "coefficients": ["0", "1"], "degree": 2}, "series payload", "degree"),
+], ids=["manifest-renamed", "manifest-misspelled", "count-only", "cone", "group", "series"])
+def test_unknown_key_is_input_error(capsys, monkeypatch, tmp_path, argv, filename, payload, where, key):
+    if filename is None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    else:
+        path = tmp_path / filename
+        path.write_text(json.dumps(payload))
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert where in err and f"has an unknown key {key!r}" in err
+
+
+@pytest.mark.parametrize("command", ["betti", "validate"])
+@pytest.mark.parametrize("cone, why", [
+    (direct_sum(cyclic_cone(1), cyclic_cone(1), "sigma_1+sigma_1"), "is reducible: it splits into 2 components"),
+    (ConeSpec("square", 2, ((1, 0), (0, 1), (1, 1), (1, -1))),
+     "is not simplicial: its 4 forms span only dimension 3"),
+], ids=["reducible", "dependent-forms"])
+def test_dataset_rejects_wrong_members(capsys, tmp_path, command, cone, why):
+    # cone analyze takes both; a dataset record stands for an irreducible simplicial cone
+    manifest = _one_cone_manifest(tmp_path, cone.to_json_dict())
+    assert run(capsys, "cone", "analyze", str(tmp_path / "cone.json"))[0] == 0
+    code, out, err = run(capsys, command, "--dataset", manifest)
+    assert (code, out) == (2, "")
+    assert f"dataset 'one': cone {cone.name!r} {why}" in err
+
+
 def test_non_positive_node_budget_is_input_error(capsys, tmp_path):
     path = tmp_path / "k3.json"
     path.write_text(json.dumps(cyclic_cone(3).to_json_dict()))
@@ -450,6 +498,25 @@ def _mistyped(draw, valid):
     return payload
 
 
+# misspellings and near misses of the allowed keys, none of them allowed anywhere
+_STRAY_KEYS = ("completeness", "count_onyl", "generator", "tag", "Order")
+
+
+@st.composite
+def _with_stray_key(draw, valid):
+    """A valid payload with one unknown key added to it or to one of its count_only entries."""
+    payload = draw(valid)
+    holder = draw(st.sampled_from([payload] + payload.get("count_only", [])))
+    holder[draw(st.sampled_from(_STRAY_KEYS))] = draw(_junk)
+    return payload
+
+
+def _has_stray_key(value) -> bool:
+    if isinstance(value, dict):
+        return any(key in _STRAY_KEYS or _has_stray_key(item) for key, item in value.items())
+    return isinstance(value, list) and any(map(_has_stray_key, value))
+
+
 def _is_int(x) -> bool:
     return type(x) is int
 
@@ -488,10 +555,10 @@ def _ill_typed(kind, cone, group, series, manifest) -> bool:
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["cone", "group", "manifest", "exp", "plethysm"]),
-    cone=st.one_of(_maybe(_cone), _mistyped(_valid_cone)),
-    group=st.one_of(_maybe(_group), _mistyped(_valid_group)),
-    series=st.one_of(_maybe(_series), _mistyped(_valid_series)),
-    manifest=_mistyped(_valid_manifest),
+    cone=st.one_of(_maybe(_cone), _mistyped(_valid_cone), _with_stray_key(_valid_cone)),
+    group=st.one_of(_maybe(_group), _mistyped(_valid_group), _with_stray_key(_valid_group)),
+    series=st.one_of(_maybe(_series), _mistyped(_valid_series), _with_stray_key(_valid_series)),
+    manifest=st.one_of(_mistyped(_valid_manifest), _with_stray_key(_valid_manifest)),
     order=st.integers(0, 4),
     degree=st.integers(-1, 3),
 )
@@ -517,3 +584,5 @@ def test_fuzzed_json_exits_with_input_or_budget_code(kind, cone, group, series, 
     assert (code == 0) == (err.getvalue() == "")
     if _ill_typed(kind, cone, group, series, manifest):
         assert code == 2, err.getvalue()
+    if _has_stray_key({"cone": cone, "group": group, "manifest": manifest}.get(kind, series)):
+        assert code == 2 and "has an unknown key" in err.getvalue(), err.getvalue()

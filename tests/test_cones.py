@@ -182,7 +182,7 @@ def test_search_budget(all_specs):
 
 
 def test_sign_tries_count_against_the_budget(all_specs):
-    # every generator of (7,7b) scaled by 5: no glue list, and up to 64
+    # every generator of (7,7b) scaled by 5: d = 3 * 5^7, and up to 64
     # sign vectors per leaf, each a node
     base = all_specs["(7,7b)"]
     spec = ConeSpec("scaled", base.ambient, tuple(tuple(5 * x for x in v) for v in base.generators))
@@ -230,6 +230,22 @@ def test_sign_flips_count_against_the_budget():
     assert 1 <= exc.counters["leaves"] <= full.leaves
 
 
+def test_basis_sign_tries_count_against_the_budget(all_specs):
+    # the generators of (7,7b) form a basis with d = 3, so every leaf and
+    # every swap test tries sign vectors, each a node beyond the tree; a
+    # budget that covers the tree and the swap tests alone must not suffice
+    spec = all_specs["(7,7b)"]
+    full = _CountingSearch(spec)
+    assert full.search().order == 5040
+    tree = full.extends + full.swaps
+    assert full.nodes > tree
+    for budget in (tree, full.nodes - 1):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            _AutSearch(spec, node_budget=budget).search()
+        assert info.value.counters["nodes"] == budget + 1
+    assert _AutSearch(spec, node_budget=full.nodes).search().order == 5040
+
+
 def test_search_budget_error_says_where_it_stopped(all_specs):
     with pytest.raises(SearchBudgetExceeded) as info:
         cone_automorphisms(all_specs["(7,7a)"], node_budget=10)
@@ -258,9 +274,10 @@ def test_closure_cap_error_says_where_it_stopped(all_specs):
     assert str(exc) == "cone 'C_7': closure exceeded its cap of 100 elements: it needs at least 102"
 
 
-def test_glue_group_prunes_the_simplicial_search(all_specs):
+def test_basis_search_visits_under_a_tenth_of_all_assignments(all_specs):
     # the pairing invariants alone accept all 7! assignments of (7,7a),
-    # a tree of 13,700 nodes, for a group of order 240
+    # a tree of 13,700 nodes, for a group of order 240; the profiles
+    # gcd(d, c_a) and the clone classes cut it down
     ctx = _AutSearch(replace(all_specs["(7,7a)"], declared_aut=None))
     assert ctx.search().order == 240
     assert ctx.nodes < 1370
@@ -644,15 +661,15 @@ def _diagonal_lattice(factors: list[int], extra: list[list[int]], seed: int) -> 
     seed=st.integers(0, 2**32 - 1),
 )
 def test_unlisted_glue_group_matches_brute_force(factors, seed):
-    # simplicial lattices whose glue group may be too large to list; the
-    # leaf then tries sign vectors against the generators of C alone
+    # basis lattices whose glue group may be huge; the leaf tries sign
+    # vectors against the generators of C alone
     spec = _diagonal_lattice(factors, [], seed)
     searched = cone_automorphisms(spec)
     assert {p.images for p in searched.elements} == _brute_force_images(spec)
 
 
 @pytest.mark.parametrize("name", ("(5,5)", "(6,6)", "(7,7a)", "(7,7c)"))
-def test_scaled_cone_keeps_its_group_without_listing_glue(all_specs, name):
+def test_scaled_cone_keeps_its_group(all_specs, name):
     # scaling every generator by a prime p scales the lattice, so the
     # group is unchanged while the glue group grows by p^r
     base = all_specs[name]
@@ -660,7 +677,7 @@ def test_scaled_cone_keeps_its_group_without_listing_glue(all_specs, name):
     spec = ConeSpec("scaled", base.ambient, tuple(tuple(p * x for x in v) for v in base.generators),
                     base.declared_aut)
     ctx = _AutSearch(spec)
-    assert ctx.glue is None and ctx.d % p ** len(base.generators) == 0
+    assert ctx.d % p ** len(base.generators) == 0
     expected = {g.images for g in PermGroup.from_generators(base.declared_aut).elements}
     group = ctx.search()
     assert set(group.images()) == expected
