@@ -31,12 +31,11 @@ from .intlinalg import (
     Vector,
     adjugate_int,
     det_int,
+    independent_rows,
     integer_coordinates,
     lattice_coordinates,
-    matroid_components,
     rational_rank,
     restrict_to_kernel,
-    saturation_basis,
 )
 from .molien import LinearAction, molien_series
 from .perms import DEFAULT_CAP, PermGroup, Permutation
@@ -148,8 +147,8 @@ def _form_vector(v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def cone_dimension(spec: ConeSpec) -> int:
-    """Dimension of the span of the forms v_i v_i^T."""
-    return len(form_coordinates(spec)[0])
+    """Dimension of the span of the forms v_i v_i^T: their rank."""
+    return rational_rank([_form_vector(v) for v in spec.generators])
 
 
 def cone_rank(spec: ConeSpec) -> int:
@@ -181,80 +180,81 @@ def _classes(n: int, linked) -> list[list[int]]:
     return list(classes.values())
 
 
-def _split_blocks(u: list[Vector], blocks: list[tuple[int, ...]]) -> list[list[int]]:
-    """Finest grouping of span-independent blocks that splits the lattice.
+def _split_blocks(lattice: _Lattice) -> list[list[int]]:
+    """Finest grouping of the matroid components (blocks) that splits the lattice.
 
-    The vectors u are in coordinates of their saturated lattice, so
-    L = sat(all vectors) is Z^r.  Let L_k = sat(block k); the spans of the
-    blocks sum directly, so H = L / (L_1 + .. + L_m) is finite, of order
-    N.  A grouping splits L exactly when the part of every x in L in the
-    span of each group lies in L again, i.e. every h in H, projected onto
-    each group, is again in H.  The block scalings c = (c_k) that keep L
-    inside L form a ring K with N Z^m <= K <= Z^m, and the groupings
-    that split are the partitions whose indicator vectors lie in K.
-    These are closed under common refinement, and the finest one joins
-    blocks k and l exactly when some prime p dividing N divides c_k - c_l
-    for every c in K (the idempotents of K reduced mod p are the
-    indicators of those classes, and they lift).  K mod N is the kernel
-    of a linear map to (Z/N)^(r*r), computed below without any scan
-    (restrict_to_kernel).
+    B meets each block in a basis of its span, so scaling the span of
+    block k by c_k scales the coordinates in B of the block's members.
+    A grouping splits L = Z^r exactly when the part in each group's span
+    of every x in L lies in L again, i.e. when its indicator vector lies
+    in the ring K of block scalings c = (c_k) that keep L inside L.
+    x has the coordinates adjU x / dU in B, so c is in K exactly when
+    sum_a c_block(a) g_a u_B(a) = 0 mod d for every generator g of the
+    glue group C = Z^r / L_B; hence d Z^m <= K.  The splitting groupings
+    are closed under common refinement, and the finest one joins blocks
+    k and l exactly when some prime p dividing d divides c_k - c_l for
+    every c in K (the idempotents of K mod p are the indicators of those
+    classes, and they lift).  K mod d is the kernel of a linear map,
+    computed without any scan (restrict_to_kernel).
     """
+    blocks, d = lattice.components, lattice.d
     m = len(blocks)
-    if m == 1:
-        return [sorted(blocks[0])]
-    # the basis rows y of the L_k, in coordinates of L, and e_i = adj_y . y / det_y
-    owner, y = [], []
-    for k, b in enumerate(blocks):
-        for row in saturation_basis([u[i] for i in b]):
-            owner.append(k)
-            y.append(row)
-    adj_y, det_y = adjugate_int(y)
-    n = abs(det_y)
-    if n == 1:
-        return [sorted(b) for b in blocks]
-    # c is in K when every e_i, its block parts scaled by c, is
-    # integral: sum_j c_owner[j] adj_y[i][j] y[j][l] = 0 mod n
-    r = len(y)
+    if m == 1 or d == 1:
+        return blocks
+    owner = {i: k for k, b in enumerate(blocks) for i in b}
     kernel = [[int(k == l) for l in range(m)] for k in range(m)]
-    for i in range(r):
-        for l in range(r):
+    applied = set()
+    for g in lattice.glue_gens:
+        for x in range(lattice.r):
             coeff = [0] * m
-            for j in range(r):
-                coeff[owner[j]] += adj_y[i][j] * y[j][l]
-            restrict_to_kernel(kernel, coeff, n)
-    groups = _classes(m, lambda k, l: gcd(n, *(c[k] - c[l] for c in kernel)) > 1)
+            for a, b in enumerate(lattice.basis):
+                coeff[owner[b]] += g[a] * lattice.u[b][x]
+            coeff = tuple(c % d for c in coeff)
+            if any(coeff) and coeff not in applied:
+                applied.add(coeff)
+                restrict_to_kernel(kernel, coeff, d)
+    groups = _classes(m, lambda k, l: gcd(d, *(c[k] - c[l] for c in kernel)) > 1)
     return [sorted(i for k in group for i in blocks[k]) for group in groups]
 
 
 class _Lattice:
     """The generators v_i as vectors u_i of Z^r, in a basis of the saturation of their lattice.
 
-    basis holds the indices of a maximal independent subset B, and
-    components the matroid components of the u_i, which are those of
-    the v_i.  One elimination of the v_i gives basis and u, and one of
-    the u_i the components.
+    The one place the generators' lattice is eliminated: the components,
+    the split test and the search read from here.  basis holds the
+    indices of a maximal independent subset B, whose vectors (the
+    columns of U_B) span L_B of index d = |dU| in Z^r, with adjU and dU
+    the adjugate and determinant of U_B.  coords[i] = adjU u_i are the
+    numerators over dU of generator i's coordinates in B; their supports
+    are the fundamental circuits of B, which join the generators into
+    the matroid components.  glue_gens, the distinct nonzero columns of
+    adjU mod d, generate the glue group C = Z^r / L_B.  One elimination
+    of the v_i gives basis and u, and one adjugate the rest.
     """
 
     def __init__(self, vectors):
         self.basis, _, self.u = lattice_coordinates(vectors)
-        self.r = len(self.basis)
-        self.components = matroid_components(self.u)
+        self.r = r = len(self.basis)
+        self.adjU, self.dU = adjugate_int([[self.u[b][x] for b in self.basis] for x in range(r)])
+        self.d = d = abs(self.dU)
+        self.coords = coords = [tuple(sum(a * x for a, x in zip(row, ui)) for row in self.adjU) for ui in self.u]
+        self.components = _classes(len(coords), lambda i, j: any(x and y for x, y in zip(coords[i], coords[j])))
+        self.glue_gens = sorted({tuple(x % d for x in col) for col in zip(*self.adjU)} - {(0,) * r})
 
 
 def cone_components(spec: ConeSpec, lattice: _Lattice | None = None) -> tuple[tuple[int, ...], ...]:
     """Finest direct-sum decomposition of the generator configuration, 1-based.
 
     Matroid components of the vectors give the finest split of the
-    span; blocks are then merged, by the glue group of the blocks'
-    saturations inside the whole saturation (_split_blocks), into the
-    finest grouping whose saturated lattices also sum directly.  For
-    unimodular configurations the two notions agree, but configurations
-    of independent vectors spanning a proper-index sublattice (several of
+    span; blocks are then merged, by the glue group of the lattice of a
+    basis inside the saturation (_split_blocks), into the finest grouping
+    whose saturated lattices also sum directly.  For unimodular
+    configurations the two notions agree, but configurations of
+    independent vectors spanning a proper-index sublattice (several of
     the non-matroidal cones) are indecomposable over the integers despite
     their free matroid.  lattice, when given, must be _Lattice(spec.generators).
     """
-    lattice = lattice or _Lattice(spec.generators)
-    comps = _split_blocks(lattice.u, lattice.components)
+    comps = _split_blocks(lattice or _Lattice(spec.generators))
     return tuple(tuple(i + 1 for i in comp) for comp in sorted(comps))
 
 
@@ -287,13 +287,13 @@ def direct_sum(a: ConeSpec, b: ConeSpec, name: str | None = None) -> ConeSpec:
 class _AutSearch:
     """Backtracking search for the realizable generator permutations.
 
-    Working in coordinates of the saturated lattice, every generator
-    becomes an integer vector u_i in Z^r with the lattice equal to Z^r.
-    A fixed maximal independent subset B spans a sublattice L_B of index
+    Everything about the lattice is read from _Lattice: in coordinates
+    of the saturated lattice every generator is an integer vector u_i of
+    Z^r, the fixed maximal independent subset B spans L_B of index
     d = |det U_B|, and the glue group C = Z^r / L_B is kept as the
-    numerators c (mod d) of the coordinates in B of the lattice vectors:
-    with adj the adjugate of U_B, these are adj x mod d, so the columns
-    of adj mod d generate C.
+    numerators c (mod d) of the coordinates in B of the lattice vectors,
+    generated by the columns of adj U_B mod d (glue_gens).  The search
+    eliminates no lattice of its own.
     Assigning each basis position a a target generator target[a] and a
     sign e_a fixes T = U_target E U_B^-1, and (pi, signs) is realizable
     exactly when T is integral with det +-1 and permutes the generators.
@@ -339,17 +339,13 @@ class _AutSearch:
     def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET, lattice: _Lattice | None = None):
         self.spec = spec
         self.node_budget = node_budget
-        self.lattice = lattice or _Lattice(spec.generators)
+        self.lattice = lattice = lattice or _Lattice(spec.generators)
         self.s = len(spec.generators)
-        self.r, self.u, self.basis = self.lattice.r, self.lattice.u, self.lattice.basis
-        r, s, u = self.r, self.s, self.u
-        ub = [[u[b][x] for b in self.basis] for x in range(r)]
-        self.adjU, self.dU = adjugate_int(ub)
-        self.d = d = abs(self.dU)
-        self.glue_gens = sorted({tuple(self.adjU[a][y] % d for a in range(r)) for y in range(r)} - {(0,) * r})
+        self.r, self.u, self.basis = lattice.r, lattice.u, lattice.basis
+        self.dU, self.d, self.glue_gens = lattice.dU, lattice.d, lattice.glue_gens
         # positions whose sign can change whether T is integral
-        self.glue_signed = [a for a in range(r) if any(2 * c[a] % d for c in self.glue_gens)]
-        self.all_in_basis = s == r
+        self.glue_signed = [a for a in range(self.r) if any(2 * c[a] % self.d for c in self.glue_gens)]
+        self.all_in_basis = self.s == self.r
         self.nodes = self.leaves = 0
         if self.all_in_basis:
             self.flip_components = [[a] for a in self.glue_signed]
@@ -373,11 +369,7 @@ class _AutSearch:
 
         in_basis = set(self.basis)
         # numerators of each outside generator's coordinates in B
-        self.outside = [
-            (i, tuple(sum(self.adjU[a][x] * u[i][x] for x in range(r)) for a in range(r)))
-            for i in range(s)
-            if i not in in_basis
-        ]
+        self.outside = [(i, self.lattice.coords[i]) for i in range(s) if i not in in_basis]
         # flipping a component on which no outside generator has a coordinate
         # and every glue generator has c_a = -c_a mod d changes neither the
         # images nor the integrality of T, so only the others are flipped
@@ -652,7 +644,7 @@ def cone_poincare_series(
     aut: PermGroup,
     order: int = DEFAULT_ORDER,
     *,
-    coordinates: tuple[list[int], list[Vector], int] | None = None,
+    dimension: int | None = None,
 ) -> TruncatedSeries:
     """Molien series of the automorphism action on the span of the forms.
 
@@ -662,14 +654,14 @@ def cone_poincare_series(
     (LinearAction.on_span): each generator of aut is checked to act
     linearly on the forms' coordinates in a maximal independent subset
     of them, and each element of aut, listed, is keyed by power traces
-    read from those coordinates, with no matrix built.  coordinates,
-    when given, must be form_coordinates(spec).
+    read from those coordinates, with no matrix built.  dimension, when
+    given, must be cone_dimension(spec); the forms' coordinates are
+    eliminated only when they are dependent.
     """
-    basis_idx, coords, den = coordinates or form_coordinates(spec)
-    if len(basis_idx) == spec.n_generators:
+    if (cone_dimension(spec) if dimension is None else dimension) == spec.n_generators:
         return molien_series(LinearAction.natural(aut), order)
     try:
-        return molien_series(LinearAction.on_span(aut, basis_idx, coords, den), order)
+        return molien_series(LinearAction.on_span(aut, *form_coordinates(spec)), order)
     except InconsistentAction as exc:
         raise InconsistentAction(f"cone {spec.name!r}: {exc}") from None
     except CapExceeded as exc:
@@ -706,19 +698,20 @@ def analyze(
 ) -> ConeAnalysis:
     """Dimension, rank, components, searched automorphism group and Poincare series of one cone.
 
-    The components and the search share one saturation of the generators' lattice.
+    The components and the search share one _Lattice, and the forms are
+    eliminated rank-only (their coordinates follow only for a non-basic
+    cone, in cone_poincare_series).
     """
-    coordinates = form_coordinates(spec)
-    basis_idx = coordinates[0]
+    form_basis = independent_rows([_form_vector(v) for v in spec.generators])
     lattice = _Lattice(spec.generators)
     components = cone_components(spec, lattice)
     aut = cone_automorphisms(spec, node_budget=node_budget, lattice=lattice)
-    poincare = cone_poincare_series(spec, aut, order, coordinates=coordinates)
+    poincare = cone_poincare_series(spec, aut, order, dimension=len(form_basis))
     return ConeAnalysis(
-        dimension=len(basis_idx),
+        dimension=len(form_basis),
         rank=lattice.r,
         components=components,
         aut=aut,
-        form_basis=tuple(i + 1 for i in basis_idx),
+        form_basis=tuple(i + 1 for i in form_basis),
         poincare=poincare,
     )

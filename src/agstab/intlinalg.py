@@ -1,12 +1,15 @@
 """Exact linear algebra over the integers.
 
 Small dense matrices only (dimensions well under 100), and no
-fractions.  Row elimination is a fraction-free Gauss-Jordan step that
-divides exactly by the previous pivot, so every entry met is a minor of
-the input; coordinates come out as integer numerators over one positive
-denominator, and the adjugate without any division.  Lattice
-saturation works modulo the common denominator of the reduced row
-echelon form, so no entry grows past it.
+fractions.  Every question is one call of _echelon, a fraction-free
+Gauss-Jordan elimination that divides exactly by the previous pivot, so
+every entry met is a minor of the input: the rank and independent rows
+untracked, coordinates as integer numerators over one positive
+denominator, the determinant, and the adjugate without any division.
+lattice_coordinates saturates a row lattice modulo the common
+denominator of the reduced row echelon form, so no entry grows past it;
+restrict_to_kernel cuts a subgroup of (Z/n)^m down to the kernel of one
+linear form.
 """
 
 from __future__ import annotations
@@ -17,8 +20,13 @@ from typing import Sequence
 Vector = tuple[int, ...]
 
 
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The kept rows of _echelon, a maximal independent subset found by scanning in order; rank only."""
+    return _echelon(rows, track=False)[0]
+
+
 def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(_echelon(rows, track=False)[0])
+    return len(independent_rows(rows))
 
 
 def _echelon(rows: Sequence[Sequence[int]], track: bool = True):
@@ -120,11 +128,6 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]
     return adj, sign * delta
 
 
-def saturation_basis(rows: Sequence[Sequence[int]]) -> list[Vector]:
-    """Basis of the saturation of the row lattice inside Z^g (lattice_coordinates)."""
-    return lattice_coordinates(rows)[1]
-
-
 def lattice_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[Vector], list[Vector]]:
     """(kept, a basis of the saturation of the row lattice, every row's integer coordinates in it).
 
@@ -208,24 +211,3 @@ def _triangular_basis(gens: list[list[int]], n: int, m: int) -> list[list[int]]:
         rows = [row for row in rows if row is not live[0]]
     return basis
 
-
-def matroid_components(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Connected components of the linear matroid on the given vectors.
-
-    Components are computed from fundamental circuits with respect to
-    one basis: each dependent vector is joined to the basis vectors
-    appearing in its unique expansion.  For any basis this reproduces
-    matroid connectivity; basis vectors joined to nothing are coloops
-    and form singleton components.  Indices returned are 0-based and
-    each component is sorted.
-    """
-    kept, coords, _ = integer_coordinates(vectors)
-    comp = [{i} for i in range(len(vectors))]
-    for i, c in enumerate(coords):
-        for k, x in zip(kept, c):
-            if x and comp[k] is not comp[i]:
-                joined = comp[k]
-                comp[i] |= joined
-                for j in joined:
-                    comp[j] = comp[i]
-    return sorted({tuple(sorted(members)) for members in comp})

@@ -201,17 +201,16 @@ def lambda_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 def generator_series(
     dataset: Dataset, order: int = DEFAULT_ORDER, include_count_only: bool = True
 ) -> TruncatedSeries:
-    """Sum of multiplicity * t^dimension * poincare over the records.
+    """Sum of multiplicity * t^dimension * poincare over the records, as one coefficient list.
 
     The constant term is 0; displayed series add their leading 1
     separately (see display_series).
     """
     coeffs = [0] * (order + 1)
-    total = TruncatedSeries(coeffs, order)
     for rec in dataset.records:
         if rec.is_count_only:
             if include_count_only and rec.dimension <= order:
-                total = total + TruncatedSeries.monomial(rec.dimension, order, rec.multiplicity)
+                coeffs[rec.dimension] += rec.multiplicity
             continue
         head = order - rec.dimension
         if head < 0:
@@ -221,9 +220,9 @@ def generator_series(
                 f"record {rec.name!r} carries its series only to order {rec.poincare.order}; "
                 f"reload the dataset at order {order} or higher"
             )
-        shifted = [0] * rec.dimension + list(rec.poincare.coefficients[: head + 1])
-        total = total + rec.multiplicity * TruncatedSeries(shifted, order)
-    return total
+        for k, c in enumerate(rec.poincare.coefficients[: head + 1], rec.dimension):
+            coeffs[k] += rec.multiplicity * c
+    return TruncatedSeries(coeffs, order)
 
 
 def display_series(dataset: Dataset, order: int = DEFAULT_ORDER) -> TruncatedSeries:

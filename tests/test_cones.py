@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agstab import intlinalg
 from agstab.cones import (
     ConeSpec,
     _AutSearch,
+    _Lattice,
     analyze,
     check_declared_automorphisms,
     cone_automorphisms,
@@ -36,19 +38,14 @@ from agstab.errors import (
     SearchBudgetExceeded,
     VerificationFailed,
 )
-from agstab.intlinalg import (
-    det_int,
-    integer_coordinates,
-    matroid_components,
-    rational_rank,
-    saturation_basis,
-)
+from agstab.intlinalg import det_int, integer_coordinates, rational_rank
 from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums, molien_series_naive
 from agstab.perms import DEFAULT_CAP, PermGroup, Permutation
 from agstab.pipeline import load_cone_specs
 from agstab.reference import PERFECT_GROUP_ORDERS
 from agstab.series import RationalMatrix, TruncatedSeries, det_one_minus_tA, expand_rational_form, product_form
 from agstab.symfunc import plethysm_h
+from lattice_oracles import matroid_components, saturation_basis
 from wreath import wreath_product
 
 
@@ -731,7 +728,7 @@ def _split_oracle(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(i + 1 for i in comp) for comp in sorted(comps))
 
 
-SPLIT_POOL = ("(5,5)", "(6,6)", "(7,7a)", "(7,7c)", "(6,7a)", "K_3", "C_4", "sigma_1")
+SPLIT_POOL = ("(5,5)", "(6,6)", "(7,7a)", "(7,7b)", "(7,7c)", "(6,7a)", "(6,7d)", "K_3", "C_4", "sigma_1")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -756,6 +753,46 @@ def test_lattice_split_of_eleven_generators_is_fast():
     blocks = [range(5), range(5, 11)]
     assert comps == tuple(sorted(tuple(sorted(new_index[i] + 1 for i in b)) for b in blocks))
     assert comps == _split_oracle(spec)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any), min_size=1, max_size=7))
+def test_lattice_components_are_the_matroid_components(rows):
+    # _Lattice reads the fundamental circuits of B from the supports of its coordinates
+    assert _Lattice(rows).components == [list(c) for c in matroid_components(rows)]
+
+
+def _echelon_calls(monkeypatch, call) -> int:
+    """How many eliminations call() makes."""
+    count = 0
+    real = intlinalg._echelon
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(intlinalg, "_echelon", counted)
+        call()
+    return count
+
+
+@pytest.mark.parametrize(("name", "eliminations"), (("(7,7a)", 3), ("(6,7a)", 7)))
+def test_analyze_eliminates_the_lattice_once(all_specs, monkeypatch, name, eliminations):
+    # the forms' rank, the lattice coordinates and the adjugate of U_B; with a
+    # generator outside B, (6,7a) adds the pairing's adjugate and one
+    # determinant for each of the three target sets its leaves meet
+    assert _echelon_calls(monkeypatch, lambda: analyze(all_specs[name], order=4)) == eliminations
+
+
+def test_split_test_makes_no_elimination(all_specs, monkeypatch):
+    for names in (("(5,5)", "(6,6)"), ("(7,7b)", "C_4"), ("(6,7d)", "sigma_1"), ("(7,7a)",)):
+        spec, _ = _moved(random.Random(5), _block_sum([all_specs[n] for n in names]))
+        lattice = _Lattice(spec.generators)
+        comps = []
+        assert _echelon_calls(monkeypatch, lambda: comps.append(cone_components(spec, lattice))) == 0
+        assert comps[0] == _split_oracle(spec)
 
 
 # -- non-basic cones: the form-span action against explicit matrices ----------

@@ -13,11 +13,10 @@ from agstab.intlinalg import (
     det_int,
     integer_coordinates,
     lattice_coordinates,
-    matroid_components,
     rational_rank,
     restrict_to_kernel,
-    saturation_basis,
 )
+from lattice_oracles import matroid_components, saturation_basis
 
 
 def fraction_gauss_det(rows):
