@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 from .errors import (
     CapExceeded,
@@ -33,9 +34,9 @@ from .intlinalg import (
     det_int,
     independent_rows,
     integer_coordinates,
-    lattice_coordinates,
     rational_rank,
     restrict_to_kernel,
+    saturation_coordinates,
 )
 from .molien import LinearAction, molien_series
 from .perms import DEFAULT_CAP, PermGroup, Permutation
@@ -220,24 +221,23 @@ def _split_blocks(lattice: _Lattice) -> list[list[int]]:
 class _Lattice:
     """The generators v_i as vectors u_i of Z^r, in a basis of the saturation of their lattice.
 
-    The one place the generators' lattice is eliminated: the components,
-    the split test and the search read from here.  basis holds the
-    indices of a maximal independent subset B, whose vectors (the
-    columns of U_B) span L_B of index d = |dU| in Z^r, with adjU and dU
-    the adjugate and determinant of U_B.  coords[i] = adjU u_i are the
-    numerators over dU of generator i's coordinates in B; their supports
-    are the fundamental circuits of B, which join the generators into
-    the matroid components.  glue_gens, the distinct nonzero columns of
-    adjU mod d, generate the glue group C = Z^r / L_B.  One elimination
-    of the v_i gives basis and u, and one adjugate the rest.
+    The one place the generators' lattice is eliminated, once, by
+    saturation_coordinates: the components, the split test and the
+    search read from here.  basis holds the indices of a maximal
+    independent subset B, whose vectors (the columns of U_B) span L_B of
+    index d = |dU| in Z^r, with adjU and dU the adjugate and determinant
+    of U_B.  coords[i] = adjU u_i are the numerators over dU of
+    generator i's coordinates in B; their supports are the fundamental
+    circuits of B, which join the generators into the matroid
+    components.  glue_gens, the distinct nonzero columns of adjU mod d,
+    generate the glue group C = Z^r / L_B.
     """
 
     def __init__(self, vectors):
-        self.basis, _, self.u = lattice_coordinates(vectors)
+        self.basis, self.u, self.adjU, self.dU, self.coords = saturation_coordinates(vectors)
         self.r = r = len(self.basis)
-        self.adjU, self.dU = adjugate_int([[self.u[b][x] for b in self.basis] for x in range(r)])
         self.d = d = abs(self.dU)
-        self.coords = coords = [tuple(sum(a * x for a, x in zip(row, ui)) for row in self.adjU) for ui in self.u]
+        coords = self.coords
         self.components = _classes(len(coords), lambda i, j: any(x and y for x, y in zip(coords[i], coords[j])))
         self.glue_gens = sorted({tuple(x % d for x in col) for col in zip(*self.adjU)} - {(0,) * r})
 
@@ -355,13 +355,11 @@ class _AutSearch:
     def _pairing(self) -> None:
         """The pairing, its sign components, and the data a leaf needs outside B."""
         r, s, u = self.r, self.s, self.u
-        gram = [[sum(ui[x] * ui[y] for ui in u) for y in range(r)] for x in range(r)]
+        cols = list(zip(*u))
+        gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
         adj_gram, _ = adjugate_int(gram)
-        tmp = [
-            tuple(sum(adj_gram[x][y] * ui[y] for y in range(r)) for x in range(r))
-            for ui in u
-        ]
-        self.pair = [[sum(u[i][x] * tmp[j][x] for x in range(r)) for j in range(s)] for i in range(s)]
+        tmp = [tuple(sum(map(mul, row, ui)) for row in adj_gram) for ui in u]
+        self.pair = [[sum(map(mul, ui, tj)) for tj in tmp] for ui in u]
 
         # connected components of the nonzero-pairing graph on basis positions
         basis = self.basis

@@ -6,15 +6,19 @@ Gauss-Jordan elimination that divides exactly by the previous pivot, so
 every entry met is a minor of the input: the rank and independent rows
 untracked, coordinates as integer numerators over one positive
 denominator, the determinant, and the adjugate without any division.
-lattice_coordinates saturates a row lattice modulo the common
-denominator of the reduced row echelon form, so no entry grows past it;
-restrict_to_kernel cuts a subgroup of (Z/n)^m down to the kernel of one
-linear form.
+saturation_coordinates reads from one tracked elimination the rows'
+coordinates in a basis of the saturation of their lattice, the
+adjugate of the kept rows' matrix in it, and every row's coordinates
+in the kept rows; only when the reduced row echelon form has a common
+denominator D > 1 does it saturate, modulo D, so no entry grows past
+it.  restrict_to_kernel cuts a subgroup of (Z/n)^m down to the kernel
+of one linear form.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
 Vector = tuple[int, ...]
@@ -128,42 +132,56 @@ def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]
     return adj, sign * delta
 
 
-def lattice_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[Vector], list[Vector]]:
-    """(kept, a basis of the saturation of the row lattice, every row's integer coordinates in it).
+def saturation_coordinates(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[int], list[Vector], list[list[int]], int, list[Vector]]:
+    """(kept, u, adjU, dU, coords): the rows in a basis of the saturation of their lattice, from one elimination.
 
     With R the reduced row echelon form of the rows (r rows, identity on
-    the pivot columns), every vector of the rational row space is c R
-    with c its entries on the pivots, so the saturation is the image of
-    the lattice of c in Z^r with c R integral.  The elimination gives
-    delta R in integers; dividing out the gcd of its entries leaves D R
-    with D the common denominator of R.  The lattice of c is the kernel
-    of c -> c (D R) mod D, and contains D Z^r; both its generators and
-    its triangular basis C are found modulo D, and the basis is C R.  A
-    row v then has the coordinates v_P C^-1, found by back substitution
-    in integers.
+    the pivot columns P), every vector v of the rational row space is
+    v_P R, so the saturation is the image of the lattice of c in Z^r
+    with c R integral.  The elimination gives delta R, t = adj B and
+    delta = det B, B the kept rows on the pivot columns; dividing out
+    the gcd of delta R leaves D R, D the common denominator of R.  When
+    D = 1 the saturation basis is R and u_i = (v_i)_P.  Otherwise the
+    lattice of c is the kernel of c -> c (D R) mod D and contains D Z^r;
+    its triangular basis C is found modulo D, the saturation basis is
+    C R, and u_i = (v_i)_P C^-1 by back substitution in integers.  U_B,
+    whose columns are the u of the kept rows, is (B C^-1)^T, so with
+    tau = det C its determinant is dU = delta / tau, its adjugate is
+    adjU = (C t)^T / tau, and coords[i] = adjU u_i = (v_i)_P t / tau
+    are the numerators over dU of row i's coordinates in the kept rows.
+    Every division is exact.
     """
-    kept, pivots, m, _, delta = _echelon(rows, track=False)
+    kept, pivots, m, t, delta = _echelon(rows)
     r = len(kept)
     if not r:
-        return kept, [], [() for _ in rows]
+        return kept, [() for _ in rows], [], 1, [() for _ in rows]
     g = gcd(*(x for row in m for x in row))
     den = abs(delta) // g
-    scaled = [[x // (g if delta > 0 else -g) for x in row] for row in m]
-    kernel = [[int(i == j) for j in range(r)] for i in range(r)]
-    for col in zip(*scaled) if den > 1 else ():
-        restrict_to_kernel(kernel, col, den)
-    tri = _triangular_basis(kernel, den, r)
-    basis = [tuple(sum(ci * x for ci, x in zip(c, col)) // den for col in zip(*scaled)) for c in tri]
-    coords = []
-    for row in rows:
+    heads = [tuple(row[p] for p in pivots) for row in rows]
+    cols = list(zip(*t))
+    if den == 1:
+        u, tau, adj = heads, 1, [list(col) for col in cols]
+    else:
+        scaled = [[x // (g if delta > 0 else -g) for x in row] for row in m]
+        kernel = [[int(i == j) for j in range(r)] for i in range(r)]
+        for col in zip(*scaled):
+            restrict_to_kernel(kernel, col, den)
+        tri = _triangular_basis(kernel, den, r)
         u = []
-        for k in range(r):
-            q, rem = divmod(row[pivots[k]] - sum(u[j] * tri[j][k] for j in range(k)), tri[k][k])
-            if rem:
-                raise ArithmeticError(f"{tuple(row)} has non-integer coordinates in the saturation basis")
-            u.append(q)
-        coords.append(tuple(u))
-    return kept, basis, coords
+        for row, head in zip(rows, heads):
+            ui = []
+            for k in range(r):
+                q, rem = divmod(head[k] - sum(ui[j] * tri[j][k] for j in range(k)), tri[k][k])
+                if rem:
+                    raise ArithmeticError(f"{tuple(row)} has non-integer coordinates in the saturation basis")
+                ui.append(q)
+            u.append(tuple(ui))
+        tau = prod(tri[k][k] for k in range(r))
+        adj = [[sum(map(mul, c, col)) // tau for c in tri] for col in cols]
+    coords = [tuple(sum(map(mul, head, col)) // tau for col in cols) for head in heads]
+    return kept, u, adj, delta // tau, coords
 
 
 def restrict_to_kernel(gens: list[list[int]], coeff: Sequence[int], n: int) -> None:

@@ -1,13 +1,96 @@
-"""Saturation bases and matroid components: oracles that tests set against the lattice layer."""
+"""Saturation coordinates, saturation bases and matroid components: oracles that tests set against the lattice layer."""
 
+from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from agstab.intlinalg import Vector, integer_coordinates, lattice_coordinates
+from agstab.intlinalg import (
+    Vector,
+    _echelon,
+    _triangular_basis,
+    adjugate_int,
+    integer_coordinates,
+    restrict_to_kernel,
+    saturation_coordinates,
+)
+
+
+def lattice_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[Vector], list[Vector]]:
+    """(kept, a basis of the saturation of the row lattice, every row's integer coordinates in it).
+
+    With R the reduced row echelon form of the rows (r rows, identity on
+    the pivot columns), every vector of the rational row space is c R
+    with c its entries on the pivots, so the saturation is the image of
+    the lattice of c in Z^r with c R integral.  The elimination gives
+    delta R in integers; dividing out the gcd of its entries leaves D R
+    with D the common denominator of R.  The lattice of c is the kernel
+    of c -> c (D R) mod D, and contains D Z^r; both its generators and
+    its triangular basis C are found modulo D, and the basis is C R.  A
+    row v then has the coordinates v_P C^-1, found by back substitution
+    in integers.
+    """
+    kept, pivots, m, _, delta = _echelon(rows, track=False)
+    r = len(kept)
+    if not r:
+        return kept, [], [() for _ in rows]
+    g = gcd(*(x for row in m for x in row))
+    den = abs(delta) // g
+    scaled = [[x // (g if delta > 0 else -g) for x in row] for row in m]
+    kernel = [[int(i == j) for j in range(r)] for i in range(r)]
+    for col in zip(*scaled) if den > 1 else ():
+        restrict_to_kernel(kernel, col, den)
+    tri = _triangular_basis(kernel, den, r)
+    basis = [tuple(sum(ci * x for ci, x in zip(c, col)) // den for col in zip(*scaled)) for c in tri]
+    coords = []
+    for row in rows:
+        u = []
+        for k in range(r):
+            q, rem = divmod(row[pivots[k]] - sum(u[j] * tri[j][k] for j in range(k)), tri[k][k])
+            if rem:
+                raise ArithmeticError(f"{tuple(row)} has non-integer coordinates in the saturation basis")
+            u.append(q)
+        coords.append(tuple(u))
+    return kept, basis, coords
+
+
+def three_step_coordinates(rows: Sequence[Sequence[int]]):
+    """(kept, u, adjU, dU, coords) in three steps: the oracle for saturation_coordinates.
+
+    lattice_coordinates gives kept and u, one adjugate of U_B (the
+    matrix with the columns u_b, b in kept) gives adjU and dU, and
+    coords[i] = adjU u_i.
+    """
+    kept, _, u = lattice_coordinates(rows)
+    r = len(kept)
+    adj, det = adjugate_int([[u[b][x] for b in kept] for x in range(r)])
+    coords = [tuple(sum(a * x for a, x in zip(row, ui)) for row in adj) for ui in u]
+    return kept, u, adj, det, coords
 
 
 def saturation_basis(rows: Sequence[Sequence[int]]) -> list[Vector]:
-    """Basis of the saturation of the row lattice inside Z^g (lattice_coordinates)."""
-    return lattice_coordinates(rows)[1]
+    """Basis W of the saturation of the row lattice inside Z^g, rebuilt from saturation_coordinates' u.
+
+    Every row is u_i W, so W solves u_B W = v_B, with u_B and v_B the u
+    and the rows of the kept rows: Gauss-Jordan over Fraction on the
+    augmented rows (u_b | v_b).  W must come out integral.
+    """
+    kept, u, _, _, _ = saturation_coordinates(rows)
+    r = len(kept)
+    aug = [[Fraction(x) for x in u[b] + tuple(rows[b])] for b in kept]
+    for k in range(r):
+        pivot = next(i for i in range(k, r) if aug[i][k])
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        aug[k] = [x / aug[k][k] for x in aug[k]]
+        for i in range(r):
+            if i != k and aug[i][k]:
+                f = aug[i][k]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
+    basis = []
+    for row in aug:
+        if any(x.denominator != 1 for x in row[r:]):
+            raise ArithmeticError(f"saturation basis row {row[r:]} is not integral")
+        basis.append(tuple(int(x) for x in row[r:]))
+    return basis
 
 
 def matroid_components(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

@@ -41,21 +41,21 @@ def test_criterion_1_matroidal_betti_rows(announce, capsys):
     t0 = time.time()
     code = run_cli(capsys, "verify", "--suite", "matroidal16")
     secs = time.time() - t0
-    announce("1: matroidal Betti numbers through degree 16, < 0.5 s", code == 0 and secs < 0.5, secs)
+    announce("1: matroidal Betti numbers through degree 16, < 0.25 s", code == 0 and secs < 0.25, secs)
 
 
 def test_criterion_2_perfect_betti_rows(announce, capsys):
     t0 = time.time()
     code = run_cli(capsys, "verify", "--suite", "perfect16")
     secs = time.time() - t0
-    announce("2: perfect-cone Betti numbers through codegree 16, < 0.5 s", code == 0 and secs < 0.5, secs)
+    announce("2: perfect-cone Betti numbers through codegree 16, < 0.25 s", code == 0 and secs < 0.25, secs)
 
 
 def test_criterion_3_display_series(announce, capsys):
     t0 = time.time()
     code = run_cli(capsys, "verify", "--suite", "section6")
     secs = time.time() - t0
-    announce("3: display-convention series through t^20, < 0.5 s", code == 0 and secs < 0.5, secs)
+    announce("3: display-convention series through t^20, < 0.25 s", code == 0 and secs < 0.25, secs)
 
 
 def test_criterion_4_group_tables(announce, capsys):
@@ -63,8 +63,8 @@ def test_criterion_4_group_tables(announce, capsys):
     code2 = run_cli(capsys, "verify", "--suite", "table2")
     code4 = run_cli(capsys, "verify", "--suite", "table4")
     secs = time.time() - t0
-    announce("4: nine Molien closed forms and twelve searched group orders, < 0.5 s",
-             code2 == 0 and code4 == 0 and secs < 0.5, secs)
+    announce("4: nine Molien closed forms and twelve searched group orders, < 0.25 s",
+             code2 == 0 and code4 == 0 and secs < 0.25, secs)
 
 
 def test_criterion_5_property_suite(announce):

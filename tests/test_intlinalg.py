@@ -7,16 +7,17 @@ from math import gcd, lcm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from agstab.cones import _Lattice
 from agstab.intlinalg import (
     _triangular_basis,
     adjugate_int,
     det_int,
     integer_coordinates,
-    lattice_coordinates,
     rational_rank,
     restrict_to_kernel,
+    saturation_coordinates,
 )
-from lattice_oracles import matroid_components, saturation_basis
+from lattice_oracles import matroid_components, saturation_basis, three_step_coordinates
 
 
 def fraction_gauss_det(rows):
@@ -235,7 +236,7 @@ def test_saturation_basis_spans_the_oracle_lattice(rows, relation):
 
 def test_coordinates_round_trip():
     rows = [(1, 2, 3), (0, 1, 1), (2, 5, 7)]
-    _, basis, coords = lattice_coordinates(rows)
+    basis, coords = saturation_basis(rows), saturation_coordinates(rows)[1]
     for row, c in zip(rows, coords):
         assert tuple(sum(x * b[i] for x, b in zip(c, basis)) for i in range(3)) == row
 
@@ -244,12 +245,37 @@ def test_coordinates_round_trip():
 @given(rows=wide_rows, relation=st.booleans())
 def test_lattice_coordinates_match_the_oracle(rows, relation):
     rows = _deficient(rows, relation)
-    kept, basis, coords = lattice_coordinates(rows)
+    kept, coords = saturation_coordinates(rows)[:2]
+    basis = saturation_basis(rows)
     assert kept == fraction_coordinates(rows)[0]
     assert len(coords) == len(rows)
     for row, c in zip(rows, coords):
         assert all(type(x) is int for x in c)
         assert fraction_solve(basis, row) == tuple(Fraction(x) for x in c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=wide_rows, relation=st.booleans())
+def test_lattice_matches_the_three_step_oracle(rows, relation):
+    # one tracked elimination against lattice_coordinates, the adjugate of U_B and adjU u_i
+    rows = _deficient(rows, relation)
+    lattice = _Lattice(rows)
+    kept, u, adj, det, coords = three_step_coordinates(rows)
+    assert (lattice.basis, lattice.u, lattice.adjU, lattice.dU, lattice.coords) == (kept, u, adj, det, coords)
+    assert lattice.components == [list(c) for c in matroid_components(rows)]
+    d = abs(det)
+    assert lattice.glue_gens == sorted({tuple(x % d for x in col) for col in zip(*adj)} - {(0,) * len(kept)})
+
+
+def test_lattice_with_a_common_denominator():
+    # the reduced row echelon form is (1, 0, 1/2), (0, 1, 1/2): D = 2, so the
+    # saturation basis is not R, and U_B = [[2, 0], [-1, 1]]
+    rows = [(2, 0, 1), (0, 2, 1)]
+    expected = ([0, 1], [(2, -1), (0, 1)], [[1, 0], [1, 2]], 2, [(2, 0), (0, 2)])
+    assert saturation_coordinates(rows) == three_step_coordinates(rows) == expected
+    assert saturation_basis(rows) == [(1, 1, 1), (0, 2, 1)]
+    lattice = _Lattice(rows)
+    assert (lattice.d, lattice.glue_gens, lattice.components) == (2, [(1, 1)], [[0], [1]])
 
 
 def test_matroid_components():
@@ -267,7 +293,7 @@ def test_matroid_components():
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=7))
 def test_coordinates_rebuild_every_row(rows):
     kept, coords, den = integer_coordinates(rows)
-    assert kept == lattice_coordinates(rows)[0] == fraction_coordinates(rows)[0]
+    assert kept == saturation_coordinates(rows)[0] == fraction_coordinates(rows)[0]
     assert len(coords) == len(rows) and den > 0
     for i, (row, c) in enumerate(zip(rows, coords)):
         assert len(c) == len(kept)
