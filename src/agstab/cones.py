@@ -302,16 +302,20 @@ class _AutSearch:
     never listed (d is unbounded: the generators may be far from
     primitive).
 
-    One sign routine (_valid_signs) serves every leaf: it flips the
-    sign components (flip_components) in Gray code order, keeps the sums
-    above mod d as one flat list updated per flip, and counts every try
-    as a node of the budget.  When the generators form a basis (s == r, every
-    generator in B), a signed permutation of B is realizable exactly
-    when T is integral, and then det T = +-1 automatically; the flip
-    components are the single positions whose sign can change the sums,
-    every sign starts at +1, and the leaf stops at the first integral T.
-    Position a and its target must project C onto subgroups of Z/d of
-    one order, gcd(d, c_a).
+    One leaf (_leaf) serves every cone, and one sign routine
+    (_valid_signs) every leaf: it flips the sign components
+    (flip_components) in Gray code order, keeps the sums above mod d as
+    one flat list updated per flip, and counts every try as a node of
+    the budget.  Each leaf tests |det U_target| = d once per target set
+    (B's own is d), then starts the sign routine from the signs the
+    pairing gives, and maps the generators outside B under every
+    integral T it yields.  When the generators form a basis (s == r,
+    every generator in B) there is no pairing: every position is a sign
+    component of its own with sign +1, only those whose sign can change
+    the sums are flipped, every target set is B, and with no generator
+    outside B the first integral T ends the leaf.  Position a and its
+    target must then project C onto subgroups of Z/d of one order,
+    gcd(d, c_a).
 
     Otherwise any realizable T preserves S = sum_i u_i u_i^T, hence the
     pairing G(i, j) = u_i^T adj(S) u_j satisfies |G(pi i, pi j)| =
@@ -321,9 +325,7 @@ class _AutSearch:
     invariant is computed, since it pruned no candidate of any packaged
     or generated cone the search was checked on.  The pairing pins the
     signs up to one flip per connected component of the nonzero-pairing
-    graph on B.  Each leaf tests the determinant once, then starts the
-    sign routine from the signs the pairing gives, and maps the
-    generators outside B under every integral T it yields.
+    graph on B.
 
     The search lists only H = G/N.  Two generators are clones when their
     transposition is realizable, which one leaf decides; the symmetric
@@ -347,27 +349,15 @@ class _AutSearch:
         self.glue_signed = [a for a in range(self.r) if any(2 * c[a] % self.d for c in self.glue_gens)]
         self.all_in_basis = self.s == self.r
         self.nodes = self.leaves = 0
-        if self.all_in_basis:
-            self.flip_components = [[a] for a in self.glue_signed]
-        else:
-            self._pairing()
-
-    def _pairing(self) -> None:
-        """The pairing, its sign components, and the data a leaf needs outside B."""
-        r, s, u = self.r, self.s, self.u
-        cols = list(zip(*u))
-        gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
-        adj_gram, _ = adjugate_int(gram)
-        tmp = [tuple(sum(map(mul, row, ui)) for row in adj_gram) for ui in u]
-        self.pair = [[sum(map(mul, ui, tj)) for tj in tmp] for ui in u]
-
+        r, s, u, basis = self.r, self.s, self.u, self.basis
+        self.pair = pair = None if self.all_in_basis else self._pairing()
         # connected components of the nonzero-pairing graph on basis positions
-        basis = self.basis
-        self.parity_components = _classes(r, lambda a, c: self.pair[basis[a]][basis[c]] != 0)
+        # (single positions when there is no pairing)
+        self.parity_components = _classes(r, lambda a, c: pair is not None and pair[basis[a]][basis[c]] != 0)
 
-        in_basis = set(self.basis)
+        in_basis = set(basis)
         # numerators of each outside generator's coordinates in B
-        self.outside = [(i, self.lattice.coords[i]) for i in range(s) if i not in in_basis]
+        self.outside = [(i, lattice.coords[i]) for i in range(s) if i not in in_basis]
         # flipping a component on which no outside generator has a coordinate
         # and every glue generator has c_a = -c_a mod d changes neither the
         # images nor the integrality of T, so only the others are flipped
@@ -378,7 +368,17 @@ class _AutSearch:
         for j, uj in enumerate(u):
             self.lookup[uj] = j
             self.lookup[tuple(-x for x in uj)] = j
-        self._target_det: dict[frozenset[int], int] = {}
+        # |det U_target| per target set; the basis itself has |det U_B| = d
+        self._target_det: dict[frozenset[int], int] = {frozenset(basis): self.d}
+
+    def _pairing(self) -> list[list[int]]:
+        """The pairing G(i, j) = u_i^T adj(S) u_j, S = sum_i u_i u_i^T."""
+        u = self.u
+        cols = list(zip(*u))
+        gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
+        adj_gram, _ = adjugate_int(gram)
+        tmp = [tuple(sum(map(mul, row, ui)) for row in adj_gram) for ui in u]
+        return [[sum(map(mul, ui, tj)) for tj in tmp] for ui in u]
 
     def _profiles(self) -> list:
         """Per-generator invariants that every realizable permutation preserves."""
@@ -400,34 +400,28 @@ class _AutSearch:
     # -- leaf handling ----------------------------------------------------
 
     def _component_signs(self, target: list[int]) -> list[int] | None:
-        """Relative signs over basis positions, or None if inconsistent."""
+        """Relative signs over basis positions, or None if inconsistent.
+
+        One walk per sign component: each nonzero G(a, c) sets c's sign
+        from a's, or checks it if set, so every edge is checked.  A
+        one-position component (each of a basis cone's) reads no pairing.
+        """
         pair, basis = self.pair, self.basis
         eps = [0] * self.r
         for comp in self.parity_components:
-            root = comp[0]
-            eps[root] = 1
-            queue = [root]
-            placed = {root}
+            eps[comp[0]] = 1
+            queue = [comp[0]]
             while queue:
                 a = queue.pop()
                 for c in comp:
-                    if c in placed:
+                    pv = c != a and pair[basis[a]][basis[c]]
+                    if not pv:
                         continue
-                    pv = pair[basis[a]][basis[c]]
-                    if pv != 0:
-                        tv = pair[target[a]][target[c]]
-                        eps[c] = eps[a] if (tv > 0) == (pv > 0) else -eps[a]
-                        placed.add(c)
+                    want = eps[a] if (pair[target[a]][target[c]] > 0) == (pv > 0) else -eps[a]
+                    if not eps[c]:
+                        eps[c] = want
                         queue.append(c)
-            for ai in range(len(comp)):
-                for ci in range(ai + 1, len(comp)):
-                    a, c = comp[ai], comp[ci]
-                    pv = pair[basis[a]][basis[c]]
-                    if pv == 0:
-                        continue
-                    tv = pair[target[a]][target[c]]
-                    want = 1 if (tv > 0) == (pv > 0) else -1
-                    if eps[a] * eps[c] != want:
+                    elif eps[c] != want:
                         return None
         return eps
 
@@ -458,23 +452,18 @@ class _AutSearch:
     def _leaf(self, target: list[int], results: set[tuple[int, ...]], rank: list[int] | None = None) -> None:
         """Add the permutations realized with basis position a sent to +-target[a].
 
+        The signs start from _component_signs, |det U_target| must be d,
+        and each integral T that _valid_signs yields maps the generators
+        outside B; with none outside, the first integral T ends the leaf.
         rank, when given, holds each generator's place in its clone
         class, and a permutation that moves a generator outside B to
         another place is dropped (the targets in B are chosen in place).
         """
         self.leaves += 1
-        basis = self.basis
-        if self.all_in_basis:
-            if next(self._valid_signs(target, [1] * self.r), None) is not None:
-                images = [0] * self.s
-                for a in range(self.r):
-                    images[basis[a]] = target[a] + 1
-                results.add(tuple(images))
-            return
         eps = self._component_signs(target)
         if eps is None:
             return
-        r, s, u, d = self.r, self.s, self.u, self.d
+        r, s, u, d, basis = self.r, self.s, self.u, self.d, self.basis
         key = frozenset(target)
         if key not in self._target_det:
             self._target_det[key] = abs(det_int([[u[j][x] for j in target] for x in range(r)]))
@@ -501,8 +490,10 @@ class _AutSearch:
                 images[i] = j + 1
             else:
                 results.add(tuple(images))
+                if not self.outside:
+                    return
 
-    # -- search and single-permutation verification ------------------------
+    # -- search ---------------------------------------------------------------
 
     def search(self, cap: int = DEFAULT_CAP) -> PermGroup:
         """The group of realizable permutations, listed up to its clone classes.
@@ -538,11 +529,13 @@ class _AutSearch:
         return _classes(self.s, lambda i, j: profiles[i] == profiles[j] and self._swap_test(i, j))
 
     def _swap_test(self, i: int, j: int) -> bool:
-        """Whether the transposition of generators i and j is realizable; one node of the budget."""
+        """Whether the transposition of generators i and j is realizable: one leaf, one node of the budget."""
         self._tick()
         images = list(range(1, self.s + 1))
         images[i], images[j] = j + 1, i + 1
-        return self.verify(Permutation._trusted(tuple(images)))
+        results: set[tuple[int, ...]] = set()
+        self._leaf([images[b] - 1 for b in self.basis], results)
+        return tuple(images) in results
 
     def _tick(self) -> None:
         """Count one node of work against the budget."""
@@ -560,8 +553,7 @@ class _AutSearch:
         generators form a basis |G(i, b)| = |G(j, target(b))| for each
         assigned b.
         """
-        order, basis, cls = self.assign_order, self.basis, self.class_of
-        pair = None if self.all_in_basis else self.pair
+        order, basis, cls, pair = self.assign_order, self.basis, self.class_of, self.pair
         for prev in range(level):
             c = order[prev]
             b, t = basis[c], target[c]
@@ -587,13 +579,6 @@ class _AutSearch:
             self._extend(level + 1, target, used, results)
             used[j] = False
 
-    def verify(self, perm: Permutation) -> bool:
-        """Whether perm, a permutation of the s generators, is realizable."""
-        target = [perm.images[self.basis[a]] - 1 for a in range(self.r)]
-        results: set[tuple[int, ...]] = set()
-        self._leaf(target, results)
-        return perm.images in results
-
 
 def cone_automorphisms(
     spec: ConeSpec,
@@ -614,15 +599,15 @@ def cone_automorphisms(
 def check_declared_automorphisms(spec: ConeSpec, aut: PermGroup, cap: int = DEFAULT_CAP) -> None:
     """Raise VerificationFailed unless the declared generators generate aut, the searched group.
 
-    Each must be realizable, so their closure, of at most cap elements,
-    is a subgroup of the searched group, and equal to it exactly when
-    the orders agree.  A spec that declares no generators passes.
+    Each must be a member of aut (no second search), so their closure,
+    of at most cap elements, is a subgroup of aut, and equal to it
+    exactly when the orders agree.  A spec that declares no generators
+    passes.
     """
     if not spec.declared_aut:
         return
-    ctx = _AutSearch(spec)
     for p in spec.declared_aut:
-        if not ctx.verify(p):
+        if p not in aut:
             raise VerificationFailed(f"cone {spec.name!r}: declared automorphism {p!r} is not realizable")
     try:
         declared = PermGroup.from_generators(spec.declared_aut, cap=cap).order

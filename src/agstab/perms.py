@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -72,12 +73,6 @@ class Permutation:
         mine = self.images
         return Permutation(tuple(mine[j - 1] for j in other.images))
 
-    def inverse(self) -> "Permutation":
-        out = [0] * self.degree
-        for i, img in enumerate(self.images):
-            out[img - 1] = i + 1
-        return Permutation(out)
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition including fixed points, ordered by least element."""
         seen = [False] * self.degree
@@ -130,7 +125,9 @@ class PermGroup:
     into one array, and order = |H| prod c!.  images() yields every
     element of G and iteration wraps them as Permutations; with clone
     classes they are listed on first use, by _coset_closure of the
-    generators under the group's cap, and kept.  ``generators`` generate
+    generators under the group's cap, and kept.  ``p in group`` looks
+    p up in H after sorting its images within each class, so membership
+    never lists G.  ``generators`` generate
     the whole group: from_generators closes them, from_elements picks
     them greedily (the lexicographically first element outside the
     closure so far), both by _coset_closure, from_quotient takes the
@@ -183,6 +180,24 @@ class PermGroup:
 
     def __iter__(self) -> Iterator[Permutation]:
         return map(Permutation._trusted, self.images())
+
+    def __contains__(self, p: Permutation) -> bool:
+        """Whether p is in G, which is not listed.
+
+        Sorting p's images within each clone class gives p n, n in N, which
+        keeps every class in order; so p is in G exactly when p n is in H.
+        """
+        n, images = self.degree, list(p.images)
+        if len(images) != n:
+            return False
+        for c in self.classes:
+            for point, image in zip(c, sorted(images[x - 1] for x in c)):
+                images[point - 1] = image
+        h, packed = tuple(images), self._quotient
+        size = len(packed) // n
+        row = lambda k: tuple(packed[k * n : k * n + n])
+        k = bisect_left(range(size), h, key=row)
+        return k < size and row(k) == h
 
     @property
     def elements(self) -> tuple[Permutation, ...]:

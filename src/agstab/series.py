@@ -121,9 +121,6 @@ class TruncatedSeries:
             return TruncatedSeries([self._coeffs[k] - other._coeffs[k] for k in range(n + 1)])
         return NotImplemented
 
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self._coeffs])
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             n = self._common(other)

@@ -41,7 +41,7 @@ from agstab.errors import (
 from agstab.intlinalg import det_int, integer_coordinates, rational_rank
 from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums, molien_series_naive
 from agstab.perms import DEFAULT_CAP, PermGroup, Permutation
-from agstab.pipeline import load_cone_specs
+from agstab.pipeline import load_cone_specs, load_dataset
 from agstab.reference import PERFECT_GROUP_ORDERS
 from agstab.series import RationalMatrix, TruncatedSeries, det_one_minus_tA, expand_rational_form, product_form
 from agstab.symfunc import plethysm_h
@@ -778,13 +778,30 @@ def _echelon_calls(monkeypatch, call) -> int:
     return count
 
 
-@pytest.mark.parametrize(("name", "eliminations"), (("(7,7a)", 2), ("(6,7a)", 6)))
+@pytest.mark.parametrize(("name", "eliminations"), (("(7,7a)", 2), ("(6,7a)", 5)))
 def test_analyze_eliminates_the_lattice_once(all_specs, monkeypatch, name, eliminations):
     # the forms' rank and one tracked elimination of the generators, which
     # gives u, U_B's adjugate and the coordinates in B; with a generator
     # outside B, (6,7a) adds the pairing's adjugate and one determinant for
-    # each of the three target sets its leaves meet
+    # each of the two target sets other than B that its leaves meet
     assert _echelon_calls(monkeypatch, lambda: analyze(all_specs[name], order=4)) == eliminations
+
+
+def test_packaged_searches_eliminate_once_per_lattice(perfect_specs, monkeypatch):
+    # one tracked elimination per cone; the s > r cones add the pairing's
+    # adjugate and the determinants of target sets other than B
+    specs = [replace(s, declared_aut=None) for s in perfect_specs.values()]
+    assert len(specs) == 28
+    assert _echelon_calls(monkeypatch, lambda: [cone_automorphisms(s) for s in specs]) == 95
+    assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs]) == 123
+
+
+@pytest.mark.parametrize("family", ("matroidal", "perfect"))
+def test_declared_check_makes_no_elimination(family, monkeypatch):
+    # the check asks the group the analysis found; it runs no second search
+    plain = _echelon_calls(monkeypatch, lambda: load_dataset(family, order=0))
+    checked = _echelon_calls(monkeypatch, lambda: load_dataset(family, order=0, check=check_declared_automorphisms))
+    assert checked == plain
 
 
 def test_split_test_makes_no_elimination(all_specs, monkeypatch):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agstab.cones import cone_automorphisms
+from agstab.cones import cone_automorphisms, direct_sum
 from agstab.errors import CapExceeded, DegreeMismatch
 from agstab.molien import LinearAction, _cycle_type, molien_series, molien_series_naive
 from agstab.perms import PermGroup, Permutation
@@ -66,8 +67,6 @@ def test_from_cycles_and_images():
     p = Permutation.from_cycles(5, [(1, 2, 3), (4, 5)])
     assert p.images == (2, 3, 1, 5, 4)
     assert p.cycle_type() == (2, 3)
-    assert p.inverse().images == (3, 1, 2, 5, 4)
-    assert p * p.inverse() == Permutation.identity(5)
 
 
 def test_composition_order():
@@ -201,6 +200,42 @@ def test_from_elements_picks_the_greedy_generators():
         picked = PermGroup.from_elements(group.degree, images)
         assert [g.images for g in picked.generators] == greedy_generators(group.degree, images)
         assert list(picked.images()) == images
+
+
+def _membership_groups():
+    """Every packaged cone's searched group, and two sums whose summands are clone classes and H != 1."""
+    specs = {s.name: s for s in PACKAGED}
+    k3 = specs["K_3"]
+    specs["K_3+K_3"] = direct_sum(k3, k3)
+    specs["K_3+K_3+K_3"] = direct_sum(specs["K_3+K_3"], k3)
+    return [(name, cone_automorphisms(spec)) for name, spec in specs.items()]
+
+
+def test_membership_matches_the_listed_group():
+    rng = random.Random(16)
+    for name, group in _membership_groups():
+        elements = list(group.images())
+        for images in elements:
+            assert Permutation(images) in group, name
+        members = set(elements)
+        n = group.degree
+        for k in range(300):
+            if k % 3 == 0:  # any permutation, almost never a member
+                images = rng.sample(range(1, n + 1), n)
+            else:  # an element with a random transposition applied first or last
+                images = list(rng.choice(elements))
+                x, y = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if k % 3 == 1:
+                    images[x], images[y] = images[y], images[x]
+                else:
+                    images = [y + 1 if i == x + 1 else x + 1 if i == y + 1 else i for i in images]
+            assert (Permutation(images) in group) == (tuple(images) in members), (name, images)
+        assert Permutation.identity(n + 1) not in group
+        if n > 1:
+            assert Permutation.identity(n - 1) not in group
+    sums = dict(_membership_groups())
+    assert [len(sums[k].classes) for k in ("K_3+K_3", "K_3+K_3+K_3")] == [2, 3]
+    assert [sums[k].order for k in ("K_3+K_3", "K_3+K_3+K_3")] == [72, 1296]
 
 
 def test_packed_cycle_type_matches_cycles():
