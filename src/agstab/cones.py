@@ -31,7 +31,6 @@ from .errors import (
 from .intlinalg import (
     Vector,
     adjugate_int,
-    det_int,
     independent_rows,
     integer_coordinates,
     rational_rank,
@@ -298,16 +297,23 @@ class _AutSearch:
     sign e_a fixes T = U_target E U_B^-1, and (pi, signs) is realizable
     exactly when T is integral with det +-1 and permutes the generators.
     T is integral exactly when sum_a e_a c_a u_target[a] = 0 mod d for
-    every generator c of C; det T = +-1 needs |det U_target| = d.  C is
-    never listed (d is unbounded: the generators may be far from
-    primitive).
+    every generator c of C.  C is never listed (d is unbounded: the
+    generators may be far from primitive).  No determinant is taken:
+    an integral T that sends the generators one to one onto +- the
+    generators permutes the finite spanning set {+-u_i}, so it has
+    finite order, det T = +-1, and T lies in GL_r(Z); a singular T sends
+    two generators to one, which the leaf rejects.  On a leaf of the
+    tree the pairing below already forces U_target^T adj(S) U_target =
+    E U_B^T adj(S) U_B E (_consistent, the profile's norm and
+    _component_signs), so |det U_target| = d there; only a swap test
+    meets a target set of another index, and it asks only for the
+    transposition's own images.
 
     One leaf (_leaf) serves every cone, and one sign routine
     (_valid_signs) every leaf: it flips the sign components
     (flip_components) in Gray code order, keeps the sums above mod d as
     one flat list updated per flip, and counts every try as a node of
-    the budget.  Each leaf tests |det U_target| = d once per target set
-    (B's own is d), then starts the sign routine from the signs the
+    the budget.  Each leaf starts the sign routine from the signs the
     pairing gives, and maps the generators outside B under every
     integral T it yields.  When the generators form a basis (s == r,
     every generator in B) there is no pairing: every position is a sign
@@ -320,10 +326,10 @@ class _AutSearch:
     Otherwise any realizable T preserves S = sum_i u_i u_i^T, hence the
     pairing G(i, j) = u_i^T adj(S) u_j satisfies |G(pi i, pi j)| =
     |G(i, j)| with sign ratios eps_i eps_j.  A generator's candidate
-    images are those with the same norm G(i, i), the same sorted row
-    |G(i, .)| and a matroid component of the same size; no circuit
-    invariant is computed, since it pruned no candidate of any packaged
-    or generated cone the search was checked on.  The pairing pins the
+    images are those with the same norm G(i, i) and the same sorted row
+    |G(i, .)|; neither a component size nor a circuit invariant is
+    computed, since neither pruned a candidate of any packaged or
+    generated cone the search was checked on.  The pairing pins the
     signs up to one flip per connected component of the nonzero-pairing
     graph on B.
 
@@ -368,8 +374,6 @@ class _AutSearch:
         for j, uj in enumerate(u):
             self.lookup[uj] = j
             self.lookup[tuple(-x for x in uj)] = j
-        # |det U_target| per target set; the basis itself has |det U_B| = d
-        self._target_det: dict[frozenset[int], int] = {frozenset(basis): self.d}
 
     def _pairing(self) -> list[list[int]]:
         """The pairing G(i, j) = u_i^T adj(S) u_j, S = sum_i u_i u_i^T."""
@@ -382,20 +386,12 @@ class _AutSearch:
 
     def _profiles(self) -> list:
         """Per-generator invariants that every realizable permutation preserves."""
-        r, s, d = self.r, self.s, self.d
+        r, s, d, pair = self.r, self.s, self.d, self.pair
         if self.all_in_basis:
             # B is every generator in order, and the pairing is a multiple
             # of the identity; C projects onto Z/d with index gcd(d, c_a)
             return [gcd(d, *(c[a] for c in self.glue_gens)) for a in range(r)]
-        comp_size = {}
-        for comp in self.lattice.components:
-            for i in comp:
-                comp_size[i] = len(comp)
-        profiles = []
-        for i in range(s):
-            row = tuple(sorted(abs(self.pair[i][j]) for j in range(s) if j != i))
-            profiles.append((self.pair[i][i], row, comp_size[i]))
-        return profiles
+        return [(pair[i][i], tuple(sorted(abs(pair[i][j]) for j in range(s) if j != i))) for i in range(s)]
 
     # -- leaf handling ----------------------------------------------------
 
@@ -452,9 +448,11 @@ class _AutSearch:
     def _leaf(self, target: list[int], results: set[tuple[int, ...]], rank: list[int] | None = None) -> None:
         """Add the permutations realized with basis position a sent to +-target[a].
 
-        The signs start from _component_signs, |det U_target| must be d,
-        and each integral T that _valid_signs yields maps the generators
-        outside B; with none outside, the first integral T ends the leaf.
+        The signs start from _component_signs, and each integral T that
+        _valid_signs yields maps the generators outside B, each to +- a
+        generator not yet taken (taken rejects a singular T); with none
+        outside, the first integral T ends the leaf.  Only bijections are
+        added, so each T added has det +-1 and no determinant is taken.
         rank, when given, holds each generator's place in its clone
         class, and a permutation that moves a generator outside B to
         another place is dropped (the targets in B are chosen in place).
@@ -463,12 +461,7 @@ class _AutSearch:
         eps = self._component_signs(target)
         if eps is None:
             return
-        r, s, u, d, basis = self.r, self.s, self.u, self.d, self.basis
-        key = frozenset(target)
-        if key not in self._target_det:
-            self._target_det[key] = abs(det_int([[u[j][x] for j in target] for x in range(r)]))
-        if self._target_det[key] != d:
-            return
+        r, s, u, basis = self.r, self.s, self.u, self.basis
         for e in self._valid_signs(target, eps):
             images = [0] * s
             taken = [False] * s

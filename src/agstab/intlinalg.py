@@ -5,7 +5,7 @@ fractions.  Every question is one call of _echelon, a fraction-free
 Gauss-Jordan elimination that divides exactly by the previous pivot, so
 every entry met is a minor of the input: the rank and independent rows
 untracked, coordinates as integer numerators over one positive
-denominator, the determinant, and the adjugate without any division.
+denominator, and the adjugate without any division.
 saturation_coordinates reads from one tracked elimination the rows'
 coordinates in a basis of the saturation of their lattice, the
 adjugate of the kept rows' matrix in it, and every row's coordinates
@@ -105,12 +105,6 @@ def integer_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[
 def _sign(order: Sequence[int]) -> int:
     """The sign of the permutation i -> order[i]."""
     return (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-
-
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Integer determinant: the elimination's det B, B = A P (adjugate_int), times det P."""
-    kept, pivots, _, _, delta = _echelon(matrix, track=False)
-    return delta * _sign(pivots) if len(kept) == len(matrix) else 0
 
 
 def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:

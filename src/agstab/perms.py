@@ -99,9 +99,6 @@ class Permutation:
             return self.images == other.images
         return NotImplemented
 
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
-
     def __hash__(self):
         return hash(self.images)
 

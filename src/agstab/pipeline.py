@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .cones import DEFAULT_NODE_BUDGET, ConeSpec, analyze, load_cone
+from .cones import ConeSpec, analyze, load_cone
 from .errors import InputError, json_int, json_list, json_object, json_str, read_json
 from .perms import PermGroup
 from .series import DEFAULT_ORDER, TruncatedSeries
@@ -150,7 +150,6 @@ def load_cone_specs(source: str | Path) -> tuple[dict, list[ConeSpec]]:
 def load_dataset(
     source: str | Path,
     order: int = DEFAULT_ORDER,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     check: Callable[[ConeSpec, PermGroup], None] | None = None,
 ) -> Dataset:
     """Assemble a dataset from a manifest path or a packaged family name.
@@ -171,7 +170,7 @@ def load_dataset(
         count_only.append(ConeClassRecord(f"count-only-d{dim}-r{rank}", dim, rank, None, entry["count"]))
     records = []
     for spec in specs:
-        result = analyze(spec, order=order, node_budget=node_budget)
+        result = analyze(spec, order=order)
         if len(result.components) > 1:
             raise InputError(
                 f"dataset {family!r}: cone {spec.name!r} is reducible: "

@@ -9,6 +9,7 @@ pairs expanded on demand, never as preexpanded coefficient dumps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .cones import cone_automorphisms, cone_poincare_series
 from .errors import InputError
@@ -67,9 +68,6 @@ PERFECT_GROUP_ORDERS = {
     "(7,7c)": 5040,
 }
 
-SUITE_NAMES = ("matroidal16", "perfect16", "section6", "table2", "table4")
-
-
 @dataclass(frozen=True)
 class SuiteCheck:
     label: str
@@ -105,20 +103,10 @@ def _coefficient_checks(label: str, expected, series: TruncatedSeries) -> list[S
     return checks
 
 
-def _suite_matroidal16() -> SuiteReport:
-    dataset = load_dataset("matroidal", order=8)
-    report = betti_series(dataset, order=8)
-    return SuiteReport(
-        "matroidal16", tuple(_coefficient_checks("betti", BETTI_MATROIDAL, report.series))
-    )
-
-
-def _suite_perfect16() -> SuiteReport:
-    dataset = load_dataset("perfect", order=8)
-    report = betti_series(dataset, order=8)
-    return SuiteReport(
-        "perfect16", tuple(_coefficient_checks("betti", BETTI_PERFECT, report.series))
-    )
+def _suite_betti16(family: str, row: tuple[int, ...]) -> SuiteReport:
+    """The family's stable Betti numbers through t^8 (degree/codegree 16) against row."""
+    report = betti_series(load_dataset(family, order=8), order=8)
+    return SuiteReport(f"{family}16", tuple(_coefficient_checks("betti", row, report.series)))
 
 
 def _suite_section6() -> SuiteReport:
@@ -180,12 +168,13 @@ def _suite_table4() -> SuiteReport:
 
 
 _SUITES = {
-    "matroidal16": _suite_matroidal16,
-    "perfect16": _suite_perfect16,
+    "matroidal16": partial(_suite_betti16, "matroidal", BETTI_MATROIDAL),
+    "perfect16": partial(_suite_betti16, "perfect", BETTI_PERFECT),
     "section6": _suite_section6,
     "table2": _suite_table2,
     "table4": _suite_table4,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> SuiteReport:

@@ -1,4 +1,4 @@
-"""Saturation coordinates, saturation bases and matroid components: oracles that tests set against the lattice layer."""
+"""Determinants, saturation coordinates, saturation bases and matroid components: oracles that tests set against the lattice layer."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,6 +13,27 @@ from agstab.intlinalg import (
     restrict_to_kernel,
     saturation_coordinates,
 )
+
+
+def fraction_gauss_det(rows) -> Fraction:
+    """The determinant of a square matrix, by Gauss elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            if factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
 
 
 def lattice_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[Vector], list[Vector]]:

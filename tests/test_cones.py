@@ -38,14 +38,14 @@ from agstab.errors import (
     SearchBudgetExceeded,
     VerificationFailed,
 )
-from agstab.intlinalg import det_int, integer_coordinates, rational_rank
+from agstab.intlinalg import integer_coordinates, rational_rank
 from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums, molien_series_naive
 from agstab.perms import DEFAULT_CAP, PermGroup, Permutation
 from agstab.pipeline import load_cone_specs, load_dataset
 from agstab.reference import PERFECT_GROUP_ORDERS
 from agstab.series import RationalMatrix, TruncatedSeries, det_one_minus_tA, expand_rational_form, product_form
 from agstab.symfunc import plethysm_h
-from lattice_oracles import matroid_components, saturation_basis
+from lattice_oracles import fraction_gauss_det, matroid_components, saturation_basis
 from wreath import wreath_product
 
 
@@ -597,15 +597,21 @@ def _brute_force_images(spec: ConeSpec) -> set[tuple[int, ...]]:
 
     In coordinates of the saturated lattice, T is fixed by the images of
     a maximal independent subset; it must be integral with det +-1 and
-    send every generator to plus or minus a generator.
+    send every generator to plus or minus a generator.  The inverse of
+    the subset's matrix is kept as integer numerators over one
+    denominator, so T is integral when the denominator divides them all.
     """
     vectors = spec.generators
     sat = saturation_basis(vectors)
     r = len(sat)
     u = [solve_in_basis(sat, v) for v in vectors]
+    assert all(x.denominator == 1 for ui in u for x in ui)
+    u = [tuple(int(x) for x in ui) for ui in u]
     basis = integer_coordinates(u)[0]
     columns = [[u[b][x] for b in basis] for x in range(r)]
     inverse = [solve_in_basis(columns, [int(x == y) for x in range(r)]) for y in range(r)]
+    den = lcm(*(v.denominator for row in inverse for v in row))
+    inverse = [[int(v * den) for v in row] for row in inverse]
     rays = {}
     for j, uj in enumerate(u):
         rays[tuple(uj)] = rays[tuple(-x for x in uj)] = j
@@ -614,8 +620,10 @@ def _brute_force_images(spec: ConeSpec) -> set[tuple[int, ...]]:
         for signs in product((1, -1), repeat=r):
             image = [[signs[a] * u[target[a]][x] for a in range(r)] for x in range(r)]
             t = [[sum(image[x][a] * inverse[a][y] for a in range(r)) for y in range(r)] for x in range(r)]
-            if any(v.denominator != 1 for row in t for v in row) or abs(det_int(
-                    [[int(v) for v in row] for row in t])) != 1:
+            if any(v % den for row in t for v in row):
+                continue
+            t = [[v // den for v in row] for row in t]
+            if abs(fraction_gauss_det(t)) != 1:
                 continue
             moved = [rays.get(tuple(sum(t[x][y] * ui[y] for y in range(r)) for x in range(r))) for ui in u]
             if None not in moved and len(set(moved)) == len(u):
@@ -639,6 +647,48 @@ def test_search_matches_brute_force_on_small_lattices(factors, extra, seed):
         return
     searched = cone_automorphisms(spec)
     assert {p.images for p in searched.elements} == _brute_force_images(spec)
+
+
+@functools.cache
+def _brute_force_group(spec: ConeSpec) -> frozenset[tuple[int, ...]]:
+    return frozenset(_brute_force_images(spec))
+
+
+def _leaf_adds_only_members(spec: ConeSpec, seed: int, tries: int = 40) -> None:
+    """Every tuple _leaf adds, for random lists of distinct targets, lies in the brute-force group.
+
+    The target sets are drawn with no regard to the pairing or the
+    lattice, so they include dependent sets and sets of another index
+    than B, which the leaf must reject without a determinant.
+    """
+    search = _AutSearch(spec)
+    group = _brute_force_group(spec)
+    rng = random.Random(seed)
+    for _ in range(tries):
+        target = rng.sample(range(search.s), search.r)
+        results: set[tuple[int, ...]] = set()
+        search._leaf(target, results)
+        assert results <= group, (target, sorted(results - group))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(("K_3", "K_4", "K_5-2-1", "C_321")), seed=st.integers(0, 2**32 - 1))
+def test_leaf_adds_only_automorphisms(matroidal_specs, name, seed):
+    _leaf_adds_only_members(matroidal_specs[name], seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    factors=st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=2, max_size=3),
+    extra=st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_leaf_adds_only_automorphisms_on_small_lattices(factors, extra, seed):
+    try:
+        spec = _diagonal_lattice(factors, extra, seed)
+    except InputError:
+        return
+    _leaf_adds_only_members(spec, seed)
 
 
 def _diagonal_lattice(factors: list[int], extra: list[list[int]], seed: int) -> ConeSpec:
@@ -778,22 +828,30 @@ def _echelon_calls(monkeypatch, call) -> int:
     return count
 
 
-@pytest.mark.parametrize(("name", "eliminations"), (("(7,7a)", 2), ("(6,7a)", 5)))
+@pytest.mark.parametrize(("name", "eliminations"), (("(7,7a)", 2), ("(6,7a)", 3)))
 def test_analyze_eliminates_the_lattice_once(all_specs, monkeypatch, name, eliminations):
     # the forms' rank and one tracked elimination of the generators, which
     # gives u, U_B's adjugate and the coordinates in B; with a generator
-    # outside B, (6,7a) adds the pairing's adjugate and one determinant for
-    # each of the two target sets other than B that its leaves meet
+    # outside B, (6,7a) adds the pairing's adjugate
     assert _echelon_calls(monkeypatch, lambda: analyze(all_specs[name], order=4)) == eliminations
 
 
 def test_packaged_searches_eliminate_once_per_lattice(perfect_specs, monkeypatch):
-    # one tracked elimination per cone; the s > r cones add the pairing's
-    # adjugate and the determinants of target sets other than B
+    # one tracked elimination per cone; the s > r cones add the pairing's adjugate
     specs = [replace(s, declared_aut=None) for s in perfect_specs.values()]
     assert len(specs) == 28
-    assert _echelon_calls(monkeypatch, lambda: [cone_automorphisms(s) for s in specs]) == 95
-    assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs]) == 123
+    assert _echelon_calls(monkeypatch, lambda: [cone_automorphisms(s) for s in specs]) == 50
+    assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs]) == 78
+
+
+def test_search_makes_no_elimination(all_specs, perfect_specs, monkeypatch):
+    # the leaves take no determinant: the lattice and the pairing are set up before search()
+    k3 = all_specs["K_3"]
+    specs = [replace(s, declared_aut=None) for s in perfect_specs.values()]
+    specs.append(direct_sum(direct_sum(k3, k3), k3))
+    for spec in specs:
+        search = _AutSearch(spec, lattice=_Lattice(spec.generators))
+        assert _echelon_calls(monkeypatch, search.search) == 0, spec.name
 
 
 @pytest.mark.parametrize("family", ("matroidal", "perfect"))

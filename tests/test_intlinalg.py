@@ -11,34 +11,12 @@ from agstab.cones import _Lattice
 from agstab.intlinalg import (
     _triangular_basis,
     adjugate_int,
-    det_int,
     integer_coordinates,
     rational_rank,
     restrict_to_kernel,
     saturation_coordinates,
 )
-from lattice_oracles import matroid_components, saturation_basis, three_step_coordinates
-
-
-def fraction_gauss_det(rows):
-    # independent determinant via fraction-valued elimination
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+from lattice_oracles import fraction_gauss_det, matroid_components, saturation_basis, three_step_coordinates
 
 
 def fraction_coordinates(rows):
@@ -138,12 +116,6 @@ wide_rows = st.integers(1, 6).flatmap(lambda g: st.lists(
     st.lists(st.integers(-10**6, 10**6), min_size=g, max_size=g), min_size=1, max_size=7))
 
 
-@settings(max_examples=80, deadline=None)
-@given(square)
-def test_det_int_matches_gaussian_elimination(rows):
-    assert det_int(rows) == fraction_gauss_det(rows)
-
-
 @settings(max_examples=50, deadline=None)
 @given(square)
 def test_adjugate_identity(rows):
@@ -179,7 +151,7 @@ def test_rational_rank():
 def test_saturation_basis_recovers_full_lattice():
     # span of 2e1, 2e2 saturates to the whole plane lattice
     basis = saturation_basis([(2, 0), (0, 2)])
-    assert abs(det_int([list(b) for b in basis])) == 1
+    assert abs(fraction_gauss_det(basis)) == 1
 
 
 def test_saturation_basis_of_sublattice():
@@ -199,7 +171,7 @@ def _is_saturation_basis(rows, basis):
             return False
     g = 0
     for cols in combinations(range(len(rows[0])), len(basis)):
-        g = gcd(g, det_int([[b[c] for c in cols] for b in basis]))
+        g = gcd(g, int(fraction_gauss_det([[b[c] for c in cols] for b in basis])))
     return g == 1
 
 
