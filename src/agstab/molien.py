@@ -20,9 +20,11 @@ them into the integer coefficients of det(1 - tA).  An action on the
 span of vectors that the group permutes (LinearAction.on_span) reads its
 traces from the vectors' coordinates and builds no matrix.  Each term is
 expanded and added up in ints, and the sum is divided by the number of
-elements summed once, at the end.  molien_series_naive inverts
-det(1 - tA) of every element of G, from Permutation.cycles() or the
-explicit matrix, in fractions instead: an independent oracle.
+elements summed once, at the end, in integers: each coefficient is a
+dimension, so a remainder or a negative quotient is an error.
+molien_series_naive inverts det(1 - tA) of every element of G, from
+Permutation.cycles() or the explicit matrix, in fractions instead: an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -234,12 +236,14 @@ def _class_term(action: LinearAction, key: tuple, order: int) -> list[int]:
     return inverse
 
 
+def _not_a_dimension(k: int, c) -> ArithmeticError:
+    return ArithmeticError(f"Molien series must have non-negative integer coefficients, got {c} at t^{k}")
+
+
 def _validated(series: TruncatedSeries) -> TruncatedSeries:
     for k, c in enumerate(series.coefficients):
-        if c.denominator != 1 or c < 0:
-            raise ArithmeticError(
-                f"Molien series must have non-negative integer coefficients, got {c} at t^{k}"
-            )
+        if type(c) is not int or c < 0:
+            raise _not_a_dimension(k, c)
     return series
 
 
@@ -260,7 +264,11 @@ def molien_series(action: LinearAction, order: int = DEFAULT_ORDER) -> Truncated
         for k, c in enumerate(_class_term(action, key, order)):
             total[k] += count * c
     summed = sum(counts.values())
-    return _validated(TruncatedSeries([Fraction(x, summed) for x in total]))
+    for k, x in enumerate(total):
+        total[k], rem = divmod(x, summed)
+        if rem or x < 0:
+            raise _not_a_dimension(k, Fraction(x, summed))
+    return TruncatedSeries(total)
 
 
 def molien_series_naive(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:

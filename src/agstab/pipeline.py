@@ -98,7 +98,7 @@ class BettiReport:
     def to_json_dict(self) -> dict:
         return {
             "series": self.series.to_json_dict(),
-            "coefficients": [int(c) for c in self.coefficients_int()],
+            "coefficients": list(self.coefficients_int()),
             "valid_up_to": self.valid_up_to,
             "convention": self.convention,
             "includes_lambda": self.includes_lambda,

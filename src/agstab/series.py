@@ -3,8 +3,10 @@
 A series is stored densely: ``order`` N means the coefficients of
 t^0 .. t^N are known exactly.  Arithmetic between series of different
 orders truncates to the smaller order, so a result never claims more
-precision than its inputs support.  Coefficients are `fractions.Fraction`
-throughout; no floats appear anywhere.
+precision than its inputs support.  A coefficient is an `int`, or a
+`fractions.Fraction` only when it is not an integer (its denominator is
+greater than 1); every division is exact, and no floats appear
+anywhere.  An integer series is therefore added and multiplied in ints.
 """
 
 from __future__ import annotations
@@ -18,17 +20,15 @@ from .errors import InputError, NonIntegralCoefficient, ZeroConstantTerm, json_i
 DEFAULT_ORDER = 32
 SERIES_KEYS = ("order", "coefficients")
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x) -> int | Fraction:
+    """An exact coefficient: an int, or a Fraction whose denominator is greater than 1."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
 
 
@@ -43,7 +43,7 @@ class TruncatedSeries:
             if order < 0:
                 raise ValueError("order must be non-negative")
             if len(coeffs) <= order:
-                coeffs.extend([_ZERO] * (order + 1 - len(coeffs)))
+                coeffs.extend([0] * (order + 1 - len(coeffs)))
             else:
                 coeffs = coeffs[: order + 1]
         elif not coeffs:
@@ -75,21 +75,19 @@ class TruncatedSeries:
         return len(self._coeffs) - 1
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple[int | Fraction, ...]:
         return self._coeffs
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int | Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient t^{k} is outside truncation order {self.order}")
         return self._coeffs[k]
 
     def integer_coefficients(self) -> list[int]:
-        out = []
         for k, c in enumerate(self._coeffs):
-            if c.denominator != 1:
+            if type(c) is not int:
                 raise NonIntegralCoefficient(f"coefficient of t^{k} is {c}, not an integer")
-            out.append(c.numerator)
-        return out
+        return list(self._coeffs)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -125,7 +123,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             n = self._common(other)
             a, b = self._coeffs, other._coeffs
-            out = [_ZERO] * (n + 1)
+            out = [0] * (n + 1)
             for i in range(n + 1):
                 ai = a[i]
                 if ai == 0:
@@ -147,23 +145,27 @@ class TruncatedSeries:
             c = _frac(scalar)
             if c == 0:
                 raise ZeroDivisionError("division of a series by zero")
-            return TruncatedSeries([x / c for x in self._coeffs])
+            return TruncatedSeries([Fraction(x, c) for x in self._coeffs])
         return NotImplemented
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse, by the standard convolution recurrence."""
+        """Multiplicative inverse, by the standard convolution recurrence.
+
+        Each coefficient is normalized as it is found, so the recurrence
+        runs in ints wherever the inverse is integral.
+        """
         a = self._coeffs
         if a[0] == 0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
         n = self.order
-        b = [_ZERO] * (n + 1)
-        b[0] = _ONE / a[0]
+        b = [0] * (n + 1)
+        b[0] = _frac(Fraction(1, a[0]))
         for m in range(1, n + 1):
-            s = _ZERO
+            s = 0
             for k in range(1, m + 1):
                 if a[k] != 0:
                     s += a[k] * b[m - k]
-            b[m] = -s / a[0]
+            b[m] = _frac(Fraction(-s, a[0]))
         return TruncatedSeries(b)
 
     # -- comparison / presentation --------------------------------------
@@ -279,7 +281,7 @@ def expand_rational_form(
 
 
 class RationalMatrix:
-    """A small square matrix over Fraction."""
+    """A small square matrix over the rationals; each entry is kept as a series coefficient is."""
 
     __slots__ = ("rows",)
 
@@ -316,7 +318,7 @@ class RationalMatrix:
             [[sum(ra[k] * cb[k] for k in range(n)) for cb in b_cols] for ra in self.rows]
         )
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int | Fraction:
         return sum(self.rows[i][i] for i in range(self.size))
 
     def __eq__(self, other):
@@ -340,11 +342,11 @@ def det_one_minus_tA(matrix: RationalMatrix) -> TruncatedSeries:
     exact over the rationals.
     """
     r = matrix.size
-    coeffs = [_ONE]
+    coeffs = [1]
     m = RationalMatrix.identity(r)
     for k in range(1, r + 1):
         am = matrix @ m
-        ck = -am.trace() / k
+        ck = Fraction(-am.trace(), k)
         coeffs.append(ck)
         if k < r:
             m = RationalMatrix(

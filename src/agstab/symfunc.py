@@ -72,11 +72,11 @@ def _exponent_map(series: TruncatedSeries) -> dict[int, int]:
     for i, c in enumerate(coeffs[1:], start=1):
         if c == 0:
             continue
-        if c.denominator != 1 or c < 0:
+        if type(c) is not int or c < 0:
             raise NonIntegralCoefficient(
                 f"exponent of t^{i} must be a non-negative integer, got {c}"
             )
-        out[i] = c.numerator
+        out[i] = c
     return out
 
 

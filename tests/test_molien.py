@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from agstab import molien
 from agstab.errors import CapExceeded, InconsistentAction
 from agstab.intlinalg import integer_coordinates
 from agstab.molien import LinearAction, det_from_power_sums, molien_series, molien_series_naive
 from agstab.perms import PermGroup, Permutation
-from agstab.series import RationalMatrix, expand_rational_form, product_form
+from agstab.series import RationalMatrix, TruncatedSeries, expand_rational_form, product_form
 
 
 def natural(group):
@@ -142,3 +143,46 @@ def test_span_action_rejects_an_element_with_a_fractional_trace():
     action = LinearAction.on_span(group, basis, coords, den)
     with pytest.raises(InconsistentAction, match="5/2"):
         molien_series(action, 4)
+
+
+# the rotations of a square: no clone classes, and three keys (1, 1, 1, 1), (2, 2), (4) of counts 1, 1, 2
+ROTATIONS = PermGroup.from_generators([Permutation.from_cycles(4, [(1, 2, 3, 4)])])
+
+
+def test_keyed_sum_rejects_a_remainder(monkeypatch):
+    # one key's term off by one at t^1 adds its count, 1 or 2, to a sum divided by 4
+    original, seen = molien._class_term, []
+
+    def bumped(action, key, order):
+        term = original(action, key, order)
+        if not seen:
+            term[1] += 1
+        seen.append(key)
+        return term
+
+    monkeypatch.setattr(molien, "_class_term", bumped)
+    with pytest.raises(ArithmeticError, match="non-negative integer coefficients, got \\d+/\\d+ at t\\^1"):
+        molien_series(natural(ROTATIONS), 6)
+
+
+def test_keyed_sum_rejects_a_negative_quotient(monkeypatch):
+    original = molien._class_term
+    monkeypatch.setattr(molien, "_class_term", lambda action, key, order: [-c for c in original(action, key, order)])
+    with pytest.raises(ArithmeticError, match="non-negative integer coefficients, got -1 at t\\^0"):
+        molien_series(natural(ROTATIONS), 6)
+
+
+def test_naive_sum_rejects_a_coefficient_that_is_not_a_dimension(monkeypatch):
+    # the element-by-element sum takes its permutation terms from product_form
+    original, seen = molien.product_form, []
+
+    def bumped(exponents, order):
+        term = original(exponents, order)
+        if not seen:
+            term = term + TruncatedSeries.monomial(1, order)
+        seen.append(exponents)
+        return term
+
+    monkeypatch.setattr(molien, "product_form", bumped)
+    with pytest.raises(ArithmeticError, match="non-negative integer coefficients, got \\d+/\\d+ at t\\^1"):
+        molien_series_naive(natural(ROTATIONS), 6)

@@ -17,6 +17,7 @@ from agstab.series import (
     expand_rational_form,
     product_form,
 )
+from agstab.symfunc import exp_series, plethysm_h
 
 
 def naive_product(a, b, order):
@@ -177,3 +178,137 @@ def test_integer_coefficients_rejects_fractions():
 def test_polynomial_string():
     s = expand_rational_form((1, 0, -1), {1: 2}, 3)
     assert s.polynomial_string() == "1 + 2*t + 2*t^2 + 2*t^3"
+
+
+# -- representation: an int, or a Fraction only when it is not an integer ----
+#
+# Each operation is compared with the same operation done on Fraction
+# lists here, and every coefficient it returns must be an int or a
+# Fraction with denominator > 1, never a float.
+
+
+def exact(series):
+    for c in series.coefficients:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+    return series.coefficients
+
+
+def fracs(xs):
+    return [Fraction(x) for x in xs]
+
+
+def oracle_inverse(a):
+    b = [1 / a[0]]
+    for m in range(1, len(a)):
+        b.append(-sum(a[k] * b[m - k] for k in range(1, m + 1)) / a[0])
+    return tuple(b)
+
+
+def oracle_product_form(exponents, order):
+    acc = [Fraction(1)] + [Fraction(0)] * order
+    for step, count in exponents.items():
+        for _ in range(count):  # times 1/(1 - t^step)
+            for k in range(step, order + 1):
+                acc[k] += acc[k - step]
+    return tuple(acc)
+
+
+def oracle_exp(p):
+    # Exp(P) = exp(L), L = sum_k P(t^k)/k, by n e_n = sum_j j l_j e_(n-j)
+    order = len(p) - 1
+    log = [Fraction(0)] * (order + 1)
+    for k in range(1, order + 1):
+        for i in range(1, order // k + 1):
+            log[i * k] += Fraction(p[i], k)
+    e = [Fraction(1)]
+    for n in range(1, order + 1):
+        e.append(sum(j * log[j] * e[n - j] for j in range(1, n + 1)) / n)
+    return tuple(e)
+
+
+def oracle_plethysm_h(n, p):
+    # Newton's identity with the constant term kept in: m h_m = sum_k P(t^k) h_(m-k)
+    order = len(p) - 1
+    powers = [None] + [
+        [p[i // k] if i % k == 0 else Fraction(0) for i in range(order + 1)] for k in range(1, n + 1)
+    ]
+    h = [[Fraction(1)] + [Fraction(0)] * order]
+    for m in range(1, n + 1):
+        acc = [Fraction(0)] * (order + 1)
+        for k in range(1, m + 1):
+            for i, x in enumerate(naive_product(powers[k], h[m - k], order)):
+                acc[i] += x
+        h.append([x / m for x in acc])
+    return tuple(h[n])
+
+
+small = st.integers(min_value=-30, max_value=30)
+# a small denominator makes many of these integers, which must come out as ints
+rational = st.builds(Fraction, small, st.integers(min_value=1, max_value=4))
+int_lists = st.lists(small, min_size=1, max_size=8)
+rational_lists = st.lists(rational, min_size=1, max_size=8)
+any_lists = int_lists | rational_lists
+# an integer series with constant +-1 has an integer inverse
+unit_lists = st.tuples(st.sampled_from([1, -1]), int_lists).map(lambda p: [p[0]] + p[1])
+scalars = small | rational
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_lists, any_lists, scalars, scalars.filter(bool))
+def test_arithmetic_keeps_coefficients_exact(a, b, c, d):
+    sa, sb, fa, fb = TruncatedSeries(a), TruncatedSeries(b), fracs(a), fracs(b)
+    assert exact(sa + sb) == tuple(x + y for x, y in zip(fa, fb))
+    assert exact(sa - sb) == tuple(x - y for x, y in zip(fa, fb))
+    assert exact(sa * sb) == naive_product(fa, fb, min(len(a), len(b)) - 1)
+    assert exact(sa * c) == exact(c * sa) == tuple(Fraction(c) * x for x in fa)
+    assert exact(sa / d) == tuple(x / Fraction(d) for x in fa)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_lists | any_lists.filter(lambda a: a[0] != 0))
+def test_inverse_keeps_coefficients_exact(a):
+    assert exact(TruncatedSeries(a).inverse()) == oracle_inverse(fracs(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_lists, st.integers(min_value=0, max_value=10))
+def test_truncation_and_json_keep_coefficients_exact(a, order):
+    s, fa = TruncatedSeries(a), fracs(a)
+    if order <= s.order:
+        assert exact(s.truncate(order)) == tuple(fa[: order + 1])
+    assert exact(s.as_order(order)) == tuple((fa + [Fraction(0)] * order)[: order + 1])
+    # unreduced strings such as "4/2" read back as ints
+    payload = {"order": s.order, "coefficients": [f"{2 * x.numerator}/{2 * x.denominator}" for x in fa]}
+    assert exact(TruncatedSeries.from_json_dict(payload)) == tuple(fa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=4), max_size=4),
+       st.integers(min_value=0, max_value=10))
+def test_product_form_is_an_int_series(exponents, order):
+    assert exact(product_form(exponents, order)) == oracle_product_form(exponents, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), max_size=8))
+def test_exp_series_is_an_int_series(tail):
+    p = [0] + tail
+    assert exact(exp_series(TruncatedSeries(p))) == oracle_exp(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational, any_lists, st.integers(min_value=0, max_value=5))
+def test_plethysm_h_with_a_rational_constant_keeps_coefficients_exact(constant, tail, n):
+    p = [constant] + tail[:6]
+    assert exact(plethysm_h(n, TruncatedSeries(p))) == oracle_plethysm_h(n, fracs(p))
+
+
+def test_det_one_minus_tA_divides_exactly_where_a_step_divides_unevenly():
+    # the Faddeev-LeVerrier traces are -5/2, -5 and -3/4: the integer -5 is
+    # divided by k = 2, and the others by k = 1 and 3
+    half = Fraction(1, 2)
+    rows = ((-1, 0, -half), (-1, -half, 0), (1, 1, -1))
+    got = exact(det_one_minus_tA(RationalMatrix(rows)))
+    assert got == (1, Fraction(5, 2), Fraction(5, 2), Fraction(1, 4))
+    poly = [[[Fraction(int(i == j)), -Fraction(rows[i][j])] for j in range(3)] for i in range(3)]
+    assert list(got) == poly_det(poly)
