@@ -38,7 +38,7 @@ from .intlinalg import (
     saturation_coordinates,
 )
 from .molien import LinearAction, molien_series
-from .perms import DEFAULT_CAP, PermGroup, Permutation
+from .perms import PermGroup, Permutation
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -229,16 +229,25 @@ class _Lattice:
     generator i's coordinates in B; their supports are the fundamental
     circuits of B, which join the generators into the matroid
     components.  glue_gens, the distinct nonzero columns of adjU mod d,
-    generate the glue group C = Z^r / L_B.
+    generate the glue group C = Z^r / L_B.  vectors keeps the generators
+    it was built from, as tuples.
     """
 
     def __init__(self, vectors):
+        self.vectors = tuple(map(tuple, vectors))
         self.basis, self.u, self.adjU, self.dU, self.coords = saturation_coordinates(vectors)
         self.r = r = len(self.basis)
         self.d = d = abs(self.dU)
         coords = self.coords
         self.components = _classes(len(coords), lambda i, j: any(x and y for x, y in zip(coords[i], coords[j])))
         self.glue_gens = sorted({tuple(x % d for x in col) for col in zip(*self.adjU)} - {(0,) * r})
+
+
+def _spec_lattice(spec: ConeSpec, lattice: _Lattice | None) -> _Lattice:
+    """lattice, or _Lattice(spec.generators) when it is None; ValueError if lattice has other vectors."""
+    if lattice is not None and lattice.vectors != spec.generators:
+        raise ValueError(f"cone {spec.name!r}: the lattice was built from other generators")
+    return lattice or _Lattice(spec.generators)
 
 
 def cone_components(spec: ConeSpec, lattice: _Lattice | None = None) -> tuple[tuple[int, ...], ...]:
@@ -251,9 +260,10 @@ def cone_components(spec: ConeSpec, lattice: _Lattice | None = None) -> tuple[tu
     configurations the two notions agree, but configurations of
     independent vectors spanning a proper-index sublattice (several of
     the non-matroidal cones) are indecomposable over the integers despite
-    their free matroid.  lattice, when given, must be _Lattice(spec.generators).
+    their free matroid.  lattice, when given, must be _Lattice(spec.generators)
+    (ValueError otherwise).
     """
-    comps = _split_blocks(lattice or _Lattice(spec.generators))
+    comps = _split_blocks(_spec_lattice(spec, lattice))
     return tuple(tuple(i + 1 for i in comp) for comp in sorted(comps))
 
 
@@ -347,7 +357,7 @@ class _AutSearch:
     def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET, lattice: _Lattice | None = None):
         self.spec = spec
         self.node_budget = node_budget
-        self.lattice = lattice = lattice or _Lattice(spec.generators)
+        self.lattice = lattice = _spec_lattice(spec, lattice)
         self.s = len(spec.generators)
         self.r, self.u, self.basis = lattice.r, lattice.u, lattice.basis
         self.dU, self.d, self.glue_gens = lattice.dU, lattice.d, lattice.glue_gens
@@ -488,13 +498,13 @@ class _AutSearch:
 
     # -- search ---------------------------------------------------------------
 
-    def search(self, cap: int = DEFAULT_CAP) -> PermGroup:
+    def search(self) -> PermGroup:
         """The group of realizable permutations, listed up to its clone classes.
 
         The clone classes come first (_clone_classes); the tree then
         assigns each basis position a target of the same profile, class
         size and place in its class, so its leaves are the elements of
-        H.  The group lists G only when iterated, under cap.
+        H.  The group lists G only when iterated.
         """
         r, s = self.r, self.s
         self.nodes = self.leaves = 0
@@ -510,7 +520,7 @@ class _AutSearch:
         results: set[tuple[int, ...]] = set()
         self._extend(0, [0] * r, [False] * s, results)
         points = [tuple(i + 1 for i in members) for members in classes]
-        return PermGroup.from_quotient(s, points, results, cap)
+        return PermGroup.from_quotient(s, points, results)
 
     def _clone_classes(self, profiles: list) -> list[list[int]]:
         """The clone classes, 0-based and sorted: i and j are clones when (i j) is realizable.
@@ -576,26 +586,25 @@ class _AutSearch:
 def cone_automorphisms(
     spec: ConeSpec,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    cap: int = DEFAULT_CAP,
     lattice: _Lattice | None = None,
 ) -> PermGroup:
     """The group of realizable generator permutations, from the search.
 
     Declared generators are not read (check_declared_automorphisms
-    compares them with the search).  The group lists its elements, at
-    most cap of them, only when they are iterated.  lattice, when given,
-    must be _Lattice(spec.generators).
+    compares them with the search).  The group lists its elements only
+    when iterated.  lattice, when given, must be
+    _Lattice(spec.generators) (ValueError otherwise).
     """
-    return _AutSearch(spec, node_budget, lattice).search(cap)
+    return _AutSearch(spec, node_budget, lattice).search()
 
 
-def check_declared_automorphisms(spec: ConeSpec, aut: PermGroup, cap: int = DEFAULT_CAP) -> None:
+def check_declared_automorphisms(spec: ConeSpec, aut: PermGroup) -> None:
     """Raise VerificationFailed unless the declared generators generate aut, the searched group.
 
     Each must be a member of aut (no second search), so their closure,
-    of at most cap elements, is a subgroup of aut, and equal to it
-    exactly when the orders agree.  A spec that declares no generators
-    passes.
+    of at most perms.DEFAULT_CAP elements (CapExceeded, naming the cone,
+    past it), is a subgroup of aut, and equal to it exactly when the
+    orders agree.  A spec that declares no generators passes.
     """
     if not spec.declared_aut:
         return
@@ -603,7 +612,7 @@ def check_declared_automorphisms(spec: ConeSpec, aut: PermGroup, cap: int = DEFA
         if p not in aut:
             raise VerificationFailed(f"cone {spec.name!r}: declared automorphism {p!r} is not realizable")
     try:
-        declared = PermGroup.from_generators(spec.declared_aut, cap=cap).order
+        declared = PermGroup.from_generators(spec.declared_aut).order
     except CapExceeded as exc:
         raise CapExceeded(spec.name, exc.stage, exc.cap, exc.elements) from None
     if declared != aut.order:
@@ -631,7 +640,8 @@ def cone_poincare_series(
     linearly on the forms' coordinates in a maximal independent subset
     of them, and each element of aut, listed, is keyed by power traces
     read from those coordinates, with no matrix built.  dimension, when
-    given, must be cone_dimension(spec); the forms' coordinates are
+    given, must be cone_dimension(spec), and is trusted: checking it
+    would cost the elimination it saves.  The forms' coordinates are
     eliminated only when they are dependent.
     """
     if (cone_dimension(spec) if dimension is None else dimension) == spec.n_generators:

@@ -8,15 +8,13 @@ increasing bijection) form a complement H, so |G| = |H| prod c!.  A
 group lists H and counts G from it; G itself is listed only when it is
 iterated, by Dimino's coset closure of the generators, which adjoins
 one generator at a time and adds whole cosets of the group built so
-far.  A group with no clone classes has H = G.  Elements are kept
-sorted lexicographically by image list and packed, one machine integer
-per image, and Permutation objects are built only when asked for.
+far.  A group with no clone classes has H = G.  Elements are kept as
+sorted image tuples, Permutation objects are built only when asked
+for, and every closure holds at most DEFAULT_CAP elements.
 """
 
 from __future__ import annotations
 
-import itertools
-from array import array
 from bisect import bisect_left
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
@@ -118,62 +116,50 @@ class PermGroup:
 
     classes holds the clone classes of more than one point, each a
     sorted tuple, and H, the elements that keep each class in order, is
-    listed: quotient_images() yields its sorted image tuples, packed
-    into one array, and order = |H| prod c!.  images() yields every
-    element of G and iteration wraps them as Permutations; with clone
-    classes they are listed on first use, by _coset_closure of the
-    generators under the group's cap, and kept.  ``p in group`` looks
-    p up in H after sorting its images within each class, so membership
-    never lists G.  ``generators`` generate
-    the whole group: from_generators closes them, from_elements picks
-    them greedily (the lexicographically first element outside the
-    closure so far), both by _coset_closure, from_quotient takes the
-    adjacent transpositions of every class and the greedy generators of
-    H, and the other constructors name a generating set.  A property
-    that holds for the generators and is closed under products
+    listed: quotient_images() yields its sorted image tuples, and order
+    = |H| prod c!.  images() yields every element of G and iteration
+    wraps them as Permutations; with clone classes they are listed on
+    first use, by _coset_closure of the generators within DEFAULT_CAP
+    elements, and kept.  ``p in group`` looks p up in H after sorting
+    its images within each class, so membership never lists G.
+    ``generators`` generate the whole group: from_generators closes
+    them, from_elements picks them greedily (the lexicographically first
+    element outside the closure so far), both by _coset_closure,
+    from_quotient takes the adjacent transpositions of every class and
+    the greedy generators of H, and symmetric names a generating set.  A
+    property that holds for the generators and is closed under products
     therefore holds for every element.
     """
 
-    __slots__ = ("degree", "generators", "order", "classes", "_cap", "_quotient", "_packed")
+    __slots__ = ("degree", "generators", "order", "classes", "_quotient", "_images")
 
     def __init__(
         self,
         degree: int,
         generators: tuple[Permutation, ...],
-        images: Sequence[tuple[int, ...]],
+        images: list[tuple[int, ...]],
         classes: Sequence[tuple[int, ...]] = (),
-        cap: int = DEFAULT_CAP,
     ):
         """images: the image tuples of the elements of H, sorted and without repeats."""
         self.degree = degree
         self.generators = generators
         self.classes = tuple(classes)
         self.order = len(images) * prod(factorial(len(c)) for c in self.classes)
-        self._cap = cap
-        self._quotient = self._pack(images)
-        self._packed = None if self.classes else self._quotient
-
-    def _pack(self, images: Iterable[tuple[int, ...]]) -> array:
-        n = self.degree
-        typecode = "B" if n < 1 << 8 else "H" if n < 1 << 16 else "L"
-        return array(typecode, itertools.chain.from_iterable(images))
-
-    def _unpack(self, packed: array) -> Iterator[tuple[int, ...]]:
-        n = self.degree
-        return (tuple(packed[k : k + n]) for k in range(0, len(packed), n))
+        self._quotient = images
+        self._images = None if self.classes else images
 
     def quotient_images(self) -> Iterator[tuple[int, ...]]:
         """The image tuple of every element of H, in sorted order."""
-        return self._unpack(self._quotient)
+        return iter(self._quotient)
 
     def images(self) -> Iterator[tuple[int, ...]]:
-        """Every element's image tuple, in sorted order; past the cap it raises CapExceeded."""
-        if self._packed is None:
-            if self.order > self._cap:
-                raise CapExceeded(None, "closure", self._cap, self.order)
-            _, images = _coset_closure(self.degree, [g.images for g in self.generators], self._cap)
-            self._packed = self._pack(sorted(images))
-        return self._unpack(self._packed)
+        """Every element's image tuple, in sorted order; past DEFAULT_CAP it raises CapExceeded."""
+        if self._images is None:
+            if self.order > DEFAULT_CAP:
+                raise CapExceeded(None, "closure", DEFAULT_CAP, self.order)
+            _, images = _coset_closure(self.degree, [g.images for g in self.generators], DEFAULT_CAP)
+            self._images = sorted(images)
+        return iter(self._images)
 
     def __iter__(self) -> Iterator[Permutation]:
         return map(Permutation._trusted, self.images())
@@ -190,26 +176,24 @@ class PermGroup:
         for c in self.classes:
             for point, image in zip(c, sorted(images[x - 1] for x in c)):
                 images[point - 1] = image
-        h, packed = tuple(images), self._quotient
-        size = len(packed) // n
-        row = lambda k: tuple(packed[k * n : k * n + n])
-        k = bisect_left(range(size), h, key=row)
-        return k < size and row(k) == h
+        h, quotient = tuple(images), self._quotient
+        k = bisect_left(quotient, h)
+        return k < len(quotient) and quotient[k] == h
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
         return tuple(self)
 
     @classmethod
-    def from_generators(cls, generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> "PermGroup":
-        """The closure of the generators under composition; past cap elements it raises CapExceeded."""
+    def from_generators(cls, generators: Sequence[Permutation]) -> "PermGroup":
+        """The closure of the generators under composition; past DEFAULT_CAP elements it raises CapExceeded."""
         if not generators:
             raise ValueError("need at least one generator (use Permutation.identity for the trivial group)")
         degrees = {g.degree for g in generators}
         if len(degrees) != 1:
             raise DegreeMismatch(f"generators mix degrees {sorted(degrees)}")
         degree = degrees.pop()
-        _, images = _coset_closure(degree, [g.images for g in generators], cap)
+        _, images = _coset_closure(degree, [g.images for g in generators], DEFAULT_CAP)
         return cls(degree, tuple(generators), sorted(images))
 
     @classmethod
@@ -223,7 +207,6 @@ class PermGroup:
         degree: int,
         classes: Sequence[tuple[int, ...]],
         images: Iterable[tuple[int, ...]],
-        cap: int = DEFAULT_CAP,
     ) -> "PermGroup":
         """The group N H from its clone classes (sorted tuples of points) and the image tuples of H.
 
@@ -235,12 +218,7 @@ class PermGroup:
         gens = [Permutation.from_cycles(degree, [c[k : k + 2]]) for c in classes for k in range(len(c) - 1)]
         identity = Permutation.identity(degree)
         gens += [Permutation._trusted(g) for g in quotient_gens if g != identity.images]
-        return cls(degree, tuple(gens) or (identity,), images, classes, cap)
-
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        e = Permutation.identity(degree)
-        return cls(degree, (e,), (e.images,))
+        return cls(degree, tuple(gens) or (identity,), images, classes)
 
     @classmethod
     def symmetric(cls, degree: int, points: Sequence[int] | None = None) -> "PermGroup":

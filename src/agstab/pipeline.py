@@ -89,7 +89,6 @@ class BettiReport:
 
     series: TruncatedSeries
     valid_up_to: int
-    convention: str = DEGREE_CONVENTION
     includes_lambda: bool = True
 
     def coefficients_int(self) -> tuple[int, ...]:
@@ -100,7 +99,7 @@ class BettiReport:
             "series": self.series.to_json_dict(),
             "coefficients": list(self.coefficients_int()),
             "valid_up_to": self.valid_up_to,
-            "convention": self.convention,
+            "convention": DEGREE_CONVENTION,
             "includes_lambda": self.includes_lambda,
         }
 

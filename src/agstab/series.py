@@ -60,14 +60,6 @@ class TruncatedSeries:
     def one(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         return cls([1], order)
 
-    @classmethod
-    def monomial(cls, degree: int, order: int = DEFAULT_ORDER, coefficient=1) -> "TruncatedSeries":
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        coeffs = [0] * (degree + 1)
-        coeffs[degree] = coefficient
-        return cls(coeffs, order)
-
     # -- basic accessors -------------------------------------------------
 
     @property

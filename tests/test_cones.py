@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agstab.perms
 from agstab import intlinalg
 from agstab.cones import (
     ConeSpec,
@@ -41,10 +42,10 @@ from agstab.errors import (
 from agstab.intlinalg import integer_coordinates, rational_rank
 from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums, molien_series_naive
 from agstab.perms import DEFAULT_CAP, PermGroup, Permutation
-from agstab.pipeline import load_cone_specs, load_dataset
+from agstab.pipeline import generator_series, load_cone_specs, load_dataset
 from agstab.reference import PERFECT_GROUP_ORDERS
 from agstab.series import RationalMatrix, TruncatedSeries, det_one_minus_tA, expand_rational_form, product_form
-from agstab.symfunc import plethysm_h
+from agstab.symfunc import exp_series, plethysm_h
 from lattice_oracles import fraction_gauss_det, matroid_components, saturation_basis
 from wreath import wreath_product
 
@@ -256,16 +257,17 @@ def test_search_budget_error_says_where_it_stopped(all_specs):
     )
 
 
-def test_closure_cap_error_says_where_it_stopped(all_specs):
+def test_closure_cap_error_says_where_it_stopped(all_specs, monkeypatch):
     # C_7 declares (1 2) and a 7-cycle: the closure adds cosets of <(1 2)>
     # two elements at a time, so it stops holding 100 elements, one coset short
     declared = all_specs["C_7"].declared_aut
+    monkeypatch.setattr(agstab.perms, "DEFAULT_CAP", 100)
     with pytest.raises(CapExceeded) as info:
-        PermGroup.from_generators(declared, cap=100)
+        PermGroup.from_generators(declared)
     assert (info.value.cone, info.value.stage, info.value.cap, info.value.elements) == (None, "closure", 100, 102)
     # the cross-check closes them under its cap and names the cone
     with pytest.raises(CapExceeded) as info:
-        check_declared_automorphisms(all_specs["C_7"], cone_automorphisms(all_specs["C_7"]), cap=100)
+        check_declared_automorphisms(all_specs["C_7"], cone_automorphisms(all_specs["C_7"]))
     exc = info.value
     assert (exc.cone, exc.stage, exc.cap, exc.elements) == ("C_7", "closure", 100, 102)
     assert str(exc) == "cone 'C_7': closure exceeded its cap of 100 elements: it needs at least 102"
@@ -579,6 +581,40 @@ def test_mixed_direct_sum_is_a_product_of_wreath_products(names):
     assert result.poincare == series
 
 
+def _record_multisets(records: list, limit: int) -> list[list]:
+    """Every nonempty multiset of the records, in record order, of total dimension at most limit."""
+
+    def extend(start: int, room: int, chosen: list):
+        for k in range(start, len(records)):
+            if records[k].dimension <= room:
+                grown = chosen + [records[k]]
+                yield grown
+                yield from extend(k, room - records[k].dimension, grown)
+
+    return list(extend(0, limit, []))
+
+
+@pytest.mark.parametrize(("family", "limit", "sums"), (("matroidal", 11, 193), ("perfect", 10, 207)))
+def test_direct_sums_of_the_records_add_up_to_exp_of_the_generator_series(family, limit, sums):
+    # the cones of dimension <= limit that are direct sums of the full
+    # records are their multisets; each sum, moved by a GL(Z) change, a
+    # relabelling and signs, must split into its summands, and since
+    # t^(m d) h_m[P] = h_m[t^d P], 1 + sum t^dim P over all of them is
+    # Exp of the full records' generator series
+    dataset = load_dataset(family, order=limit)
+    multisets = _record_multisets([r for r in dataset.records if not r.is_count_only], limit)
+    assert len(multisets) == sums
+    rng = random.Random(family)
+    total = TruncatedSeries.one(limit)
+    for chosen in multisets:
+        spec, _ = _moved(rng, _block_sum([_packaged()[r.name] for r in chosen]))
+        result = analyze(spec, order=limit)
+        assert len(result.components) == len(chosen), [r.name for r in chosen]
+        assert result.dimension == sum(r.dimension for r in chosen)
+        total = total + TruncatedSeries([0] * result.dimension + list(result.poincare.coefficients), limit)
+    assert total == exp_series(generator_series(dataset, limit, include_count_only=False))
+
+
 @pytest.mark.parametrize("n", (10, 12))
 def test_large_circuit_cone_is_searched_without_listing_its_group(n):
     # S_n is one clone class with H trivial; 12! is past the closure cap,
@@ -810,6 +846,19 @@ def test_lattice_split_of_eleven_generators_is_fast():
 def test_lattice_components_are_the_matroid_components(rows):
     # _Lattice reads the fundamental circuits of B from the supports of its coordinates
     assert _Lattice(rows).components == [list(c) for c in matroid_components(rows)]
+
+
+def test_a_lattice_of_other_generators_is_rejected(all_specs):
+    k3, c4 = all_specs["K_3"], all_specs["C_4"]
+    lattice = _Lattice(c4.generators)
+    with pytest.raises(ValueError, match="other generators"):
+        cone_components(k3, lattice=lattice)
+    with pytest.raises(ValueError, match="other generators"):
+        cone_automorphisms(k3, lattice=lattice)
+    with pytest.raises(ValueError, match="other generators"):
+        _AutSearch(k3, lattice=lattice)
+    # the same vectors given as lists match
+    assert cone_components(c4, lattice=_Lattice([list(v) for v in c4.generators])) == ((1, 2, 3, 4),)
 
 
 def _echelon_calls(monkeypatch, call) -> int:

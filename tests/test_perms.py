@@ -5,11 +5,13 @@ import itertools
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agstab.perms
 from agstab.cones import cone_automorphisms, direct_sum
 from agstab.errors import CapExceeded, DegreeMismatch
 from agstab.molien import LinearAction, _cycle_type, molien_series, molien_series_naive
@@ -98,7 +100,7 @@ def test_closure_orders():
                                     Permutation.from_cycles(4, [(1, 3), (2, 4)])])
     assert v4.order == 4
     assert PermGroup.symmetric(4).order == 24
-    assert PermGroup.trivial(6).order == 1
+    assert PermGroup.from_generators([Permutation.identity(6)]).order == 1
 
 
 def test_symmetric_group_matches_exhaustive_enumeration():
@@ -130,11 +132,12 @@ def test_wreath_product_order_and_degree():
         wreath_product(PermGroup.symmetric(3), 3, cap=6 ** 3 * 6 - 1)
 
 
-def test_group_closure_cap():
+def test_group_closure_cap(monkeypatch):
     gens = [Permutation.from_cycles(7, [(1, 2)]),
             Permutation.from_cycles(7, [(1, 2, 3, 4, 5, 6, 7)])]
+    monkeypatch.setattr(agstab.perms, "DEFAULT_CAP", 100)
     with pytest.raises(CapExceeded):
-        PermGroup.from_generators(gens, cap=100)
+        PermGroup.from_generators(gens)
 
 
 def test_order48_product_group():
@@ -165,8 +168,9 @@ def test_closure_matches_breadth_first_oracle(drawn):
     assert list(again.images()) == sorted(expected)
     assert [g.images for g in again.generators] == greedy_generators(n, expected)
     if len(expected) > 1:
-        with pytest.raises(CapExceeded) as info:
-            PermGroup.from_generators([Permutation(g) for g in gens], cap=len(expected) - 1)
+        # a function-scoped monkeypatch would trip hypothesis's health check
+        with mock.patch.object(agstab.perms, "DEFAULT_CAP", len(expected) - 1), pytest.raises(CapExceeded) as info:
+            PermGroup.from_generators([Permutation(g) for g in gens])
         assert (info.value.stage, info.value.cap) == ("closure", len(expected) - 1)
         assert info.value.elements > info.value.cap
 

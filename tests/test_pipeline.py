@@ -142,7 +142,7 @@ def test_record_validation():
     with pytest.raises(InputError):
         record("bad", 1, 0, p)
     with pytest.raises(InputError):
-        record("bad", 1, 1, p * TruncatedSeries.monomial(1, 8))
+        record("bad", 1, 1, p * TruncatedSeries([0, 1], 8))
     with pytest.raises(InputError):
         record("bad", 1, 1, p, mult=0)
 

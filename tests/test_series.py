@@ -93,9 +93,9 @@ def test_geometric_series():
 
 
 def test_monomial_and_shift():
-    m = TruncatedSeries.monomial(3, 6, 5)
+    m = TruncatedSeries([0, 0, 0, 5], 6)
     assert m.integer_coefficients() == [0, 0, 0, 5, 0, 0, 0]
-    s = product_form({1: 1}, 4) * TruncatedSeries.monomial(2, 4)
+    s = product_form({1: 1}, 4) * TruncatedSeries([0, 0, 1], 4)
     assert s.integer_coefficients() == [0, 0, 1, 1, 1]
 
 
