@@ -7,11 +7,17 @@ saturation of the lattice spanned by the v_i bijectively to itself.
 The search below finds exactly those permutations, as the symmetric
 groups of the clone classes and the elements that keep each class in
 order.
+
+analyze runs the five public cone_* functions in turn, and each takes
+only the cone.  They share the eliminations of the forms (_form_basis)
+and of the generators' lattice (_lattice) through one-entry memos keyed
+by the generators, so no cone reuses anything from the one before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -33,7 +39,6 @@ from .intlinalg import (
     adjugate_int,
     independent_rows,
     integer_coordinates,
-    rational_rank,
     restrict_to_kernel,
     saturation_coordinates,
 )
@@ -60,7 +65,8 @@ def _primitive_signature(vector: tuple[int, ...]) -> tuple[int, ...]:
 class ConeSpec:
     """An integer vector configuration naming a rank-one-form cone.
 
-    declared_aut (a file's aut_generators) is read only by check_declared_automorphisms.
+    generators is kept as a tuple of tuples.  declared_aut (a file's
+    aut_generators) is read only by check_declared_automorphisms.
     """
 
     name: str
@@ -70,6 +76,7 @@ class ConeSpec:
     tags: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(map(tuple, self.generators)))
         if self.ambient < 1:
             raise InputError(f"cone {self.name!r}: ambient dimension must be positive")
         if not self.generators:
@@ -146,14 +153,20 @@ def _form_vector(v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v[i] * v[j] for i in range(g) for j in range(i, g))
 
 
+@lru_cache(maxsize=1)
+def _form_basis(generators: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """0-based indices of a maximal independent subset of the forms v_i v_i^T, eliminated rank-only."""
+    return tuple(independent_rows([_form_vector(v) for v in generators]))
+
+
 def cone_dimension(spec: ConeSpec) -> int:
     """Dimension of the span of the forms v_i v_i^T: their rank."""
-    return rational_rank([_form_vector(v) for v in spec.generators])
+    return len(_form_basis(spec.generators))
 
 
 def cone_rank(spec: ConeSpec) -> int:
-    """Rank of the matrix whose rows are the generators themselves."""
-    return rational_rank(spec.generators)
+    """Rank of the matrix whose rows are the generators themselves, read from their lattice."""
+    return _lattice(spec.generators).r
 
 
 def _classes(n: int, linked) -> list[list[int]]:
@@ -229,12 +242,11 @@ class _Lattice:
     generator i's coordinates in B; their supports are the fundamental
     circuits of B, which join the generators into the matroid
     components.  glue_gens, the distinct nonzero columns of adjU mod d,
-    generate the glue group C = Z^r / L_B.  vectors keeps the generators
-    it was built from, as tuples.
+    generate the glue group C = Z^r / L_B.  Read-only: _lattice shares
+    one between the calls on a cone.
     """
 
     def __init__(self, vectors):
-        self.vectors = tuple(map(tuple, vectors))
         self.basis, self.u, self.adjU, self.dU, self.coords = saturation_coordinates(vectors)
         self.r = r = len(self.basis)
         self.d = d = abs(self.dU)
@@ -243,14 +255,13 @@ class _Lattice:
         self.glue_gens = sorted({tuple(x % d for x in col) for col in zip(*self.adjU)} - {(0,) * r})
 
 
-def _spec_lattice(spec: ConeSpec, lattice: _Lattice | None) -> _Lattice:
-    """lattice, or _Lattice(spec.generators) when it is None; ValueError if lattice has other vectors."""
-    if lattice is not None and lattice.vectors != spec.generators:
-        raise ValueError(f"cone {spec.name!r}: the lattice was built from other generators")
-    return lattice or _Lattice(spec.generators)
+@lru_cache(maxsize=1)
+def _lattice(generators: tuple[tuple[int, ...], ...]) -> _Lattice:
+    """_Lattice(generators): the rank, the components and the search of one cone share it."""
+    return _Lattice(generators)
 
 
-def cone_components(spec: ConeSpec, lattice: _Lattice | None = None) -> tuple[tuple[int, ...], ...]:
+def cone_components(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:
     """Finest direct-sum decomposition of the generator configuration, 1-based.
 
     Matroid components of the vectors give the finest split of the
@@ -260,10 +271,9 @@ def cone_components(spec: ConeSpec, lattice: _Lattice | None = None) -> tuple[tu
     configurations the two notions agree, but configurations of
     independent vectors spanning a proper-index sublattice (several of
     the non-matroidal cones) are indecomposable over the integers despite
-    their free matroid.  lattice, when given, must be _Lattice(spec.generators)
-    (ValueError otherwise).
+    their free matroid.
     """
-    comps = _split_blocks(_spec_lattice(spec, lattice))
+    comps = _split_blocks(_lattice(spec.generators))
     return tuple(tuple(i + 1 for i in comp) for comp in sorted(comps))
 
 
@@ -296,7 +306,7 @@ def direct_sum(a: ConeSpec, b: ConeSpec, name: str | None = None) -> ConeSpec:
 class _AutSearch:
     """Backtracking search for the realizable generator permutations.
 
-    Everything about the lattice is read from _Lattice: in coordinates
+    Everything about the lattice is read from _lattice: in coordinates
     of the saturated lattice every generator is an integer vector u_i of
     Z^r, the fixed maximal independent subset B spans L_B of index
     d = |det U_B|, and the glue group C = Z^r / L_B is kept as the
@@ -354,10 +364,10 @@ class _AutSearch:
     budget.
     """
 
-    def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET, lattice: _Lattice | None = None):
+    def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET):
         self.spec = spec
         self.node_budget = node_budget
-        self.lattice = lattice = _spec_lattice(spec, lattice)
+        lattice = _lattice(spec.generators)
         self.s = len(spec.generators)
         self.r, self.u, self.basis = lattice.r, lattice.u, lattice.basis
         self.dU, self.d, self.glue_gens = lattice.dU, lattice.d, lattice.glue_gens
@@ -583,19 +593,14 @@ class _AutSearch:
             used[j] = False
 
 
-def cone_automorphisms(
-    spec: ConeSpec,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    lattice: _Lattice | None = None,
-) -> PermGroup:
+def cone_automorphisms(spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET) -> PermGroup:
     """The group of realizable generator permutations, from the search.
 
     Declared generators are not read (check_declared_automorphisms
     compares them with the search).  The group lists its elements only
-    when iterated.  lattice, when given, must be
-    _Lattice(spec.generators) (ValueError otherwise).
+    when iterated.
     """
-    return _AutSearch(spec, node_budget, lattice).search()
+    return _AutSearch(spec, node_budget).search()
 
 
 def check_declared_automorphisms(spec: ConeSpec, aut: PermGroup) -> None:
@@ -624,13 +629,7 @@ def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[Vector], int]:
     return integer_coordinates([_form_vector(v) for v in spec.generators])
 
 
-def cone_poincare_series(
-    spec: ConeSpec,
-    aut: PermGroup,
-    order: int = DEFAULT_ORDER,
-    *,
-    dimension: int | None = None,
-) -> TruncatedSeries:
+def cone_poincare_series(spec: ConeSpec, aut: PermGroup, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Molien series of the automorphism action on the span of the forms.
 
     When the forms are independent (a basic cone) the action is the
@@ -639,12 +638,11 @@ def cone_poincare_series(
     (LinearAction.on_span): each generator of aut is checked to act
     linearly on the forms' coordinates in a maximal independent subset
     of them, and each element of aut, listed, is keyed by power traces
-    read from those coordinates, with no matrix built.  dimension, when
-    given, must be cone_dimension(spec), and is trusted: checking it
-    would cost the elimination it saves.  The forms' coordinates are
-    eliminated only when they are dependent.
+    read from those coordinates, with no matrix built.  Whether the
+    forms are independent is read from _form_basis; their coordinates
+    are eliminated only when they are dependent.
     """
-    if (cone_dimension(spec) if dimension is None else dimension) == spec.n_generators:
+    if len(_form_basis(spec.generators)) == spec.n_generators:
         return molien_series(LinearAction.natural(aut), order)
     try:
         return molien_series(LinearAction.on_span(aut, *form_coordinates(spec)), order)
@@ -684,20 +682,13 @@ def analyze(
 ) -> ConeAnalysis:
     """Dimension, rank, components, searched automorphism group and Poincare series of one cone.
 
-    The components and the search share one _Lattice, and the forms are
-    eliminated rank-only (their coordinates follow only for a non-basic
-    cone, in cone_poincare_series).
+    The five public cone functions in turn; analyze eliminates nothing
+    of its own, and each elimination is made once, through the memos.
     """
-    form_basis = independent_rows([_form_vector(v) for v in spec.generators])
-    lattice = _Lattice(spec.generators)
-    components = cone_components(spec, lattice)
-    aut = cone_automorphisms(spec, node_budget=node_budget, lattice=lattice)
-    poincare = cone_poincare_series(spec, aut, order, dimension=len(form_basis))
-    return ConeAnalysis(
-        dimension=len(form_basis),
-        rank=lattice.r,
-        components=components,
-        aut=aut,
-        form_basis=tuple(i + 1 for i in form_basis),
-        poincare=poincare,
-    )
+    dimension = cone_dimension(spec)
+    rank = cone_rank(spec)
+    components = cone_components(spec)
+    aut = cone_automorphisms(spec, node_budget)
+    poincare = cone_poincare_series(spec, aut, order)
+    form_basis = tuple(i + 1 for i in _form_basis(spec.generators))
+    return ConeAnalysis(dimension, rank, components, aut, form_basis, poincare)

@@ -29,10 +29,6 @@ def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
     return _echelon(rows, track=False)[0]
 
 
-def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(independent_rows(rows))
-
-
 def _echelon(rows: Sequence[Sequence[int]], track: bool = True):
     """(kept, pivots, m, t, delta): fraction-free Gauss-Jordan elimination, scanning rows in order.
 

@@ -14,17 +14,17 @@ each such cycle, and its term is prod 1/(1 - t^m) over the key.  A group
 with no clone classes has c = 1 and H = G, and the key is the cycle
 type.
 
-For a matrix action the sum runs over every element of G, listed, and
-the key is the power traces tr(A^k), k = 1..n; Newton's identities turn
-them into the integer coefficients of det(1 - tA).  An action on the
-span of vectors that the group permutes (LinearAction.on_span) reads its
-traces from the vectors' coordinates and builds no matrix.  Each term is
+For an action on the span of vectors that the group permutes
+(LinearAction.on_span) the sum runs over every element of G, listed,
+and the key is the power traces tr(A^k), k = 1..n, read from the
+vectors' coordinates with no matrix built; Newton's identities turn
+them into the integer coefficients of det(1 - tA).  Each term is
 expanded and added up in ints, and the sum is divided by the number of
 elements summed once, at the end, in integers: each coefficient is a
 dimension, so a remainder or a negative quotient is an error.
 molien_series_naive inverts det(1 - tA) of every element of G, from
-Permutation.cycles() or the explicit matrix, in fractions instead: an
-independent oracle.
+Permutation.cycles() or the matrix, in fractions instead: an
+independent oracle, and the one sum of explicit matrices.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ class LinearAction:
 
     With no explicit matrices and no span the natural permutation action
     on Q^degree is used and Molien terms come from class-weighted cycle
-    types.
+    types.  Explicit matrices (from_matrices) serve molien_series_naive
+    alone; matrix() reads them or the span (on_span).
     """
 
     __slots__ = ("group", "dim", "_matrices", "_span")
@@ -134,8 +135,6 @@ class LinearAction:
         if self._span is not None:
             basis, table, den = self._span
             return RationalMatrix([[Fraction(row[p(b)], den) for b in basis] for row in table])
-        if self._matrices is None:
-            return RationalMatrix.permutation(p.images)
         try:
             return self._matrices[p]
         except KeyError:
@@ -180,15 +179,7 @@ def _class_leaders(group: PermGroup) -> list[int]:
 
 
 def _det_key(action: LinearAction, images: tuple[int, ...]) -> tuple:
-    """Elements g of a matrix action with equal keys have equal det(1 - t * rho(g)); g is given by its images."""
-    g = Permutation._trusted(images)
-    if action._span is None:
-        traces, power = [], g
-        for _ in range(action.dim):
-            traces.append(action.matrix(power).trace())
-            power = power * g
-        return tuple(traces)
-    # D tr(M_g^k) = sum_a X[a][g^k(basis[a])], and a trace is an integer
+    """g's key, its power traces on the span, fixing det(1 - t M_g): D tr(M_g^k) = sum_a X[a][g^k(basis[a])]."""
     basis, table, den = action._span
     image = (0,) + images
     sums = [0] * action.dim
@@ -199,7 +190,7 @@ def _det_key(action: LinearAction, images: tuple[int, ...]) -> tuple:
             sums[k] += row[point]
     if any(x % den for x in sums):
         traces = ", ".join(str(Fraction(x, den)) for x in sums)
-        raise InconsistentAction(f"{g!r} has power traces {traces}, not all integers")
+        raise InconsistentAction(f"{Permutation._trusted(images)!r} has power traces {traces}, not all integers")
     return tuple(x // den for x in sums)
 
 
@@ -250,13 +241,16 @@ def _validated(series: TruncatedSeries) -> TruncatedSeries:
 def molien_series(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Molien sum with one term per key, weighted by its count, added up in ints.
 
-    A permutation action sums over H with class-weighted cycle types, a
-    matrix action over all of G with power traces.
+    A permutation action sums over H with class-weighted cycle types, an
+    action on a span over all of G with power traces.  An action given
+    by explicit matrices raises TypeError: molien_series_naive sums it.
     """
     group = action.group
     if action.is_permutation_action:
         leaders = _class_leaders(group)
         counts = Counter(_cycle_type(p, leaders) for p in group.quotient_images())
+    elif action._span is None:
+        raise TypeError("explicit matrices have no keyed Molien sum: use molien_series_naive")
     else:
         counts = Counter(_det_key(action, p) for p in group.images())
     total = [0] * (order + 1)

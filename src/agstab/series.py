@@ -292,15 +292,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def permutation(cls, images: Sequence[int]) -> "RationalMatrix":
-        """Matrix sending basis vector e_i to e_{images[i-1]} (1-based images)."""
-        n = len(images)
-        rows = [[0] * n for _ in range(n)]
-        for i, img in enumerate(images):
-            rows[img - 1][i] = 1
-        return cls(rows)
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         n = self.size
         if other.size != n:

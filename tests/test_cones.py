@@ -19,7 +19,9 @@ from agstab import intlinalg
 from agstab.cones import (
     ConeSpec,
     _AutSearch,
+    _form_basis,
     _Lattice,
+    _lattice,
     analyze,
     check_declared_automorphisms,
     cone_automorphisms,
@@ -39,7 +41,7 @@ from agstab.errors import (
     SearchBudgetExceeded,
     VerificationFailed,
 )
-from agstab.intlinalg import integer_coordinates, rational_rank
+from agstab.intlinalg import independent_rows, integer_coordinates
 from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums, molien_series_naive
 from agstab.perms import DEFAULT_CAP, PermGroup, Permutation
 from agstab.pipeline import generator_series, load_cone_specs, load_dataset
@@ -490,7 +492,7 @@ def test_analyze_rank_is_the_rational_rank(seed):
     for name, spec in _packaged().items():
         moved, _ = _moved(rng, spec.generators)
         for cone in (spec, moved):
-            assert analyze(cone, order=2).rank == rational_rank(cone.generators) == EXPECTED_RANK[name], name
+            assert analyze(cone, order=2).rank == len(independent_rows(cone.generators)) == EXPECTED_RANK[name], name
 
 
 @pytest.mark.parametrize("name", SEARCHED)
@@ -848,21 +850,21 @@ def test_lattice_components_are_the_matroid_components(rows):
     assert _Lattice(rows).components == [list(c) for c in matroid_components(rows)]
 
 
-def test_a_lattice_of_other_generators_is_rejected(all_specs):
-    k3, c4 = all_specs["K_3"], all_specs["C_4"]
-    lattice = _Lattice(c4.generators)
-    with pytest.raises(ValueError, match="other generators"):
-        cone_components(k3, lattice=lattice)
-    with pytest.raises(ValueError, match="other generators"):
-        cone_automorphisms(k3, lattice=lattice)
-    with pytest.raises(ValueError, match="other generators"):
-        _AutSearch(k3, lattice=lattice)
-    # the same vectors given as lists match
-    assert cone_components(c4, lattice=_Lattice([list(v) for v in c4.generators])) == ((1, 2, 3, 4),)
+def test_list_generators_are_stored_as_tuples():
+    listed = ConeSpec("k3", 2, [[1, 0], [0, 1], [1, -1]])
+    built = ConeSpec("k3", 2, ((1, 0), (0, 1), (1, -1)))
+    assert listed == built
+    assert listed.generators == built.generators
+    result = analyze(listed)
+    assert result.to_json_dict() == analyze(built).to_json_dict()
+    assert result.aut.order == 6
 
 
-def _echelon_calls(monkeypatch, call) -> int:
-    """How many eliminations call() makes."""
+def _echelon_calls(monkeypatch, call, fresh: bool = True) -> int:
+    """How many eliminations call() makes; with fresh, from empty memos."""
+    if fresh:
+        _form_basis.cache_clear()
+        _lattice.cache_clear()
     count = 0
     real = intlinalg._echelon
 
@@ -891,6 +893,8 @@ def test_packaged_searches_eliminate_once_per_lattice(perfect_specs, monkeypatch
     assert len(specs) == 28
     assert _echelon_calls(monkeypatch, lambda: [cone_automorphisms(s) for s in specs]) == 50
     assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs]) == 78
+    # the memos keep one cone, so a second pass reuses nothing from the first
+    assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs], fresh=False) == 78
 
 
 def test_search_makes_no_elimination(all_specs, perfect_specs, monkeypatch):
@@ -899,7 +903,7 @@ def test_search_makes_no_elimination(all_specs, perfect_specs, monkeypatch):
     specs = [replace(s, declared_aut=None) for s in perfect_specs.values()]
     specs.append(direct_sum(direct_sum(k3, k3), k3))
     for spec in specs:
-        search = _AutSearch(spec, lattice=_Lattice(spec.generators))
+        search = _AutSearch(spec)
         assert _echelon_calls(monkeypatch, search.search) == 0, spec.name
 
 
@@ -914,9 +918,9 @@ def test_declared_check_makes_no_elimination(family, monkeypatch):
 def test_split_test_makes_no_elimination(all_specs, monkeypatch):
     for names in (("(5,5)", "(6,6)"), ("(7,7b)", "C_4"), ("(6,7d)", "sigma_1"), ("(7,7a)",)):
         spec, _ = _moved(random.Random(5), _block_sum([all_specs[n] for n in names]))
-        lattice = _Lattice(spec.generators)
+        assert _echelon_calls(monkeypatch, lambda: cone_rank(spec)) == 1
         comps = []
-        assert _echelon_calls(monkeypatch, lambda: comps.append(cone_components(spec, lattice))) == 0
+        assert _echelon_calls(monkeypatch, lambda: comps.append(cone_components(spec)), fresh=False) == 0
         assert comps[0] == _split_oracle(spec)
 
 

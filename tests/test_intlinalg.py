@@ -11,8 +11,8 @@ from agstab.cones import _Lattice
 from agstab.intlinalg import (
     _triangular_basis,
     adjugate_int,
+    independent_rows,
     integer_coordinates,
-    rational_rank,
     restrict_to_kernel,
     saturation_coordinates,
 )
@@ -143,9 +143,9 @@ def test_adjugate_matches_the_fraction_inverse(rows):
 
 
 def test_rational_rank():
-    assert rational_rank([(1, 0), (0, 1), (1, 1)]) == 2
-    assert rational_rank([(2, 4), (1, 2)]) == 1
-    assert rational_rank([(0, 0)]) == 0
+    assert independent_rows([(1, 0), (0, 1), (1, 1)]) == [0, 1]
+    assert independent_rows([(2, 4), (1, 2)]) == [0]
+    assert independent_rows([(0, 0)]) == []
 
 
 def test_saturation_basis_recovers_full_lattice():
@@ -164,7 +164,7 @@ def test_saturation_basis_of_sublattice():
 
 def _is_saturation_basis(rows, basis):
     """basis has the rank of rows, spans every row over Z, and its maximal minors have gcd 1."""
-    if len(basis) != rational_rank(rows):
+    if len(basis) != len(independent_rows(rows)):
         return False
     for row in rows:
         if any(row) and not integral_in(basis, row):
@@ -201,7 +201,7 @@ def test_saturation_basis_property(rows, relation):
 def test_saturation_basis_spans_the_oracle_lattice(rows, relation):
     rows = _deficient(rows, relation)
     basis, oracle = saturation_basis(rows), fraction_saturation_basis(rows)
-    assert len(basis) == len(oracle) == rational_rank(rows)
+    assert len(basis) == len(oracle) == len(independent_rows(rows))
     assert all(integral_in(basis, row) for row in oracle)
     assert all(integral_in(oracle, row) for row in basis)
 

@@ -45,16 +45,19 @@ def test_class_reduction_agrees_with_naive_average():
 def test_keyed_sum_separates_involutions_of_one_cycle_type():
     # the Klein four-group acting on Q^1 through the character with kernel
     # {e, (12)(34)}: its three involutions share cycle type (2, 2) but
-    # (13)(24) and (14)(23) act by -1, so det(1 - tA) tells them apart
+    # (13)(24) and (14)(23) act by -1, so det(1 - tA) tells them apart.
+    # The keyed sum reads the character as the action on the span of
+    # w = 1, 1, -1, -1, which the group permutes
     kernel = Permutation.from_cycles(4, [(1, 2), (3, 4)])
     g = PermGroup.from_generators([kernel, Permutation.from_cycles(4, [(1, 3), (2, 4)])])
     assert g.order == 4
     assert len({p.cycle_type() for p in g.elements if p != Permutation.identity(4)}) == 1
     plus, minus = RationalMatrix.identity(1), RationalMatrix(((Fraction(-1),),))
     mats = {p: (plus if p in (Permutation.identity(4), kernel) else minus) for p in g.elements}
-    action = LinearAction.from_matrices(g, mats)
-    assert molien_series(action, 10) == molien_series_naive(action, 10)
-    assert molien_series(action, 10) == product_form({2: 1}, 10)
+    explicit = LinearAction.from_matrices(g, mats)
+    span = LinearAction.on_span(g, [0], [(1,), (1,), (-1,), (-1,)], 1)
+    assert all(span.matrix(p) == m for p, m in mats.items())
+    assert molien_series(span, 10) == molien_series_naive(explicit, 10) == product_form({2: 1}, 10)
 
 
 def test_five_point_dihedral_closed_form():
@@ -84,10 +87,11 @@ def test_sign_representation():
     g = PermGroup.from_generators([Permutation.from_cycles(2, [(1, 2)])])
     mats = {p: (ident if p == Permutation.identity(2) else flip) for p in g.elements}
     action = LinearAction.from_matrices(g, mats)
-    s = molien_series(action, 9)
+    s = molien_series_naive(action, 9)
     # even powers only
     assert s.integer_coefficients() == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
-    assert s == molien_series_naive(action, 9)
+    # the swap acts by -1 on the span of w = 1, -1
+    assert s == molien_series(LinearAction.on_span(g, [0], [(1,), (-1,)], 1), 9)
     assert action.matrix(Permutation.identity(2)) == ident
 
 
@@ -98,8 +102,8 @@ def test_reflection_action_matches_two_point_swap():
     mats = {p: (RationalMatrix.identity(2) if p == Permutation.identity(2) else refl) for p in g.elements}
     action = LinearAction.from_matrices(g, mats)
     swap = natural(g)
-    assert molien_series(action, 12) == molien_series(swap, 12)
-    assert molien_series(action, 12) == product_form({1: 1, 2: 1}, 12)
+    assert molien_series_naive(action, 12) == molien_series(swap, 12)
+    assert molien_series_naive(action, 12) == product_form({1: 1, 2: 1}, 12)
 
 
 def test_from_matrices_rejects_non_homomorphism():
@@ -115,12 +119,24 @@ def test_naive_cap():
         molien_series_naive(natural(PermGroup.symmetric(8)), 4)
 
 
+def permutation_matrix(images):
+    """The matrix sending e_i to e_{images[i-1]} (1-based images)."""
+    return RationalMatrix([[int(img == x) for img in images] for x in range(1, len(images) + 1)])
+
+
 def test_permutation_fast_path_equals_matrix_path():
     g = PermGroup.symmetric(4)
     action = natural(g)
-    mats = {p: RationalMatrix.permutation(p.images) for p in g.elements}
+    mats = {p: permutation_matrix(p.images) for p in g.elements}
     explicit = LinearAction.from_matrices(g, mats)
-    assert molien_series(action, 10) == molien_series(explicit, 10)
+    assert molien_series(action, 10) == molien_series_naive(explicit, 10)
+
+
+def test_keyed_sum_refers_explicit_matrices_to_the_naive_sum():
+    g = PermGroup.symmetric(3)
+    explicit = LinearAction.from_matrices(g, {p: permutation_matrix(p.images) for p in g.elements})
+    with pytest.raises(TypeError, match="molien_series_naive"):
+        molien_series(explicit, 4)
 
 
 def test_newton_identities_give_det_one_minus_tA():
