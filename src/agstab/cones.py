@@ -8,16 +8,15 @@ The search below finds exactly those permutations, as the symmetric
 groups of the clone classes and the elements that keep each class in
 order.
 
-analyze runs the five public cone_* functions in turn, and each takes
-only the cone.  They share the eliminations of the forms (_form_basis)
-and of the generators' lattice (_lattice) through one-entry memos keyed
-by the generators, so no cone reuses anything from the one before it.
+analyze runs the five public cone_* functions in turn, each on the cone
+alone.  They share one lattice, forms' basis included, through a memo
+of one entry (_lattice), so no cone reuses anything from the one before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
@@ -148,20 +147,14 @@ def load_cone(source) -> ConeSpec:
 
 
 def _form_vector(v: tuple[int, ...]) -> tuple[int, ...]:
-    """Flatten v v^T to its upper triangle; rank is all that matters."""
+    """Flatten v v^T to its upper triangle, for form_coordinates."""
     g = len(v)
     return tuple(v[i] * v[j] for i in range(g) for j in range(i, g))
 
 
-@lru_cache(maxsize=1)
-def _form_basis(generators: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """0-based indices of a maximal independent subset of the forms v_i v_i^T, eliminated rank-only."""
-    return tuple(independent_rows([_form_vector(v) for v in generators]))
-
-
 def cone_dimension(spec: ConeSpec) -> int:
-    """Dimension of the span of the forms v_i v_i^T: their rank."""
-    return len(_form_basis(spec.generators))
+    """Dimension of the span of the forms v_i v_i^T: their rank, read from the lattice's form basis."""
+    return len(_lattice(spec.generators).form_basis)
 
 
 def cone_rank(spec: ConeSpec) -> int:
@@ -242,8 +235,8 @@ class _Lattice:
     generator i's coordinates in B; their supports are the fundamental
     circuits of B, which join the generators into the matroid
     components.  glue_gens, the distinct nonzero columns of adjU mod d,
-    generate the glue group C = Z^r / L_B.  Read-only: _lattice shares
-    one between the calls on a cone.
+    generate the glue group C = Z^r / L_B.  _lattice shares one between
+    the calls on a cone; form_basis is filled on first use.
     """
 
     def __init__(self, vectors):
@@ -254,10 +247,20 @@ class _Lattice:
         self.components = _classes(len(coords), lambda i, j: any(x and y for x, y in zip(coords[i], coords[j])))
         self.glue_gens = sorted({tuple(x % d for x in col) for col in zip(*self.adjU)} - {(0,) * r})
 
+    @cached_property
+    def form_basis(self) -> list[int]:
+        """0-based indices of the first maximal independent subset of the forms v_i v_i^T, in generator order.
+
+        The c_i c_i^T (c_i = coords[i]) depend as the forms do and B[a] has c = dU e_a; only while B is the
+        scan-order kept set does an outside c_i lie on B before i, so its form is new exactly when its c_a c_b are.
+        """
+        rows = [[x[a] * x[b] for b in range(self.r) for a in range(b)] for x in self.coords]
+        return sorted(self.basis + independent_rows(rows))
+
 
 @lru_cache(maxsize=1)
 def _lattice(generators: tuple[tuple[int, ...], ...]) -> _Lattice:
-    """_Lattice(generators): the rank, the components and the search of one cone share it."""
+    """_Lattice(generators): the dimension, the rank, the components and the search of one cone share it."""
     return _Lattice(generators)
 
 
@@ -639,10 +642,10 @@ def cone_poincare_series(spec: ConeSpec, aut: PermGroup, order: int = DEFAULT_OR
     linearly on the forms' coordinates in a maximal independent subset
     of them, and each element of aut, listed, is keyed by power traces
     read from those coordinates, with no matrix built.  Whether the
-    forms are independent is read from _form_basis; their coordinates
-    are eliminated only when they are dependent.
+    forms are independent is read from the lattice's form basis; the
+    flattened forms are eliminated only when they are dependent.
     """
-    if len(_form_basis(spec.generators)) == spec.n_generators:
+    if len(_lattice(spec.generators).form_basis) == spec.n_generators:
         return molien_series(LinearAction.natural(aut), order)
     try:
         return molien_series(LinearAction.on_span(aut, *form_coordinates(spec)), order)
@@ -683,12 +686,12 @@ def analyze(
     """Dimension, rank, components, searched automorphism group and Poincare series of one cone.
 
     The five public cone functions in turn; analyze eliminates nothing
-    of its own, and each elimination is made once, through the memos.
+    of its own, and each elimination is made once, through the memo.
     """
     dimension = cone_dimension(spec)
     rank = cone_rank(spec)
     components = cone_components(spec)
     aut = cone_automorphisms(spec, node_budget)
     poincare = cone_poincare_series(spec, aut, order)
-    form_basis = tuple(i + 1 for i in _form_basis(spec.generators))
+    form_basis = tuple(i + 1 for i in _lattice(spec.generators).form_basis)
     return ConeAnalysis(dimension, rank, components, aut, form_basis, poincare)

@@ -3,10 +3,10 @@
 Small dense matrices only (dimensions well under 100), and no
 fractions.  Every question is one call of _echelon, a fraction-free
 Gauss-Jordan elimination that divides exactly by the previous pivot, so
-every entry met is a minor of the input: the rank and independent rows
-untracked, coordinates as integer numerators over one positive
-denominator, and the adjugate without any division.
-saturation_coordinates reads from one tracked elimination the rows'
+every entry met is a minor of the input: the independent rows,
+coordinates as integer numerators over one positive denominator, and
+the adjugate without any division.
+saturation_coordinates reads from one elimination the rows'
 coordinates in a basis of the saturation of their lattice, the
 adjugate of the kept rows' matrix in it, and every row's coordinates
 in the kept rows; only when the reduced row echelon form has a common
@@ -25,25 +25,24 @@ Vector = tuple[int, ...]
 
 
 def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The kept rows of _echelon, a maximal independent subset found by scanning in order; rank only."""
-    return _echelon(rows, track=False)[0]
+    """The kept rows of _echelon, a maximal independent subset found by scanning in order."""
+    return _echelon(rows)[0]
 
 
-def _echelon(rows: Sequence[Sequence[int]], track: bool = True):
+def _echelon(rows: Sequence[Sequence[int]]):
     """(kept, pivots, m, t, delta): fraction-free Gauss-Jordan elimination, scanning rows in order.
 
     A row joins the kept rows K exactly when it is not in the span of
     those kept before it; its pivot is its first nonzero column after
     elimination.  With B the r x r matrix of K on the pivot columns (rows
     in kept order, columns in pivot order) and delta = det B,
-    m = delta B^-1 K is delta times the reduced row echelon form and,
-    when track, t = delta B^-1 = adj B, so a row v of the span has the
-    integer numerators v_P t over delta as its coordinates in K, v_P its
-    entries on the pivot columns.  A new row v becomes
-    delta v - v_P m, the Bareiss minor of K and v; if it is kept, each
-    earlier row is brought to the new pivot d as (d m_j - m_j[p] v) /
-    delta, an exact division, since every entry stays a minor.  Callers
-    that need only kept, the pivots, m or delta pass track False.
+    m = delta B^-1 K is delta times the reduced row echelon form and
+    t = delta B^-1 = adj B, so a row v of the span has the integer
+    numerators v_P t over delta as its coordinates in K, v_P its entries
+    on the pivot columns.  A new row v becomes delta v - v_P m, the
+    Bareiss minor of K and v; if it is kept, each earlier row is brought
+    to the new pivot d as (d m_j - m_j[p] v) / delta, an exact division,
+    since every entry stays a minor.
     """
     kept: list[int] = []
     pivots: list[int] = []
@@ -52,24 +51,21 @@ def _echelon(rows: Sequence[Sequence[int]], track: bool = True):
     delta = 1
     for idx, row in enumerate(rows):
         vec = [delta * x for x in row]
-        ext = [0] * len(kept) if track else []
-        for p, mj, tj in zip(pivots, m, t if track else m):
+        ext = [0] * len(kept)
+        for p, mj, tj in zip(pivots, m, t):
             h = row[p]
             if h:
                 vec = [a - h * b for a, b in zip(vec, mj)]
-                if track:
-                    ext = [a - h * b for a, b in zip(ext, tj)]
+                ext = [a - h * b for a, b in zip(ext, tj)]
         piv = next((j for j, x in enumerate(vec) if x), None)
         if piv is None:
             continue
         d = vec[piv]
-        if track:
-            ext.append(delta)
+        ext.append(delta)
         for j, mj in enumerate(m):
             h = mj[piv]
             m[j] = [(d * a - h * b) // delta for a, b in zip(mj, vec)]
-            if track:
-                t[j] = [(d * a - h * b) // delta for a, b in zip(t[j] + [0], ext)]
+            t[j] = [(d * a - h * b) // delta for a, b in zip(t[j] + [0], ext)]
         kept.append(idx)
         pivots.append(piv)
         m.append(vec)

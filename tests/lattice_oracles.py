@@ -50,7 +50,7 @@ def lattice_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[
     row v then has the coordinates v_P C^-1, found by back substitution
     in integers.
     """
-    kept, pivots, m, _, delta = _echelon(rows, track=False)
+    kept, pivots, m, _, delta = _echelon(rows)
     r = len(kept)
     if not r:
         return kept, [], [() for _ in rows]

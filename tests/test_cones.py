@@ -19,7 +19,6 @@ from agstab import intlinalg
 from agstab.cones import (
     ConeSpec,
     _AutSearch,
-    _form_basis,
     _Lattice,
     _lattice,
     analyze,
@@ -344,6 +343,15 @@ def test_non_basic_cone_uses_matrix_molien():
     s = cone_poincare_series(spec, group, 16)
     # effective group is a four-group acting on (a+c, a-c, b)
     assert s == expand_rational_form((1,), {1: 1, 2: 2}, 16)
+
+
+def test_square_form_basis_is_read_from_the_lattice():
+    # e1 - e2 lies on both earlier basis members, and its off-diagonal product
+    # -1 is new; e1 + e2's product 1 is not, so its form is the fourth and dependent
+    spec = ConeSpec("square", 2, SQUARE)
+    assert _lattice(spec.generators).form_basis == [0, 1, 2]
+    assert cone_dimension(spec) == 3
+    assert analyze(spec, order=0).form_basis == (1, 2, 3)
 
 
 def test_inconsistent_action_detected():
@@ -861,9 +869,8 @@ def test_list_generators_are_stored_as_tuples():
 
 
 def _echelon_calls(monkeypatch, call, fresh: bool = True) -> int:
-    """How many eliminations call() makes; with fresh, from empty memos."""
+    """How many eliminations call() makes; with fresh, from an empty memo."""
     if fresh:
-        _form_basis.cache_clear()
         _lattice.cache_clear()
     count = 0
     real = intlinalg._echelon
@@ -881,19 +888,20 @@ def _echelon_calls(monkeypatch, call, fresh: bool = True) -> int:
 
 @pytest.mark.parametrize(("name", "eliminations"), (("(7,7a)", 2), ("(6,7a)", 3)))
 def test_analyze_eliminates_the_lattice_once(all_specs, monkeypatch, name, eliminations):
-    # the forms' rank and one tracked elimination of the generators, which
-    # gives u, U_B's adjugate and the coordinates in B; with a generator
-    # outside B, (6,7a) adds the pairing's adjugate
+    # one elimination of the generators, which gives u, U_B's adjugate and
+    # the coordinates in B, and one of the off-diagonal products of those
+    # coordinates for the form basis; with a generator outside B, (6,7a)
+    # adds the pairing's adjugate
     assert _echelon_calls(monkeypatch, lambda: analyze(all_specs[name], order=4)) == eliminations
 
 
 def test_packaged_searches_eliminate_once_per_lattice(perfect_specs, monkeypatch):
-    # one tracked elimination per cone; the s > r cones add the pairing's adjugate
+    # one elimination per cone; the s > r cones add the pairing's adjugate
     specs = [replace(s, declared_aut=None) for s in perfect_specs.values()]
     assert len(specs) == 28
     assert _echelon_calls(monkeypatch, lambda: [cone_automorphisms(s) for s in specs]) == 50
     assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs]) == 78
-    # the memos keep one cone, so a second pass reuses nothing from the first
+    # the memo keeps one cone, so a second pass reuses nothing from the first
     assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs], fresh=False) == 78
 
 

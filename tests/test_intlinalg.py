@@ -229,7 +229,7 @@ def test_lattice_coordinates_match_the_oracle(rows, relation):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(rows=wide_rows, relation=st.booleans())
 def test_lattice_matches_the_three_step_oracle(rows, relation):
-    # one tracked elimination against lattice_coordinates, the adjugate of U_B and adjU u_i
+    # one elimination against lattice_coordinates, the adjugate of U_B and adjU u_i
     rows = _deficient(rows, relation)
     lattice = _Lattice(rows)
     kept, u, adj, det, coords = three_step_coordinates(rows)
@@ -237,6 +237,9 @@ def test_lattice_matches_the_three_step_oracle(rows, relation):
     assert lattice.components == [list(c) for c in matroid_components(rows)]
     d = abs(det)
     assert lattice.glue_gens == sorted({tuple(x % d for x in col) for col in zip(*adj)} - {(0,) * len(kept)})
+    # the form basis read from the coordinates in B is that of the flattened forms v v^T
+    forms = [[v[a] * v[b] for a in range(len(v)) for b in range(a, len(v))] for v in rows]
+    assert lattice.form_basis == fraction_coordinates(forms)[0]
 
 
 def test_lattice_with_a_common_denominator():

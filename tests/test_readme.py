@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from agstab.cli import main
+from agstab.cones import analyze, cyclic_cone
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,3 +52,10 @@ def test_readme_example_output(capsys, monkeypatch, tmp_path, files, argv, shown
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert capsys.readouterr().out == shown
+
+
+def test_the_cone_analyze_keys_are_documented():
+    text = README.read_text()
+    listed = text[text.index("`cone analyze` prints one JSON object with these keys:"):].split("\n\n")[1]
+    keys = re.findall(r"^- `(\w+)`:", listed, re.M)
+    assert keys == ["name", *analyze(cyclic_cone(3), order=0).to_json_dict()]
