@@ -9,8 +9,9 @@ groups of the clone classes and the elements that keep each class in
 order.
 
 analyze runs the five public cone_* functions in turn, each on the cone
-alone.  They share one lattice, forms' basis included, through a memo
-of one entry (_lattice), so no cone reuses anything from the one before.
+alone.  They share one lattice, the forms' basis and coordinates
+included, through a memo of one entry (_lattice), so no cone reuses
+anything from the one before.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (
     CapExceeded,
@@ -36,7 +37,6 @@ from .errors import (
 from .intlinalg import (
     Vector,
     adjugate_int,
-    independent_rows,
     integer_coordinates,
     restrict_to_kernel,
     saturation_coordinates,
@@ -50,9 +50,7 @@ CONE_KEYS = ("name", "ambient", "generators", "aut_generators", "tags")
 
 
 def _primitive_signature(vector: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for x in vector:
-        g = gcd(g, abs(x))
+    g = gcd(*vector)
     scaled = tuple(x // g for x in vector)
     for x in scaled:
         if x != 0:
@@ -146,12 +144,6 @@ def load_cone(source) -> ConeSpec:
     return ConeSpec.from_json_dict(read_json(source, "cone file"))
 
 
-def _form_vector(v: tuple[int, ...]) -> tuple[int, ...]:
-    """Flatten v v^T to its upper triangle, for form_coordinates."""
-    g = len(v)
-    return tuple(v[i] * v[j] for i in range(g) for j in range(i, g))
-
-
 def cone_dimension(spec: ConeSpec) -> int:
     """Dimension of the span of the forms v_i v_i^T: their rank, read from the lattice's form basis."""
     return len(_lattice(spec.generators).form_basis)
@@ -234,9 +226,10 @@ class _Lattice:
     of U_B.  coords[i] = adjU u_i are the numerators over dU of
     generator i's coordinates in B; their supports are the fundamental
     circuits of B, which join the generators into the matroid
-    components.  glue_gens, the distinct nonzero columns of adjU mod d,
-    generate the glue group C = Z^r / L_B.  _lattice shares one between
-    the calls on a cone; form_basis is filled on first use.
+    components.  outside lists the generators not in B, in order.
+    glue_gens, the distinct nonzero columns of adjU mod d, generate the
+    glue group C = Z^r / L_B.  _lattice shares one between the calls on
+    a cone; form_basis is filled on first use.
     """
 
     def __init__(self, vectors):
@@ -245,17 +238,55 @@ class _Lattice:
         self.d = d = abs(self.dU)
         coords = self.coords
         self.components = _classes(len(coords), lambda i, j: any(x and y for x, y in zip(coords[i], coords[j])))
+        in_basis = set(self.basis)
+        self.outside = [i for i in range(len(coords)) if i not in in_basis]
         self.glue_gens = sorted({tuple(x % d for x in col) for col in zip(*self.adjU)} - {(0,) * r})
+
+    @cached_property
+    def _outside_forms(self) -> tuple[list[int], list[Vector], int]:
+        """integer_coordinates of the outside generators' off-diagonal products c_a c_b (a < b); none when B is all."""
+        if not self.outside:
+            return [], [], 1
+        coords = [self.coords[i] for i in self.outside]
+        return integer_coordinates([[x[a] * x[b] for b in range(self.r) for a in range(b)] for x in coords])
 
     @cached_property
     def form_basis(self) -> list[int]:
         """0-based indices of the first maximal independent subset of the forms v_i v_i^T, in generator order.
 
-        The c_i c_i^T (c_i = coords[i]) depend as the forms do and B[a] has c = dU e_a; only while B is the
-        scan-order kept set does an outside c_i lie on B before i, so its form is new exactly when its c_a c_b are.
+        The c_i c_i^T (c_i = coords[i]) depend as the forms do and B[a] has c = dU e_a, whose off-diagonal
+        products c_a c_b are all zero; only while B is the scan-order kept set does an outside c_i lie on B
+        before i, so its form is new exactly when its c_a c_b are independent of those of the outside
+        generators before it.  Only the outside generators' rows are eliminated (_outside_forms).
         """
-        rows = [[x[a] * x[b] for b in range(self.r) for a in range(b)] for x in self.coords]
-        return sorted(self.basis + independent_rows(rows))
+        return sorted(self.basis + [self.outside[k] for k in self._outside_forms[0]])
+
+    def form_coordinates(self) -> tuple[list[int], list[Vector], int]:
+        """(form_basis, every form's coordinates in it as integer numerators, their positive denominator).
+
+        Let F be the outside members of the form basis.  An outside
+        generator has c_i c_i^T = sum_f lambda_f c_f c_f^T + sum_a mu_a
+        dU^2 E_aa: the off-diagonal parts give lambda_f = n_f / delta
+        (_outside_forms), and the diagonal then gives
+        mu_a = (delta c_i[a]^2 - sum_f n_f c_f[a]^2) / (delta dU^2),
+        the coordinate of the form of B[a].  No form is flattened.
+        """
+        kept, nums, delta = self._outside_forms
+        square = self.dU * self.dU
+        basis = self.form_basis
+        place = {i: a for a, i in enumerate(basis)}
+        members = [self.outside[k] for k in kept]
+        rows: list[Vector] = [()] * len(self.coords)
+        for b in self.basis:
+            rows[b] = tuple(delta * square * (i == b) for i in basis)
+        for i, n in zip(self.outside, nums):
+            row = [0] * len(basis)
+            for x, f in zip(n, members):
+                row[place[f]] = x * square
+            for a, (b, y) in enumerate(zip(self.basis, self.coords[i])):
+                row[place[b]] = delta * y * y - sum(x * self.coords[f][a] ** 2 for x, f in zip(n, members))
+            rows[i] = tuple(row)
+        return basis, rows, delta * square
 
 
 @lru_cache(maxsize=1)
@@ -347,8 +378,9 @@ class _AutSearch:
     gcd(d, c_a).
 
     Otherwise any realizable T preserves S = sum_i u_i u_i^T, hence the
-    pairing G(i, j) = u_i^T adj(S) u_j satisfies |G(pi i, pi j)| =
-    |G(i, j)| with sign ratios eps_i eps_j.  A generator's candidate
+    pairing G(i, j) = u_i^T adj(S) u_j (_pairing, read from the
+    coordinates in B) satisfies |G(pi i, pi j)| = |G(i, j)| with sign
+    ratios eps_i eps_j.  A generator's candidate
     images are those with the same norm G(i, i) and the same sorted row
     |G(i, .)|; neither a component size nor a circuit invariant is
     computed, since neither pruned a candidate of any packaged or
@@ -364,7 +396,7 @@ class _AutSearch:
     at its place in that class, and clones must go to clones; a leaf
     drops the images outside B that break this, so the leaves of the
     tree are the elements of H.  Each swap test counts as a node of the
-    budget.
+    budget; a pair whose pairing rows differ (_rows_agree) runs none.
     """
 
     def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -378,43 +410,59 @@ class _AutSearch:
         self.glue_signed = [a for a in range(self.r) if any(2 * c[a] % self.d for c in self.glue_gens)]
         self.all_in_basis = self.s == self.r
         self.nodes = self.leaves = 0
-        r, s, u, basis = self.r, self.s, self.u, self.basis
-        self.pair = pair = None if self.all_in_basis else self._pairing()
+        r, u, basis = self.r, self.u, self.basis
+        # numerators of each outside generator's coordinates in B
+        self.outside = [(i, lattice.coords[i]) for i in lattice.outside]
+        self.pair = pair = None if self.all_in_basis else self._pairing(lattice)
+        self.abs_pair = None if pair is None else [list(map(abs, row)) for row in pair]
         # connected components of the nonzero-pairing graph on basis positions
         # (single positions when there is no pairing)
         self.parity_components = _classes(r, lambda a, c: pair is not None and pair[basis[a]][basis[c]] != 0)
 
-        in_basis = set(basis)
-        # numerators of each outside generator's coordinates in B
-        self.outside = [(i, lattice.coords[i]) for i in range(s) if i not in in_basis]
         # flipping a component on which no outside generator has a coordinate
         # and every glue generator has c_a = -c_a mod d changes neither the
         # images nor the integrality of T, so only the others are flipped
         signed = {a for _, coords in self.outside for a in range(r) if coords[a]}
         signed.update(self.glue_signed)
         self.flip_components = [comp for comp in self.parity_components if signed.intersection(comp)]
+        # j from +-dU u_j, which a leaf meets as dU T u_i
         self.lookup: dict[tuple[int, ...], int] = {}
         for j, uj in enumerate(u):
-            self.lookup[uj] = j
-            self.lookup[tuple(-x for x in uj)] = j
+            self.lookup[tuple(self.dU * x for x in uj)] = j
+            self.lookup[tuple(-self.dU * x for x in uj)] = j
 
-    def _pairing(self) -> list[list[int]]:
-        """The pairing G(i, j) = u_i^T adj(S) u_j, S = sum_i u_i u_i^T."""
-        u = self.u
-        cols = list(zip(*u))
-        gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
-        adj_gram, _ = adjugate_int(gram)
-        tmp = [tuple(sum(map(mul, row, ui)) for row in adj_gram) for ui in u]
-        return [[sum(map(mul, ui, tj)) for tj in tmp] for ui in u]
+    def _pairing(self, lattice: _Lattice) -> list[list[int]]:
+        """The pairing G(i, j) = u_i^T adj(S) u_j, S = sum_i u_i u_i^T, read from the coordinates in B.
+
+        With c_i = lattice.coords[i] = adj U_B u_i, so that c_B[a] = dU e_a,
+        S = U_B M U_B^T / dU^2 for M = dU^2 I_r + sum_o c_o c_o^T over the
+        k generators o outside B.  Put y_i = (c_i . c_o)_o and
+        K = dU^2 I_k + (c_o . c_o')_o,o'; the determinant lemma and the
+        Woodbury identity give the exact division
+        G(i, j) = (det K c_i . c_j - y_i^T adj(K) y_j) / dU^(2k),
+        so the one adjugate taken is k x k, not r x r.
+        """
+        coords, outside, s = lattice.coords, lattice.outside, self.s
+        square = self.dU * self.dU
+        y = [tuple(sum(map(mul, ci, coords[o])) for o in outside) for ci in coords]
+        adj_k, det_k = adjugate_int([[y[o][n] + square * (o == p) for n, p in enumerate(outside)] for o in outside])
+        z = [tuple(sum(map(mul, row, yj)) for row in adj_k) for yj in y]  # z_j = adj(K) y_j
+        den = square ** len(outside)
+        # K is symmetric, and so is G
+        pair = [[0] * s for _ in range(s)]
+        for i, (ci, yi) in enumerate(zip(coords, y)):
+            for j in range(i, s):
+                pair[i][j] = pair[j][i] = (det_k * sum(map(mul, ci, coords[j])) - sum(map(mul, yi, z[j]))) // den
+        return pair
 
     def _profiles(self) -> list:
         """Per-generator invariants that every realizable permutation preserves."""
-        r, s, d, pair = self.r, self.s, self.d, self.pair
+        r, d, pair = self.r, self.d, self.pair
         if self.all_in_basis:
             # B is every generator in order, and the pairing is a multiple
             # of the identity; C projects onto Z/d with index gcd(d, c_a)
             return [gcd(d, *(c[a] for c in self.glue_gens)) for a in range(r)]
-        return [(pair[i][i], tuple(sorted(abs(pair[i][j]) for j in range(s) if j != i))) for i in range(s)]
+        return [(pair[i][i], tuple(sorted(row[:i] + row[i + 1 :]))) for i, row in enumerate(self.abs_pair)]
 
     # -- leaf handling ----------------------------------------------------
 
@@ -484,22 +532,22 @@ class _AutSearch:
         eps = self._component_signs(target)
         if eps is None:
             return
-        r, s, u, basis = self.r, self.s, self.u, self.basis
+        s, u = self.s, self.u
+        base_images, base_taken = [0] * s, [False] * s
+        for b, t in zip(self.basis, target):
+            base_images[b] = t + 1
+            base_taken[t] = True
+        # dU T u_i = sum_a e_a coords_a u_target[a]: its terms, one per nonzero coordinate
+        terms = [
+            (i, [(a, [x * v for v in u[target[a]]]) for a, x in enumerate(coords) if x]) for i, coords in self.outside
+        ]
         for e in self._valid_signs(target, eps):
-            images = [0] * s
-            taken = [False] * s
-            for a in range(r):
-                images[basis[a]] = target[a] + 1
-                taken[target[a]] = True
-            for i, coords in self.outside:
-                # T u_i = sum_a e_a (coords_a / det U_B) u_target[a]
-                w = [0] * r
-                for a in range(r):
-                    k = e[a] * coords[a]
-                    if k:
-                        for x, v in enumerate(u[target[a]]):
-                            w[x] += k * v
-                j = self.lookup.get(tuple(v // self.dU for v in w))
+            images, taken = base_images.copy(), base_taken.copy()
+            for i, parts in terms:
+                w = [0] * self.r
+                for a, vec in parts:
+                    w = list(map(add, w, vec) if e[a] > 0 else map(sub, w, vec))
+                j = self.lookup.get(tuple(w))
                 if j is None or taken[j] or (rank is not None and rank[j] != rank[i]):
                     break
                 taken[j] = True
@@ -539,10 +587,24 @@ class _AutSearch:
         """The clone classes, 0-based and sorted: i and j are clones when (i j) is realizable.
 
         That is an equivalence, as (i k) = (i j)(j k)(i j), so only pairs
-        of one profile that are not yet in one class are tested
-        (_swap_test).
+        of one profile that are not yet in one class, and whose pairing
+        rows agree (_rows_agree), are tested (_swap_test).
         """
-        return _classes(self.s, lambda i, j: profiles[i] == profiles[j] and self._swap_test(i, j))
+        return _classes(
+            self.s, lambda i, j: profiles[i] == profiles[j] and self._rows_agree(i, j) and self._swap_test(i, j)
+        )
+
+    def _rows_agree(self, i: int, j: int) -> bool:
+        """Whether |G(i, k)| = |G(j, k)| for every k but i and j, as a realizable (i j) requires.
+
+        (i j) fixes S, hence |G(pi i, pi k)| = |G(i, k)|.  With no pairing
+        (s == r) every pair agrees.  The test runs no leaf and is no node.
+        """
+        if self.pair is None:
+            return True
+        row_i, row_j = self.abs_pair[i], self.abs_pair[j]
+        lo, hi = sorted((i, j))
+        return all(row_i[x:y] == row_j[x:y] for x, y in ((0, lo), (lo + 1, hi), (hi + 1, self.s)))
 
     def _swap_test(self, i: int, j: int) -> bool:
         """Whether the transposition of generators i and j is realizable: one leaf, one node of the budget."""
@@ -569,13 +631,13 @@ class _AutSearch:
         generators form a basis |G(i, b)| = |G(j, target(b))| for each
         assigned b.
         """
-        order, basis, cls, pair = self.assign_order, self.basis, self.class_of, self.pair
+        order, basis, cls, abs_pair = self.assign_order, self.basis, self.class_of, self.abs_pair
         for prev in range(level):
             c = order[prev]
             b, t = basis[c], target[c]
             if (cls[b] == cls[i]) != (cls[t] == cls[j]):
                 return False
-            if pair is not None and abs(pair[j][t]) != abs(pair[i][b]):
+            if abs_pair is not None and abs_pair[j][t] != abs_pair[i][b]:
                 return False
         return True
 
@@ -628,8 +690,11 @@ def check_declared_automorphisms(spec: ConeSpec, aut: PermGroup) -> None:
 
 
 def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[Vector], int]:
-    """(form basis indices 0-based, every form's coordinates in that basis as integer numerators, their denominator)."""
-    return integer_coordinates([_form_vector(v) for v in spec.generators])
+    """(form basis indices 0-based, every form's coordinates in that basis as integer numerators, their denominator).
+
+    Read from the lattice (_Lattice.form_coordinates), with no elimination of its own.
+    """
+    return _lattice(spec.generators).form_coordinates()
 
 
 def cone_poincare_series(spec: ConeSpec, aut: PermGroup, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -640,10 +705,10 @@ def cone_poincare_series(spec: ConeSpec, aut: PermGroup, order: int = DEFAULT_OR
     cycle types.  Otherwise it is the action on the span
     (LinearAction.on_span): each generator of aut is checked to act
     linearly on the forms' coordinates in a maximal independent subset
-    of them, and each element of aut, listed, is keyed by power traces
-    read from those coordinates, with no matrix built.  Whether the
-    forms are independent is read from the lattice's form basis; the
-    flattened forms are eliminated only when they are dependent.
+    of them, and one element of each orbit of N on aut is keyed by power
+    traces read from those coordinates, with no matrix built; aut is
+    never listed.  Whether the forms are independent, and the
+    coordinates when they are not, are read from the lattice.
     """
     if len(_lattice(spec.generators).form_basis) == spec.n_generators:
         return molien_series(LinearAction.natural(aut), order)
@@ -651,8 +716,6 @@ def cone_poincare_series(spec: ConeSpec, aut: PermGroup, order: int = DEFAULT_OR
         return molien_series(LinearAction.on_span(aut, *form_coordinates(spec)), order)
     except InconsistentAction as exc:
         raise InconsistentAction(f"cone {spec.name!r}: {exc}") from None
-    except CapExceeded as exc:
-        raise CapExceeded(spec.name, exc.stage, exc.cap, exc.elements) from None
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,12 @@ def json_list(value, what: str) -> list:
 
 
 def json_int_list(value, what: str) -> tuple[int, ...]:
-    """A JSON list of integers as a tuple."""
-    return tuple(json_int(x, f"an entry of {what}") for x in json_list(value, what))
+    """A JSON list of integers as a tuple; the first entry that is not one is an input error."""
+    items = json_list(value, what)
+    for x in items:
+        if type(x) is not int:
+            json_int(x, f"an entry of {what}")
+    return tuple(items)
 
 
 class ZeroConstantTerm(AgstabError):

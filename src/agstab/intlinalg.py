@@ -24,11 +24,6 @@ from typing import Sequence
 Vector = tuple[int, ...]
 
 
-def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The kept rows of _echelon, a maximal independent subset found by scanning in order."""
-    return _echelon(rows)[0]
-
-
 def _echelon(rows: Sequence[Sequence[int]]):
     """(kept, pivots, m, t, delta): fraction-free Gauss-Jordan elimination, scanning rows in order.
 

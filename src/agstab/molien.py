@@ -15,13 +15,16 @@ with no clone classes has c = 1 and H = G, and the key is the cycle
 type.
 
 For an action on the span of vectors that the group permutes
-(LinearAction.on_span) the sum runs over every element of G, listed,
-and the key is the power traces tr(A^k), k = 1..n, read from the
-vectors' coordinates with no matrix built; Newton's identities turn
-them into the integer coefficients of det(1 - tA).  Each term is
-expanded and added up in ints, and the sum is divided by the number of
-elements summed once, at the end, in integers: each coefficient is a
-dimension, so a remainder or a negative quotient is an error.
+(LinearAction.on_span) the key is the power traces tr(A^k), k = 1..n,
+read from the vectors' coordinates with no matrix built; Newton's
+identities turn them into the integer coefficients of det(1 - tA).
+Conjugate elements share their key, so the sum reads one element of
+each orbit of N acting on G by conjugation, weighted by the orbit's
+size (PermGroup.conjugacy_representatives), and G is not listed.  Each
+term is expanded and added up in ints, and the sum is divided by the
+number of elements summed once, at the end, in integers: each
+coefficient is a dimension, so a remainder or a negative quotient is
+an error.
 molien_series_naive inverts det(1 - tA) of every element of G, from
 Permutation.cycles() or the matrix, in fractions instead: an
 independent oracle, and the one sum of explicit matrices.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import CapExceeded, InconsistentAction
@@ -203,7 +207,7 @@ def det_from_power_sums(traces: Sequence) -> list[int]:
     """
     c = [1]
     for k in range(1, len(traces) + 1):
-        q, rem = divmod(-sum(traces[i] * c[k - 1 - i] for i in range(k)), k)
+        q, rem = divmod(-sum(map(mul, traces, reversed(c))), k)
         if rem:
             raise InconsistentAction(
                 f"power traces {', '.join(map(str, traces))} are not those of a matrix of finite order"
@@ -220,10 +224,10 @@ def _class_term(action: LinearAction, key: tuple, order: int) -> list[int]:
             for k in range(m, order + 1):
                 term[k] += term[k - m]
         return term
-    c = det_from_power_sums(key)
+    tail = det_from_power_sums(key)[1:]
     inverse = [1]
-    for m in range(1, order + 1):
-        inverse.append(-sum(c[k] * inverse[m - k] for k in range(1, min(m, action.dim) + 1)))
+    for _ in range(order):
+        inverse.append(-sum(map(mul, tail, reversed(inverse))))
     return inverse
 
 
@@ -242,8 +246,9 @@ def molien_series(action: LinearAction, order: int = DEFAULT_ORDER) -> Truncated
     """Molien sum with one term per key, weighted by its count, added up in ints.
 
     A permutation action sums over H with class-weighted cycle types, an
-    action on a span over all of G with power traces.  An action given
-    by explicit matrices raises TypeError: molien_series_naive sums it.
+    action on a span over the orbits of N on G with power traces.  An
+    action given by explicit matrices raises TypeError:
+    molien_series_naive sums it.
     """
     group = action.group
     if action.is_permutation_action:
@@ -252,7 +257,9 @@ def molien_series(action: LinearAction, order: int = DEFAULT_ORDER) -> Truncated
     elif action._span is None:
         raise TypeError("explicit matrices have no keyed Molien sum: use molien_series_naive")
     else:
-        counts = Counter(_det_key(action, p) for p in group.images())
+        counts = Counter()
+        for images, size in group.conjugacy_representatives():
+            counts[_det_key(action, images)] += size
     total = [0] * (order + 1)
     for key, count in counts.items():
         for k, c in enumerate(_class_term(action, key, order)):

@@ -1,4 +1,8 @@
-"""Determinants, saturation coordinates, saturation bases and matroid components: oracles that tests set against the lattice layer."""
+"""Oracles that tests set against the lattice layer.
+
+Determinants, saturation coordinates, saturation bases, matroid
+components, the search's pairing and the forms' coordinates.
+"""
 
 from fractions import Fraction
 from math import gcd
@@ -134,3 +138,28 @@ def matroid_components(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]
                 for j in joined:
                     comp[j] = comp[i]
     return sorted({tuple(sorted(members)) for members in comp})
+
+
+def gram_pairing(u: Sequence[Sequence[int]]) -> list[list[int]]:
+    """G(i, j) = u_i^T adj(S) u_j with S = sum_i u_i u_i^T: the Gram matrix of u, its r x r adjugate, two products."""
+    cols = list(zip(*u))
+    gram = [[sum(a * b for a, b in zip(x, y)) for y in cols] for x in cols]
+    adj, _ = adjugate_int(gram)
+    adj_u = [[sum(a * x for a, x in zip(row, ui)) for row in adj] for ui in u]
+    return [[sum(a * b for a, b in zip(ui, vj)) for vj in adj_u] for ui in u]
+
+
+def flattened_form_coordinates(generators: Sequence[Sequence[int]]) -> tuple[list[int], list[Vector], int]:
+    """integer_coordinates of the forms v v^T flattened to their upper triangles: the oracle for form_coordinates."""
+    g = len(generators[0])
+    return integer_coordinates([[v[i] * v[j] for i in range(g) for j in range(i, g)] for v in generators])
+
+
+def same_coordinates(a, b) -> bool:
+    """Whether two (basis, numerators, denominator) triples name one basis and the same rational coordinates."""
+    (basis_a, nums_a, den_a), (basis_b, nums_b, den_b) = a, b
+    return (
+        basis_a == basis_b
+        and len(nums_a) == len(nums_b)
+        and all(x * den_b == y * den_a for ra, rb in zip(nums_a, nums_b) for x, y in zip(ra, rb, strict=True))
+    )

@@ -164,17 +164,28 @@ def test_clone_tests_count_against_the_node_budget(capsys, tmp_path):
     assert "search exceeded its budget of 5 nodes" in err
 
 
-def test_cone_analyze_cap_exit(capsys, monkeypatch, tmp_path):
-    # three squares: a non-basic cone whose 384 automorphisms the span
-    # Molien sum lists, past a cap of 100
+def test_molien_cap_exit(capsys, monkeypatch, tmp_path):
+    # S_6, 720 elements, listed past a cap of 100
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps({"degree": 6, "generators": [[2, 1, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1]]}))
+    monkeypatch.setattr(agstab.perms, "DEFAULT_CAP", 100)
+    code, _, err = run(capsys, "molien", str(path))
+    assert code == 3
+    assert "closure exceeded its cap of 100 elements" in err
+
+
+def test_cone_analyze_sums_a_span_without_listing_its_group(capsys, monkeypatch, tmp_path):
+    # three squares: a non-basic cone with 384 automorphisms, whose span
+    # Molien sum reads one element of each orbit of N, under a cap of 100
     square = agstab.cones.ConeSpec("square", 2, ((1, 0), (0, 1), (1, -1), (1, 1)))
     cubed = agstab.cones.direct_sum(agstab.cones.direct_sum(square, square), square, "square^3")
-    monkeypatch.setattr(agstab.perms, "DEFAULT_CAP", 100)
     path = tmp_path / "square3.json"
     path.write_text(json.dumps(cubed.to_json_dict()))
-    code, _, err = run(capsys, "cone", "analyze", str(path))
-    assert code == 3
-    assert "cone 'square^3': closure exceeded its cap of 100 elements" in err
+    uncapped = run(capsys, "cone", "analyze", str(path))
+    monkeypatch.setattr(agstab.perms, "DEFAULT_CAP", 100)
+    assert run(capsys, "cone", "analyze", str(path)) == uncapped
+    assert uncapped[0] == 0
+    assert json.loads(uncapped[1])["aut_order"] == 384
 
 
 def _one_cone_manifest(tmp_path, payload) -> str:

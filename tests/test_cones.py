@@ -40,14 +40,22 @@ from agstab.errors import (
     SearchBudgetExceeded,
     VerificationFailed,
 )
-from agstab.intlinalg import independent_rows, integer_coordinates
-from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums, molien_series_naive
+from agstab.intlinalg import integer_coordinates
+from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums, molien_series, molien_series_naive
 from agstab.perms import DEFAULT_CAP, PermGroup, Permutation
 from agstab.pipeline import generator_series, load_cone_specs, load_dataset
 from agstab.reference import PERFECT_GROUP_ORDERS
 from agstab.series import RationalMatrix, TruncatedSeries, det_one_minus_tA, expand_rational_form, product_form
 from agstab.symfunc import exp_series, plethysm_h
-from lattice_oracles import fraction_gauss_det, matroid_components, saturation_basis
+from lattice_oracles import (
+    flattened_form_coordinates,
+    fraction_gauss_det,
+    gram_pairing,
+    matroid_components,
+    same_coordinates,
+    saturation_basis,
+)
+from lattice_sums import lattice_sums_cases
 from wreath import wreath_product
 
 
@@ -354,6 +362,18 @@ def test_square_form_basis_is_read_from_the_lattice():
     assert analyze(spec, order=0).form_basis == (1, 2, 3)
 
 
+def test_span_sum_over_orbits_matches_the_naive_sum_when_h_moves_classes():
+    # the sums of two and three squares: H permutes the summands' clone
+    # classes, so the span Molien sum reads twisted orbits of N
+    square = ConeSpec("square", 2, SQUARE)
+    double = direct_sum(square, square)
+    for spec in (double, direct_sum(double, square)):
+        group = cone_automorphisms(spec)
+        assert any(h != tuple(range(1, spec.n_generators + 1)) for h in group.quotient_images())
+        action = LinearAction.on_span(group, *form_coordinates(spec))
+        assert molien_series(action, 12) == molien_series_naive(action, 12)
+
+
 def test_inconsistent_action_detected():
     # swapping one axis with one diagonal breaks the linear relation
     spec = ConeSpec("square", 2, SQUARE, None, frozenset())
@@ -383,6 +403,30 @@ def test_form_coordinates_round_trip(all_specs):
         assert len(coords) == spec.n_generators
         for a, i in enumerate(basis):
             assert coords[i] == tuple(den * (b == a) for b in range(len(basis)))
+
+
+def test_form_coordinates_match_the_flattened_forms(all_specs):
+    # read from the coordinates in B, they name the rationals that an
+    # elimination of the flattened forms v v^T gives, on the 100 non-basic
+    # lattice-sums cases among others
+    specs = [*all_specs.values(), *_lattice_sums_specs(), ConeSpec("square", 2, SQUARE)]
+    assert sum(cone_dimension(spec) < spec.n_generators for spec in specs) == 101
+    for spec in specs:
+        assert same_coordinates(form_coordinates(spec), flattened_form_coordinates(spec.generators)), spec.name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    factors=st.lists(st.sampled_from((1, 2, 3)), min_size=2, max_size=3),
+    extra=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_form_coordinates_match_the_flattened_forms_on_small_lattices(factors, extra, seed):
+    try:
+        spec = _diagonal_lattice(factors, extra, seed)
+    except InputError:
+        return
+    assert same_coordinates(form_coordinates(spec), flattened_form_coordinates(spec.generators))
 
 
 def test_spec_rejects_bad_input():
@@ -500,7 +544,8 @@ def test_analyze_rank_is_the_rational_rank(seed):
     for name, spec in _packaged().items():
         moved, _ = _moved(rng, spec.generators)
         for cone in (spec, moved):
-            assert analyze(cone, order=2).rank == len(independent_rows(cone.generators)) == EXPECTED_RANK[name], name
+            kept = integer_coordinates(cone.generators)[0]
+            assert analyze(cone, order=2).rank == len(kept) == EXPECTED_RANK[name], name
 
 
 @pytest.mark.parametrize("name", SEARCHED)
@@ -761,6 +806,78 @@ def test_unlisted_glue_group_matches_brute_force(factors, seed):
     assert {p.images for p in searched.elements} == _brute_force_images(spec)
 
 
+class _NoRowTest(_CountingSearch):
+    """The search with the pairing-row test switched off: every pair of one profile runs a swap test."""
+
+    def _rows_agree(self, i, j):
+        return True
+
+
+def _group_key(group: PermGroup) -> tuple:
+    return group.order, group.classes, list(group.quotient_images())
+
+
+def _check_row_test(spec: ConeSpec) -> None:
+    """The pairing equals the Gram oracle, every pair the row test refutes fails its swap test, and the group
+    is the one found with the row test off."""
+    search = _CountingSearch(spec)
+    assert search.pair == (None if search.s == search.r else gram_pairing(search.u)), spec.name
+    plain = _NoRowTest(spec)
+    assert _group_key(search.search()) == _group_key(plain.search()), spec.name
+    assert search.swaps <= plain.swaps and search.nodes <= plain.nodes
+    for i, j in combinations(range(search.s), 2):
+        if not search._rows_agree(i, j):
+            assert not search._swap_test(i, j), (spec.name, i, j)
+
+
+@functools.cache
+def _lattice_sums_specs() -> list[ConeSpec]:
+    return [case.spec for seed in range(1, 11) for case in lattice_sums_cases(seed)]
+
+
+def test_row_test_is_sound_on_packaged_and_lattice_sums_cones(all_specs):
+    specs = [replace(s, declared_aut=None) for s in all_specs.values()] + _lattice_sums_specs()
+    assert len(specs) == 28 + 360
+    for spec in specs:
+        _check_row_test(spec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    factors=st.lists(st.sampled_from((2, 3, 4, 6)), min_size=2, max_size=3),
+    extra=st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_test_is_sound_on_small_lattices(factors, extra, seed):
+    # s > r generators spanning a lattice of index d = prod(factors) > 1
+    # over the lattice of B, so the pairing divides by a power of dU
+    try:
+        spec = _diagonal_lattice(factors, extra, seed)
+    except InputError:
+        return
+    search = _AutSearch(spec)
+    assert search.s > search.r and search.d > 1
+    _check_row_test(spec)
+
+
+def test_row_test_spares_swap_tests_and_nodes(all_specs, perfect_specs):
+    # of the 33 swap tests on K_3+K_3+K_3, 27 pair generators of different
+    # summands, whose pairing rows differ position by position
+    k3 = all_specs["K_3"]
+    spec = direct_sum(direct_sum(k3, k3), k3)
+    search, plain = _CountingSearch(spec), _NoRowTest(spec)
+    search.search()
+    plain.search()
+    assert (search.swaps, search.nodes, search.leaves) == (6, 85, 12)
+    assert (plain.swaps, plain.nodes, plain.leaves) == (33, 220, 39)
+    nodes = 0
+    for spec in perfect_specs.values():
+        search = _AutSearch(replace(spec, declared_aut=None))
+        search.search()
+        nodes += search.nodes
+    assert nodes == 660
+
+
 @pytest.mark.parametrize("name", ("(5,5)", "(6,6)", "(7,7a)", "(7,7c)"))
 def test_scaled_cone_keeps_its_group(all_specs, name):
     # scaling every generator by a prime p scales the lattice, so the
@@ -886,23 +1003,26 @@ def _echelon_calls(monkeypatch, call, fresh: bool = True) -> int:
     return count
 
 
-@pytest.mark.parametrize(("name", "eliminations"), (("(7,7a)", 2), ("(6,7a)", 3)))
+@pytest.mark.parametrize(("name", "eliminations"), (("(7,7a)", 1), ("(6,7a)", 3)))
 def test_analyze_eliminates_the_lattice_once(all_specs, monkeypatch, name, eliminations):
     # one elimination of the generators, which gives u, U_B's adjugate and
-    # the coordinates in B, and one of the off-diagonal products of those
-    # coordinates for the form basis; with a generator outside B, (6,7a)
-    # adds the pairing's adjugate
+    # the coordinates in B; the generators of (7,7a) form a basis, so its
+    # form basis is B and needs no elimination.  (6,7a) has a generator
+    # outside B: it adds one elimination of the outside generators'
+    # off-diagonal coordinate products for the form basis, and the
+    # adjugate of the pairing's k x k matrix K
     assert _echelon_calls(monkeypatch, lambda: analyze(all_specs[name], order=4)) == eliminations
 
 
 def test_packaged_searches_eliminate_once_per_lattice(perfect_specs, monkeypatch):
-    # one elimination per cone; the s > r cones add the pairing's adjugate
+    # one elimination per cone; the 22 s > r cones add the pairing's
+    # adjugate, and in analyze the form basis of their outside generators
     specs = [replace(s, declared_aut=None) for s in perfect_specs.values()]
     assert len(specs) == 28
     assert _echelon_calls(monkeypatch, lambda: [cone_automorphisms(s) for s in specs]) == 50
-    assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs]) == 78
+    assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs]) == 72
     # the memo keeps one cone, so a second pass reuses nothing from the first
-    assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs], fresh=False) == 78
+    assert _echelon_calls(monkeypatch, lambda: [analyze(s, order=0) for s in specs], fresh=False) == 72
 
 
 def test_search_makes_no_elimination(all_specs, perfect_specs, monkeypatch):

@@ -1,10 +1,7 @@
 """Permutation and group enumeration facts, checked against brute force."""
 
-import importlib.util
 import itertools
 import random
-import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -16,7 +13,7 @@ from agstab.cones import cone_automorphisms, direct_sum
 from agstab.errors import CapExceeded, DegreeMismatch
 from agstab.molien import LinearAction, _cycle_type, molien_series, molien_series_naive
 from agstab.perms import PermGroup, Permutation
-from agstab.pipeline import load_cone_specs
+from lattice_sums import PACKAGED, lattice_sums_cases
 from wreath import wreath_product
 
 
@@ -181,21 +178,8 @@ def test_from_elements_rejects_a_set_that_is_not_closed():
         PermGroup.from_elements(2, [(2, 1)])
 
 
-# the cones of both packaged families; the perfect family repeats some matroidal ones
-PACKAGED = [s for family in ("matroidal", "perfect") for s in load_cone_specs(family)[1]]
-
-
-def _lattice_sums_cases(seed):
-    """The lattice-sums benchmark cases of one seed, built by perfbench/lattice.py."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "lattice.py"
-    spec = importlib.util.spec_from_file_location("perfbench_lattice", path)
-    lattice = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lattice)
-    return lattice.generate(seed, {s.name: s for s in PACKAGED})
-
-
 def test_from_elements_picks_the_greedy_generators():
-    cases = _lattice_sums_cases(1)
+    cases = lattice_sums_cases(1)
     groups = [cone_automorphisms(s) for s in PACKAGED]
     groups += [cone_automorphisms(case.spec) for case in cases]
     assert len(groups) == 44 + 36
@@ -240,6 +224,36 @@ def test_membership_matches_the_listed_group():
     sums = dict(_membership_groups())
     assert [len(sums[k].classes) for k in ("K_3+K_3", "K_3+K_3+K_3")] == [2, 3]
     assert [sums[k].order for k in ("K_3+K_3", "K_3+K_3+K_3")] == [72, 1296]
+
+
+def _clone_subgroup(group: PermGroup) -> list[tuple[int, ...]]:
+    """N, the symmetric groups of the clone classes, listed as image tuples."""
+    n, members = group.degree, []
+    for perms in itertools.product(*(itertools.permutations(c) for c in group.classes)):
+        images = list(range(1, n + 1))
+        for c, image in zip(group.classes, perms):
+            for p, q in zip(c, image):
+                images[p - 1] = q
+        members.append(tuple(images))
+    return members
+
+
+def test_conjugacy_representatives_are_the_orbits_of_n():
+    # conjugating each representative by all of N gives exactly as many
+    # elements as its size, and the orbits cover G once
+    for name, group in _membership_groups():
+        clone_subgroup = _clone_subgroup(group)
+        covered = set()
+        for g, size in group.conjugacy_representatives():
+            orbit = set()
+            for m in clone_subgroup:
+                conjugate = [0] * group.degree
+                for p, q in enumerate(g, 1):
+                    conjugate[m[p - 1] - 1] = m[q - 1]
+                orbit.add(tuple(conjugate))
+            assert len(orbit) == size and not orbit & covered, name
+            covered |= orbit
+        assert covered == set(group.images()), name
 
 
 def test_packed_cycle_type_matches_cycles():
