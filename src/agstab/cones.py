@@ -23,6 +23,7 @@ from operator import add, mul, sub
 
 from .errors import (
     CapExceeded,
+    DegreeMismatch,
     InconsistentAction,
     InputError,
     SearchBudgetExceeded,
@@ -700,16 +701,20 @@ def form_coordinates(spec: ConeSpec) -> tuple[list[int], list[Vector], int]:
 def cone_poincare_series(spec: ConeSpec, aut: PermGroup, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Molien series of the automorphism action on the span of the forms.
 
-    When the forms are independent (a basic cone) the action is the
-    permutation action, summed over aut's quotient H by class-weighted
-    cycle types.  Otherwise it is the action on the span
-    (LinearAction.on_span): each generator of aut is checked to act
-    linearly on the forms' coordinates in a maximal independent subset
-    of them, and one element of each orbit of N on aut is keyed by power
-    traces read from those coordinates, with no matrix built; aut is
-    never listed.  Whether the forms are independent, and the
-    coordinates when they are not, are read from the lattice.
+    A group whose degree is not the cone's number of generators raises
+    DegreeMismatch.  The sum runs over aut's quotient H, keyed by
+    class-weighted cycle types, and aut is never listed.  When the forms
+    are independent (a basic cone) the action is the permutation action.
+    Otherwise it is the action on the span (LinearAction.on_span): each
+    generator of aut is checked to act linearly on the forms'
+    coordinates in a maximal independent subset of them, and each
+    element of H adds to its key the power sums of its action on the
+    forms' relations, read from those coordinates with no matrix built.
+    Whether the forms are independent, and the coordinates when they are
+    not, are read from the lattice.
     """
+    if aut.degree != spec.n_generators:
+        raise DegreeMismatch(f"cone {spec.name!r}: a group of degree {aut.degree} on {spec.n_generators} generators")
     if len(_lattice(spec.generators).form_basis) == spec.n_generators:
         return molien_series(LinearAction.natural(aut), order)
     try:

@@ -1,30 +1,35 @@
 """Molien series of finite linear actions.
 
 For a finite group G acting on Q^n the invariant-dimension generating
-series is (1/|G|) sum_{A in G} 1/det(1 - tA).  The sum groups the
-elements by a key that determines their term and evaluates one term
-per key, weighted by the number of elements sharing it.
+series is (1/|G|) sum_{A in G} 1/det(1 - tA).  The sum runs over
+H = G/N alone, N the symmetric groups of the clone classes (see perms),
+groups the elements of H by a key that determines their term, and
+evaluates one term per key, weighted by the number of elements sharing
+it.
 
-For a permutation action the sum runs over H = G/N alone, N the
-symmetric groups of the clone classes (see perms): averaging over the
-coset hN folds a cycle of h of length l through classes of size c into
+For a permutation action, averaging over the coset hN folds a cycle of
+h of length l through classes of size c into
 h_c[1/(1 - t)](t^l) = prod_{k=1..c} 1/(1 - t^(kl)).  The key of h is
 therefore its class-weighted cycle type, which lists l, 2l, .., cl for
 each such cycle, and its term is prod 1/(1 - t^m) over the key.  A group
 with no clone classes has c = 1 and H = G, and the key is the cycle
 type.
 
-For an action on the span of vectors that the group permutes
-(LinearAction.on_span) the key is the power traces tr(A^k), k = 1..n,
+For an action on the span V of vectors w_1..w_s that the group permutes
+(LinearAction.on_span), e_i -> w_i is a G-map Q^s -> V whose kernel K,
+the relations among the w_i, is G-stable, so
+det(1 - tg | Q^s) = det(1 - tg | K) det(1 - tg | V).  Two clones i, j
+have w_i != w_j, so for x in K, (i j)x - x = (x_j - x_i)(e_i - e_j) in K
+forces x_i = x_j: N fixes K pointwise, and the term of the coset hN is
+det(1 - th | K) times the permutation term of h.  That polynomial of
+degree s - dim V joins the key as its power sums
+tr(h^k | K) = fix(h^k) - tr(M_h^k), k = 1..s - dim V, the span traces
 read from the vectors' coordinates with no matrix built; Newton's
-identities turn them into the integer coefficients of det(1 - tA).
-Conjugate elements share their key, so the sum reads one element of
-each orbit of N acting on G by conjugation, weighted by the orbit's
-size (PermGroup.conjugacy_representatives), and G is not listed.  Each
-term is expanded and added up in ints, and the sum is divided by the
-number of elements summed once, at the end, in integers: each
-coefficient is a dimension, so a remainder or a negative quotient is
-an error.
+identities turn them into its integer coefficients.  A permutation
+action has K = 0 and an empty second part.  Each term is expanded and
+added up in ints, and the sum is divided by |H| once, at the end, in
+integers: each coefficient is a dimension, so a remainder or a negative
+quotient is an error.
 molien_series_naive inverts det(1 - tA) of every element of G, from
 Permutation.cycles() or the matrix, in fractions instead: an
 independent oracle, and the one sum of explicit matrices.
@@ -104,7 +109,9 @@ class LinearAction:
         M_g w_i = w_g(i) for every i, in integers
         sum_a X[x][g(basis[a])] X[a][i] = D X[x][g(i)].  That property is
         closed under products, so only the generators of the group are
-        checked; a failure raises InconsistentAction.
+        checked; a failure raises InconsistentAction.  The Molien sum
+        over H needs w_i != w_j for two clones i, j (see the module
+        docstring); equal ones raise InconsistentAction too.
         """
         action = cls(group, len(basis))
         table = [list(row) for row in zip(*coordinates)]
@@ -116,6 +123,9 @@ class LinearAction:
                 for row in table:
                     if sum(row[j] * table[a][i] for a, j in enumerate(cols)) != den * row[img[i]]:
                         raise InconsistentAction(f"{g!r} does not act linearly on the span")
+        for points in group.classes:
+            if len({tuple(coordinates[p - 1]) for p in points}) < len(points):
+                raise InconsistentAction(f"two of the clones {points} have one vector, so N moves their relations")
         # rows padded at 0, so that 1-based images index them directly
         action._span = (tuple(b + 1 for b in basis), [[0] + row for row in table], den)
         return action
@@ -145,19 +155,19 @@ class LinearAction:
             raise KeyError(f"no matrix assigned to {p!r}") from None
 
 
-def _cycle_type(images: tuple[int, ...], leaders: Sequence[int] | None = None) -> tuple[int, ...]:
+def _cycle_type(images: tuple[int, ...], leaders: Sequence[int]) -> tuple[int, ...]:
     """The class-weighted cycle type of the permutation with these images, weakly increasing.
 
     leaders[p - 1] is the size c of the clone class whose least point is
-    p, and 0 at the other points; the permutation keeps every class in
-    order, so a cycle through a leader meets leaders only, and it adds
-    l, 2l, .., cl for its length l.  With leaders None every point is a
-    class of its own and this is the cycle type.
+    p, 1 at a point of no class and 0 at the other points; the
+    permutation keeps every class in order, so a cycle through a leader
+    meets leaders only, and it adds l, 2l, .., cl for its length l.  With
+    every leader 1 this is the cycle type.
     """
     image = (0,) + images
     seen = [False] * len(image)
     lengths = []
-    for start, size in enumerate(leaders or (1,) * len(images), 1):
+    for start, size in enumerate(leaders, 1):
         if size and not seen[start]:
             length, point = 1, image[start]
             while point != start:
@@ -182,20 +192,26 @@ def _class_leaders(group: PermGroup) -> list[int]:
     return leaders
 
 
-def _det_key(action: LinearAction, images: tuple[int, ...]) -> tuple:
-    """g's key, its power traces on the span, fixing det(1 - t M_g): D tr(M_g^k) = sum_a X[a][g^k(basis[a])]."""
+def _relation_sums(action: LinearAction, images: tuple[int, ...]) -> tuple[int, ...]:
+    """h's power sums on the relations K: fix(h^k) - tr(M_h^k), k = 1..s - dim, with D tr(M_h^k) = sum_a X[a][h^k(basis[a])]."""
     basis, table, den = action._span
     image = (0,) + images
-    sums = [0] * action.dim
+    n = len(images) - action.dim
+    traces, fixed = [0] * n, [0] * n
     for start, row in zip(basis, table):
         point = start
-        for k in range(action.dim):
+        for k in range(n):
             point = image[point]
-            sums[k] += row[point]
-    if any(x % den for x in sums):
-        traces = ", ".join(str(Fraction(x, den)) for x in sums)
-        raise InconsistentAction(f"{Permutation._trusted(images)!r} has power traces {traces}, not all integers")
-    return tuple(x // den for x in sums)
+            traces[k] += row[point]
+    if any(x % den for x in traces):
+        shown = ", ".join(str(Fraction(x, den)) for x in traces)
+        raise InconsistentAction(f"{Permutation._trusted(images)!r} has span traces {shown}, not all integers")
+    for start in range(1, len(image)):
+        point = start
+        for k in range(n):
+            point = image[point]
+            fixed[k] += point == start
+    return tuple(f - x // den for f, x in zip(fixed, traces))
 
 
 def det_from_power_sums(traces: Sequence) -> list[int]:
@@ -216,19 +232,14 @@ def det_from_power_sums(traces: Sequence) -> list[int]:
     return c
 
 
-def _class_term(action: LinearAction, key: tuple, order: int) -> list[int]:
-    """The integer coefficients of the term of every element of this key through t^order."""
-    if action.is_permutation_action:  # prod 1/(1 - t^m) over the class-weighted cycle type
-        term = [1] + [0] * order
-        for m in key:
-            for k in range(m, order + 1):
-                term[k] += term[k - m]
-        return term
-    tail = det_from_power_sums(key)[1:]
-    inverse = [1]
-    for _ in range(order):
-        inverse.append(-sum(map(mul, tail, reversed(inverse))))
-    return inverse
+def _class_term(key: tuple, order: int) -> list[int]:
+    """The integer coefficients through t^order of det(1 - th | K) prod 1/(1 - t^m), key = (the m, K's power sums)."""
+    cycle_type, sums = key
+    term = (det_from_power_sums(sums) + [0] * order)[: order + 1]
+    for m in cycle_type:
+        for k in range(m, order + 1):
+            term[k] += term[k - m]
+    return term
 
 
 def _not_a_dimension(k: int, c) -> ArithmeticError:
@@ -243,26 +254,23 @@ def _validated(series: TruncatedSeries) -> TruncatedSeries:
 
 
 def molien_series(action: LinearAction, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Molien sum with one term per key, weighted by its count, added up in ints.
+    """Molien sum over H with one term per key, weighted by its count, added up in ints.
 
-    A permutation action sums over H with class-weighted cycle types, an
-    action on a span over the orbits of N on G with power traces.  An
-    action given by explicit matrices raises TypeError:
-    molien_series_naive sums it.
+    The key of h is its class-weighted cycle type and, for an action on
+    a span, its power sums on the relations.  An action given by
+    explicit matrices raises TypeError: molien_series_naive sums it.
     """
-    group = action.group
-    if action.is_permutation_action:
-        leaders = _class_leaders(group)
-        counts = Counter(_cycle_type(p, leaders) for p in group.quotient_images())
-    elif action._span is None:
+    if action._matrices is not None:
         raise TypeError("explicit matrices have no keyed Molien sum: use molien_series_naive")
+    group = action.group
+    leaders = _class_leaders(group)
+    if action._span is None:
+        counts = Counter((_cycle_type(p, leaders), ()) for p in group.quotient_images())
     else:
-        counts = Counter()
-        for images, size in group.conjugacy_representatives():
-            counts[_det_key(action, images)] += size
+        counts = Counter((_cycle_type(p, leaders), _relation_sums(action, p)) for p in group.quotient_images())
     total = [0] * (order + 1)
     for key, count in counts.items():
-        for k, c in enumerate(_class_term(action, key, order)):
+        for k, c in enumerate(_class_term(key, order)):
             total[k] += count * c
     summed = sum(counts.values())
     for k, x in enumerate(total):

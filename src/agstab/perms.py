@@ -8,9 +8,8 @@ increasing bijection) form a complement H, so |G| = |H| prod c!.  A
 group lists H and counts G from it; G itself is listed only when it is
 iterated, by Dimino's coset closure of the generators, which adjoins
 one generator at a time and adds whole cosets of the group built so
-far; conjugacy_representatives reads one element of each orbit of N
-acting on G by conjugation, with its size, from H alone.  A group with
-no clone classes has H = G.  Elements are kept as
+far; the Molien sum (see molien) reads H alone.  A group with no
+clone classes has H = G.  Elements are kept as
 sorted image tuples, Permutation objects are built only when asked
 for, and every closure holds at most DEFAULT_CAP elements.
 """
@@ -18,7 +17,6 @@ for, and every closure holds at most DEFAULT_CAP elements.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -187,48 +185,6 @@ class PermGroup:
     def elements(self) -> tuple[Permutation, ...]:
         return tuple(self)
 
-    def conjugacy_representatives(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """(images, size): one element of each orbit of N acting on G by conjugation, and the orbit's size.
-
-        G is not listed.  Each h in H sends every class c onto a class
-        in order, and the coset N h splits by the cycles of h on the
-        classes.  For a cycle c_1 -> .. -> c_l of classes of size c, two
-        elements n h are N-conjugate exactly when their l-th powers
-        restricted to c_1 have one cycle type (the conjugacy classes of
-        a wreath product S_c wr Z/l): for each partition lam of c,
-        (c!)^(l-1) c!/z_lam elements have cycle type lam there, and n
-        acting on c_1 alone by consecutive cycles of lengths lam gives
-        one of them.  The sizes add up to the order.
-        """
-        classes = self.classes
-        owner = {p: k for k, c in enumerate(classes) for p in c}
-        for h in self._quotient:
-            choices, seen = [], set()
-            for k, first in enumerate(classes):
-                if k in seen:
-                    continue
-                cycle = [k]
-                while (j := owner[h[classes[cycle[-1]][0] - 1]]) != k:
-                    cycle.append(j)
-                seen.update(cycle)
-                # h sends the last class of the cycle onto the first in order, and n acts after h
-                last, size = classes[cycle[-1]], len(first)
-                options = []
-                for parts in _partitions(size):
-                    images, start = [], 0
-                    for part in parts:
-                        images += first[start + 1 : start + part] + first[start : start + 1]
-                        start += part
-                    options.append((list(zip(last, images)), factorial(size) ** (len(cycle) - 1) * _of_type(parts)))
-                choices.append(options)
-            for combination in product(*choices):
-                images, size = list(h), 1
-                for moves, count in combination:
-                    for point, image in moves:
-                        images[point - 1] = image
-                    size *= count
-                yield tuple(images), size
-
     @classmethod
     def from_generators(cls, generators: Sequence[Permutation]) -> "PermGroup":
         """The closure of the generators under composition; past DEFAULT_CAP elements it raises CapExceeded."""
@@ -273,21 +229,6 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
-
-
-def _partitions(n: int, most: int | None = None) -> Iterator[tuple[int, ...]]:
-    """The partitions of n with no part above most (default n), each in decreasing order."""
-    if n == 0:
-        yield ()
-    for first in range(min(n, most or n), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _of_type(parts: tuple[int, ...]) -> int:
-    """n!/z: the number of permutations of n = sum(parts) points with these cycle lengths."""
-    z = prod(parts) * prod(factorial(parts.count(m)) for m in set(parts))
-    return factorial(sum(parts)) // z
 
 
 def _coset_closure(degree: int, candidates: Iterable[tuple[int, ...]], cap: int) -> tuple[list, list]:

@@ -176,7 +176,7 @@ def test_molien_cap_exit(capsys, monkeypatch, tmp_path):
 
 def test_cone_analyze_sums_a_span_without_listing_its_group(capsys, monkeypatch, tmp_path):
     # three squares: a non-basic cone with 384 automorphisms, whose span
-    # Molien sum reads one element of each orbit of N, under a cap of 100
+    # Molien sum reads H alone, under a cap of 100
     square = agstab.cones.ConeSpec("square", 2, ((1, 0), (0, 1), (1, -1), (1, 1)))
     cubed = agstab.cones.direct_sum(agstab.cones.direct_sum(square, square), square, "square^3")
     path = tmp_path / "square3.json"

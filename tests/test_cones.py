@@ -35,13 +35,21 @@ from agstab.cones import (
 )
 from agstab.errors import (
     CapExceeded,
+    DegreeMismatch,
     InconsistentAction,
     InputError,
     SearchBudgetExceeded,
     VerificationFailed,
 )
 from agstab.intlinalg import integer_coordinates
-from agstab.molien import NAIVE_CAP, LinearAction, _det_key, det_from_power_sums, molien_series, molien_series_naive
+from agstab.molien import (
+    NAIVE_CAP,
+    LinearAction,
+    _relation_sums,
+    det_from_power_sums,
+    molien_series,
+    molien_series_naive,
+)
 from agstab.perms import DEFAULT_CAP, PermGroup, Permutation
 from agstab.pipeline import generator_series, load_cone_specs, load_dataset
 from agstab.reference import PERFECT_GROUP_ORDERS
@@ -364,7 +372,7 @@ def test_square_form_basis_is_read_from_the_lattice():
 
 def test_span_sum_over_orbits_matches_the_naive_sum_when_h_moves_classes():
     # the sums of two and three squares: H permutes the summands' clone
-    # classes, so the span Molien sum reads twisted orbits of N
+    # classes, and the span Molien sum over H must still equal the sum over G
     square = ConeSpec("square", 2, SQUARE)
     double = direct_sum(square, square)
     for spec in (double, direct_sum(double, square)):
@@ -372,6 +380,37 @@ def test_span_sum_over_orbits_matches_the_naive_sum_when_h_moves_classes():
         assert any(h != tuple(range(1, spec.n_generators + 1)) for h in group.quotient_images())
         action = LinearAction.on_span(group, *form_coordinates(spec))
         assert molien_series(action, 12) == molien_series_naive(action, 12)
+
+
+def _circuit(n: int) -> ConeSpec:
+    """C_n: e_1, .., e_(n-1) and their sum, with independent forms and Aut = S_n, all clones."""
+    basis = [tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1)]
+    return ConeSpec(f"C_{n}", n - 1, tuple(basis) + ((1,) * (n - 1),))
+
+
+def test_span_sum_over_many_clones_is_bounded():
+    # square + C_7 + .. + C_11: 49 generators, |H| = 1, and 93,139,200
+    # orbits of N on G; distinct irreducible summands, so Aut and P are
+    # the products of the summands'
+    parts = [ConeSpec("square", 2, SQUARE)] + [_circuit(n) for n in range(7, 12)]
+    spec = functools.reduce(direct_sum, parts)
+    start = time.perf_counter()
+    result = analyze(spec, order=8)
+    assert time.perf_counter() - start < 5
+    assert result.dimension == spec.n_generators - 1
+    assert result.aut.order == 4 * factorial(7) * factorial(8) * factorial(9) * factorial(10) * factorial(11)
+    expected = expand_rational_form((1,), {1: 1, 2: 2}, 8)
+    for n in range(7, 12):
+        expected = expected * product_form({k: 1 for k in range(1, n + 1)}, 8)
+    assert result.poincare == expected
+
+
+def test_poincare_series_rejects_a_group_of_another_degree(all_specs):
+    # S_5 on K_3's three forms once read as the series of S_5 on Q^5
+    with pytest.raises(DegreeMismatch, match="cone 'K_3'"):
+        cone_poincare_series(all_specs["K_3"], PermGroup.symmetric(5), 4)
+    with pytest.raises(DegreeMismatch, match="cone 'square'"):
+        cone_poincare_series(ConeSpec("square", 2, SQUARE), PermGroup.symmetric(6), 4)
 
 
 def test_inconsistent_action_detected():
@@ -1113,6 +1152,11 @@ def test_nonbasic_series_matches_explicit_matrices_and_moves(name, seed):
     assert series == cone_poincare_series(base, base_group, 10)
     matrices = _span_matrices(spec, group)
     assert series == molien_series_naive(LinearAction.from_matrices(group, matrices), 10)
-    action = LinearAction.on_span(group, *form_coordinates(spec))
+    # det(1 - tp | K) det(1 - tp | V) = det(1 - tp | Q^s), K the forms' relations
+    action, s = LinearAction.on_span(group, *form_coordinates(spec)), spec.n_generators
     for p, m in matrices.items():
-        assert det_from_power_sums(_det_key(action, p.images)) == det_one_minus_tA(m).integer_coefficients()
+        relations = TruncatedSeries(det_from_power_sums(_relation_sums(action, p.images)), s)
+        cycles = TruncatedSeries.one(s)
+        for c in p.cycles():
+            cycles = cycles * TruncatedSeries([1] + [0] * (len(c) - 1) + [-1], s)
+        assert relations * det_one_minus_tA(m).as_order(s) == cycles
