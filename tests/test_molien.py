@@ -172,7 +172,7 @@ def test_span_action_rejects_clones_with_one_vector():
         LinearAction.on_span(group, [0], [[1], [1]], 1)
 
 
-# the rotations of a square: no clone classes, and three keys (1, 1, 1, 1), (2, 2), (4) of counts 1, 1, 2
+# the rotations of a square: no clone classes, and three keys, of cycle types (1, 1, 1, 1), (2, 2), (4) and counts 1, 1, 2
 ROTATIONS = PermGroup.from_generators([Permutation.from_cycles(4, [(1, 2, 3, 4)])])
 
 
