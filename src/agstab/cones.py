@@ -5,8 +5,8 @@ are the forms v_i v_i^T, so a cone automorphism is a permutation pi of
 the indices realized by some T with T v_i = +-v_{pi(i)} that maps the
 saturation of the lattice spanned by the v_i bijectively to itself.
 The search below finds exactly those permutations, as the symmetric
-groups of the clone classes and the elements that keep each class in
-order.
+groups of the clone classes and generators of the elements that keep
+each class in order, which their closure lists.
 
 analyze runs the five public cone_* functions in turn, each on the cone
 alone.  They share one lattice, the forms' basis and coordinates
@@ -43,7 +43,7 @@ from .intlinalg import (
     saturation_coordinates,
 )
 from .molien import LinearAction, molien_series
-from .perms import PermGroup, Permutation
+from .perms import DEFAULT_CAP, PermGroup, Permutation, _coset_closure
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -395,9 +395,13 @@ class _AutSearch:
     elements that keep every class in order, is a complement of N.  A
     generator's candidate images must also lie in a class of its size,
     at its place in that class, and clones must go to clones; a leaf
-    drops the images outside B that break this, so the leaves of the
-    tree are the elements of H.  Each swap test counts as a node of the
-    budget; a pair whose pairing rows differ (_rows_agree) runs none.
+    drops the images outside B that break this, so every element a leaf
+    adds lies in H.  Each swap test counts as a node of the budget; a
+    pair whose pairing rows differ (_rows_agree) runs none.  The tree is
+    not walked whole: search runs it along a stabilizer chain with B as
+    the base (Sims), and skips every target already in the orbit of the
+    elements found so far (McKay and Piperno's automorphism pruning), so
+    it reaches a generating set of H rather than each element.
     """
 
     def __init__(self, spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -411,6 +415,7 @@ class _AutSearch:
         self.glue_signed = [a for a in range(self.r) if any(2 * c[a] % self.d for c in self.glue_gens)]
         self.all_in_basis = self.s == self.r
         self.nodes = self.leaves = 0
+        self.found: set[tuple[int, ...]] = set()
         r, u, basis = self.r, self.u, self.basis
         # numerators of each outside generator's coordinates in B
         self.outside = [(i, lattice.coords[i]) for i in lattice.outside]
@@ -561,15 +566,58 @@ class _AutSearch:
     # -- search ---------------------------------------------------------------
 
     def search(self) -> PermGroup:
-        """The group of realizable permutations, listed up to its clone classes.
+        """The group of realizable permutations, from generators of H found along a stabilizer chain.
 
-        The clone classes come first (_clone_classes); the tree then
-        assigns each basis position a target of the same profile, class
-        size and place in its class, so its leaves are the elements of
-        H.  The group lists G only when iterated.
+        The base is B in assign_order, b_0, .., b_(r-1).  The identity
+        targets' leaf lists every element of H that fixes each generator
+        of B.  Then, level by level up, with b_0, .., b_(L-1) fixed to
+        themselves, each candidate j of b_L outside the orbit of b_L
+        under the elements found so far (all of which fix those b) gets
+        one first-leaf search (_extend); an element it finds maps b_L to
+        j and grows the orbit.  So the elements found at levels L and
+        deeper generate the stabilizer of b_0, .., b_(L-1) in H, and at
+        level 0 all of H, which their closure lists (CapExceeded, naming
+        the cone, past perms.DEFAULT_CAP elements).  The group lists G
+        only when iterated.
+        """
+        r, s, basis = self.r, self.s, self.basis
+        self.nodes = self.leaves = 0
+        self.found = found = set()
+        classes = self._prepare()
+        target, used = list(basis), [False] * s
+        for b in basis:
+            used[b] = True
+        self._extend(r, target, used, found)
+        for level in reversed(range(r)):
+            a = self.assign_order[level]
+            b = basis[a]
+            used[b] = False
+            orbit = _orbit(b, found)
+            for j in self.candidates[b]:
+                if j in orbit or used[j] or not self._consistent(level, b, j, target):
+                    continue
+                target[a] = j
+                used[j] = True
+                if self._extend(level + 1, target, used, found):
+                    orbit = _orbit(b, found)
+                used[j] = False
+            target[a] = b
+        try:
+            _, images = _coset_closure(s, sorted(found), DEFAULT_CAP)
+        except CapExceeded as exc:
+            raise CapExceeded(self.spec.name, exc.stage, exc.cap, exc.elements) from None
+        points = [tuple(i + 1 for i in members) for members in classes]
+        return PermGroup.from_quotient(s, points, images)
+
+    def _prepare(self) -> list[list[int]]:
+        """Find the clone classes, then each generator's candidates and the order of the basis positions.
+
+        A generator's candidate images share its profile, the size of its
+        clone class and its place there.  The basis positions are
+        assigned in the order of their number of candidates.  Returns the
+        clone classes.
         """
         r, s = self.r, self.s
-        self.nodes = self.leaves = 0
         profiles = self._profiles()
         classes = self._clone_classes(profiles)
         self.class_of, self.rank = [0] * s, [0] * s
@@ -579,10 +627,7 @@ class _AutSearch:
         profiles = [(p, len(classes[self.class_of[i]]), self.rank[i]) for i, p in enumerate(profiles)]
         self.candidates = [[j for j in range(s) if profiles[j] == profiles[i]] for i in range(s)]
         self.assign_order = sorted(range(r), key=lambda a: len(self.candidates[self.basis[a]]))
-        results: set[tuple[int, ...]] = set()
-        self._extend(0, [0] * r, [False] * s, results)
-        points = [tuple(i + 1 for i in members) for members in classes]
-        return PermGroup.from_quotient(s, points, results)
+        return classes
 
     def _clone_classes(self, profiles: list) -> list[list[int]]:
         """The clone classes, 0-based and sorted: i and j are clones when (i j) is realizable.
@@ -622,7 +667,7 @@ class _AutSearch:
         if self.nodes > self.node_budget:
             raise SearchBudgetExceeded(
                 self.spec.name, "search", self.node_budget,
-                {"nodes": self.nodes, "leaves": self.leaves},
+                {"nodes": self.nodes, "leaves": self.leaves, "found": len(self.found)},
             )
 
     def _consistent(self, level: int, i: int, j: int, target: list[int]) -> bool:
@@ -642,12 +687,17 @@ class _AutSearch:
                 return False
         return True
 
-    def _extend(self, level: int, target: list[int], used: list[bool], results: set) -> None:
-        """Try each candidate target for the level-th basis position of assign_order."""
+    def _extend(self, level: int, target: list[int], used: list[bool], results: set) -> bool:
+        """First-leaf search: whether a leaf below, the first level positions of assign_order fixed, adds to results.
+
+        Each candidate target for the level-th basis position is tried in
+        turn, and the search stops at the first leaf that adds an element.
+        """
         self._tick()
         if level == self.r:
+            before = len(results)
             self._leaf(target, results, self.rank)
-            return
+            return len(results) > before
         a = self.assign_order[level]
         i = self.basis[a]
         for j in self.candidates[i]:
@@ -655,8 +705,23 @@ class _AutSearch:
                 continue
             target[a] = j
             used[j] = True
-            self._extend(level + 1, target, used, results)
+            found = self._extend(level + 1, target, used, results)
             used[j] = False
+            if found:
+                return True
+        return False
+
+
+def _orbit(point: int, elements) -> set[int]:
+    """The orbit of a 0-based point under the group the image tuples generate."""
+    orbit, queue = {point}, [point]
+    for x in queue:
+        for g in elements:
+            y = g[x] - 1
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return orbit
 
 
 def cone_automorphisms(spec: ConeSpec, node_budget: int = DEFAULT_NODE_BUDGET) -> PermGroup:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
 
-from .errors import CapExceeded, InconsistentAction
+from .errors import CapExceeded, DegreeMismatch, InconsistentAction
 from .perms import Permutation, PermGroup
 from .series import (
     DEFAULT_ORDER,
@@ -111,8 +111,11 @@ class LinearAction:
         closed under products, so only the generators of the group are
         checked; a failure raises InconsistentAction.  The Molien sum
         over H needs w_i != w_j for two clones i, j (see the module
-        docstring); equal ones raise InconsistentAction too.
+        docstring); equal ones raise InconsistentAction too.  A group
+        whose degree is not s raises DegreeMismatch.
         """
+        if group.degree != len(coordinates):
+            raise DegreeMismatch(f"a group of degree {group.degree} on {len(coordinates)} vectors")
         action = cls(group, len(basis))
         table = [list(row) for row in zip(*coordinates)]
         outside = sorted(set(range(len(coordinates))) - set(basis))

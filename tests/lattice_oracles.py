@@ -1,7 +1,8 @@
 """Oracles that tests set against the lattice layer.
 
 Determinants, saturation coordinates, saturation bases, matroid
-components, the search's pairing and the forms' coordinates.
+components, the search's pairing, the forms' coordinates and the
+search's group.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from agstab.intlinalg import (
     restrict_to_kernel,
     saturation_coordinates,
 )
+from agstab.perms import PermGroup
 
 
 def fraction_gauss_det(rows) -> Fraction:
@@ -163,3 +165,33 @@ def same_coordinates(a, b) -> bool:
         and len(nums_a) == len(nums_b)
         and all(x * den_b == y * den_a for ra, rb in zip(nums_a, nums_b) for x, y in zip(ra, rb, strict=True))
     )
+
+
+def tree_listing(search) -> PermGroup:
+    """The group an _AutSearch finds, with every element of H reached as a leaf of its tree: the oracle for search.
+
+    The clone classes, candidates and order of the basis positions come
+    from the search's _prepare.  The tree then tries every consistent
+    candidate for every basis position, with no orbit pruning and no
+    early stop, and each leaf adds every element it realizes.
+    """
+    classes = search._prepare()
+    r, s, basis, order = search.r, search.s, search.basis, search.assign_order
+    results: set[tuple[int, ...]] = set()
+
+    def extend(level: int, target: list[int], used: list[bool]) -> None:
+        if level == r:
+            search._leaf(target, results, search.rank)
+            return
+        a = order[level]
+        i = basis[a]
+        for j in search.candidates[i]:
+            if used[j] or not search._consistent(level, i, j, target):
+                continue
+            target[a] = j
+            used[j] = True
+            extend(level + 1, target, used)
+            used[j] = False
+
+    extend(0, [0] * r, [False] * s)
+    return PermGroup.from_quotient(s, [tuple(i + 1 for i in members) for members in classes], results)

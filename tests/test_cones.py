@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agstab.cones
 import agstab.perms
 from agstab import intlinalg
 from agstab.cones import (
+    DEFAULT_NODE_BUDGET,
     ConeSpec,
     _AutSearch,
     _Lattice,
@@ -62,6 +64,7 @@ from lattice_oracles import (
     matroid_components,
     same_coordinates,
     saturation_basis,
+    tree_listing,
 )
 from lattice_sums import lattice_sums_cases
 from wreath import wreath_product
@@ -219,7 +222,7 @@ class _CountingSearch(_AutSearch):
 
     def _extend(self, *args):
         self.extends += 1
-        super()._extend(*args)
+        return super()._extend(*args)
 
     def _swap_test(self, *args):
         self.swaps += 1
@@ -230,12 +233,13 @@ def test_sign_flips_count_against_the_budget():
     # the pairing of the square is diagonal on its basis e1, e2, and e1 +- e2
     # lie outside it, so every leaf tries two sign vectors; a budget that
     # covers the search tree alone must not cover those tries.  Each clone
-    # test, (1 2) and (3 4), is a node and a leaf of its own
+    # test, (1 2) and (3 4), is a node and a leaf of its own; H is trivial,
+    # so the tree is the identity targets' leaf alone
     spec = ConeSpec("square", 2, SQUARE)
     full = _CountingSearch(spec)
     assert len(full.flip_components) >= 2
     assert full.search().order == 4
-    assert (full.swaps, full.extends, full.leaves) == (2, 3, 3)
+    assert (full.swaps, full.extends, full.leaves) == (2, 1, 3)
     assert full.nodes == full.extends + full.swaps + 2 * full.leaves
     with pytest.raises(SearchBudgetExceeded) as info:
         _AutSearch(spec, node_budget=full.extends).search()
@@ -266,12 +270,18 @@ def test_search_budget_error_says_where_it_stopped(all_specs):
         cone_automorphisms(all_specs["(7,7a)"], node_budget=10)
     exc = info.value
     assert (exc.cone, exc.stage, exc.budget) == ("(7,7a)", "search", 10)
-    assert exc.counters["nodes"] == 11
-    assert 0 <= exc.counters["leaves"] <= 11
-    assert str(exc) == (
-        f"cone '(7,7a)': search exceeded its budget of 10 nodes "
-        f"(11 nodes, {exc.counters['leaves']} leaves)"
-    )
+    # the budget runs out in the swap tests, before the chain finds an element
+    assert exc.counters == {"nodes": 11, "leaves": 3, "found": 0}
+    assert str(exc) == "cone '(7,7a)': search exceeded its budget of 10 nodes (11 nodes, 3 leaves, 0 found)"
+
+
+def test_search_budget_error_says_how_far_the_chain_got(all_specs):
+    # K_4 has no clones: three swap tests, then the identity targets' leaf
+    # finds the identity, and the bottom level of the chain one more element
+    with pytest.raises(SearchBudgetExceeded) as info:
+        cone_automorphisms(all_specs["K_4"], node_budget=12)
+    assert info.value.counters == {"nodes": 13, "leaves": 8, "found": 2}
+    assert str(info.value) == "cone 'K_4': search exceeded its budget of 12 nodes (13 nodes, 8 leaves, 2 found)"
 
 
 def test_closure_cap_error_says_where_it_stopped(all_specs, monkeypatch):
@@ -290,13 +300,25 @@ def test_closure_cap_error_says_where_it_stopped(all_specs, monkeypatch):
     assert str(exc) == "cone 'C_7': closure exceeded its cap of 100 elements: it needs at least 102"
 
 
+def test_closing_the_found_elements_names_the_cone_past_the_cap(all_specs, monkeypatch):
+    # H of K_4 is all of S_4; the closure of the elements the chain found
+    # stops at 12 of its 24 elements past a cap of 10, and names the cone
+    monkeypatch.setattr(agstab.cones, "DEFAULT_CAP", 10)
+    with pytest.raises(CapExceeded) as info:
+        cone_automorphisms(all_specs["K_4"])
+    exc = info.value
+    assert (exc.cone, exc.stage, exc.cap, exc.elements) == ("K_4", "closure", 10, 12)
+    assert str(exc) == "cone 'K_4': closure exceeded its cap of 10 elements: it needs at least 12"
+
+
 def test_basis_search_visits_under_a_tenth_of_all_assignments(all_specs):
     # the pairing invariants alone accept all 7! assignments of (7,7a),
     # a tree of 13,700 nodes, for a group of order 240; the profiles
-    # gcd(d, c_a) and the clone classes cut it down
+    # gcd(d, c_a) and the clone classes cut it down, and H is trivial, so
+    # past the five swap tests the chain runs the identity targets' leaf alone
     ctx = _AutSearch(replace(all_specs["(7,7a)"], declared_aut=None))
     assert ctx.search().order == 240
-    assert ctx.nodes < 1370
+    assert ctx.nodes == 34
 
 
 def test_direct_sum_splits_into_components():
@@ -411,6 +433,14 @@ def test_poincare_series_rejects_a_group_of_another_degree(all_specs):
         cone_poincare_series(all_specs["K_3"], PermGroup.symmetric(5), 4)
     with pytest.raises(DegreeMismatch, match="cone 'square'"):
         cone_poincare_series(ConeSpec("square", 2, SQUARE), PermGroup.symmetric(6), 4)
+
+
+@pytest.mark.parametrize("degree", (3, 6))
+def test_span_action_rejects_a_group_of_another_degree(degree):
+    # S_3 once indexed past the square's three form rows (IndexError), and
+    # S_6 was reported as a permutation that does not act linearly
+    with pytest.raises(DegreeMismatch, match=f"a group of degree {degree} on 4 vectors"):
+        LinearAction.on_span(PermGroup.symmetric(degree), *form_coordinates(ConeSpec("square", 2, SQUARE)))
 
 
 def test_inconsistent_action_detected():
@@ -907,14 +937,86 @@ def test_row_test_spares_swap_tests_and_nodes(all_specs, perfect_specs):
     search, plain = _CountingSearch(spec), _NoRowTest(spec)
     search.search()
     plain.search()
-    assert (search.swaps, search.nodes, search.leaves) == (6, 85, 12)
-    assert (plain.swaps, plain.nodes, plain.leaves) == (33, 220, 39)
+    assert (search.swaps, search.nodes, search.leaves) == (6, 53, 9)
+    assert (plain.swaps, plain.nodes, plain.leaves) == (33, 188, 36)
     nodes = 0
     for spec in perfect_specs.values():
         search = _AutSearch(replace(spec, declared_aut=None))
         search.search()
         nodes += search.nodes
-    assert nodes == 660
+    assert nodes == 415
+
+
+def _search_key(group: PermGroup) -> tuple:
+    return _group_key(group) + (group.generators,)
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_chain_search_matches_the_tree_listing(seed):
+    # the chain finds generators of H and closes them, where the oracle
+    # reaches every element of H as a leaf: one order, the same clone
+    # classes, the same sorted H and the same greedy generators, on the
+    # packaged cones, their GL(Z)-moved images, direct sums and the moved
+    # sums of the lattice-sums cases
+    rng = random.Random(seed)
+    specs = []
+    for _, spec in sorted(_packaged().items()):
+        specs += [replace(spec, declared_aut=None), _moved(rng, spec.generators)[0]]
+    for name in ("K_3+K_3", "C_4+C_4", "K_4-1+K_4-1", "(5,5)+K_3", "K_4+K_4", "sigma_1+K_3+sigma_1"):
+        gens = _block_sum(_summands(name))
+        specs += [ConeSpec(name, len(gens[0]), tuple(gens)), _moved(rng, gens)[0]]
+    specs += [case.spec for case in lattice_sums_cases(seed)]
+    assert len(specs) == 2 * 28 + 2 * 6 + 36
+    for spec in specs:
+        assert _search_key(_AutSearch(spec).search()) == _search_key(tree_listing(_AutSearch(spec))), spec.name
+
+
+def _graphic(n: int) -> ConeSpec:
+    """M(K_n): the edges e_a - e_b of the complete graph on n vertices, vertex 0 at the origin of Z^(n-1)."""
+    edges = combinations(range(n), 2)
+    return ConeSpec(f"M(K_{n})", n - 1, tuple(tuple((x == a) - (x == b) for x in range(1, n)) for a, b in edges))
+
+
+# R10 as [I_5 | A], a totally unimodular representation
+_R10_A = ((-1, 1, 0, 0, 1), (1, -1, 1, 0, 0), (0, 1, -1, 1, 0), (0, 0, 1, -1, 1), (1, 0, 0, 1, -1))
+R10 = ConeSpec("R10", 5, tuple(tuple(int(i == j) for i in range(5)) for j in range(5)) + tuple(zip(*_R10_A)))
+
+
+def _power(spec: ConeSpec, m: int) -> ConeSpec:
+    gens = _block_sum([spec] * m)
+    return ConeSpec(f"{spec.name}x{m}", len(gens[0]), tuple(gens))
+
+
+# each case's |G|, known apart from the search, and its exact node count.
+# A regular matroid has one unimodular representation up to GL(Z) and
+# signs, so its group is its matroid automorphism group: for R10 the 720
+# permutations that keep its 162 bases, and S_7 for M(K_7) (Whitney).  A
+# direct sum of m copies of a cone has the wreath product, |G|^m m!:
+# Aut(K_4) = S_4, and the square's group has order 4
+LARGE_SEARCHES = {
+    "R10": (720, 389),
+    "M(K_7)": (factorial(7), 35),
+    "K_4x2": (24**2 * 2, 212),
+    "K_4x3": (24**3 * factorial(3), 15_571),
+    "squarex6": (4**6 * factorial(6), 36_917),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_SEARCHES)
+def test_large_searches_finish_under_the_default_budget(all_specs, name):
+    # the chain reaches generators of H, not its elements: K_4x3 has
+    # |H| = 82,944 and took 1,432,756 nodes when each was a leaf
+    spec = {
+        "R10": R10,
+        "M(K_7)": _graphic(7),
+        "K_4x2": _power(all_specs["K_4"], 2),
+        "K_4x3": _power(all_specs["K_4"], 3),
+        "squarex6": _power(ConeSpec("square", 2, SQUARE), 6),
+    }[name]
+    order, nodes = LARGE_SEARCHES[name]
+    search = _AutSearch(spec)
+    assert search.search().order == order
+    assert search.nodes == nodes < DEFAULT_NODE_BUDGET
 
 
 @pytest.mark.parametrize("name", ("(5,5)", "(6,6)", "(7,7a)", "(7,7c)"))
