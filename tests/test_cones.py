@@ -277,7 +277,7 @@ def test_search_budget_error_says_where_it_stopped(all_specs):
 
 def test_search_budget_error_says_how_far_the_chain_got(all_specs):
     # K_4 has no clones: three swap tests, then the identity targets' leaf
-    # finds the identity, and the bottom level of the chain one more element
+    # finds the identity, and the first search at level 1 one more element
     with pytest.raises(SearchBudgetExceeded) as info:
         cone_automorphisms(all_specs["K_4"], node_budget=12)
     assert info.value.counters == {"nodes": 13, "leaves": 8, "found": 2}
@@ -947,6 +947,9 @@ def test_row_test_spares_swap_tests_and_nodes(all_specs, perfect_specs):
     assert nodes == 415
 
 
+KITE = ConeSpec("kite", 2, ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1)))
+
+
 def _search_key(group: PermGroup) -> tuple:
     return _group_key(group) + (group.generators,)
 
@@ -965,10 +968,14 @@ def test_chain_search_matches_the_tree_listing(seed):
     for name in ("K_3+K_3", "C_4+C_4", "K_4-1+K_4-1", "(5,5)+K_3", "K_4+K_4", "sigma_1+K_3+sigma_1"):
         gens = _block_sum(_summands(name))
         specs += [ConeSpec(name, len(gens[0]), tuple(gens)), _moved(rng, gens)[0]]
+    # e2 -> -e2 fixes the basis e1, e2 and gives (3 4)(5 6), an element of
+    # H that only the identity targets' leaf finds
+    specs += [KITE, _moved(rng, KITE.generators)[0]]
     specs += [case.spec for case in lattice_sums_cases(seed)]
-    assert len(specs) == 2 * 28 + 2 * 6 + 36
+    assert len(specs) == 2 * 28 + 2 * 6 + 2 + 36
     for spec in specs:
         assert _search_key(_AutSearch(spec).search()) == _search_key(tree_listing(_AutSearch(spec))), spec.name
+    assert list(cone_automorphisms(KITE).quotient_images()) == [(1, 2, 3, 4, 5, 6), (1, 2, 4, 3, 6, 5)]
 
 
 def _graphic(n: int) -> ConeSpec:
