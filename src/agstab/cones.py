@@ -43,7 +43,7 @@ from .intlinalg import (
     saturation_coordinates,
 )
 from .molien import LinearAction, molien_series
-from .perms import DEFAULT_CAP, PermGroup, Permutation, _coset_closure
+from .perms import PermGroup, Permutation
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -52,11 +52,9 @@ CONE_KEYS = ("name", "ambient", "generators", "aut_generators", "tags")
 
 def _primitive_signature(vector: tuple[int, ...]) -> tuple[int, ...]:
     g = gcd(*vector)
-    scaled = tuple(x // g for x in vector)
-    for x in scaled:
-        if x != 0:
-            return scaled if x > 0 else tuple(-y for y in scaled)
-    return scaled
+    if next(filter(None, vector)) < 0:
+        g = -g
+    return tuple(x // g for x in vector)
 
 
 @dataclass(frozen=True)
@@ -576,9 +574,9 @@ class _AutSearch:
         one first-leaf search (_extend); an element it finds maps b_L to
         j and grows the orbit.  So the elements found at levels L and
         deeper generate the stabilizer of b_0, .., b_(L-1) in H, and at
-        level 0 all of H, which their closure lists (CapExceeded, naming
-        the cone, past perms.DEFAULT_CAP elements).  The group lists G
-        only when iterated.
+        level 0 all of H; PermGroup.from_quotient closes them once
+        (CapExceeded, naming the cone, past perms.DEFAULT_CAP elements).
+        The group lists G only when iterated.
         """
         r, s, basis = self.r, self.s, self.basis
         self.nodes = self.leaves = 0
@@ -602,12 +600,11 @@ class _AutSearch:
                     orbit = _orbit(b, found)
                 used[j] = False
             target[a] = b
+        points = [tuple(i + 1 for i in members) for members in classes]
         try:
-            _, images = _coset_closure(s, sorted(found), DEFAULT_CAP)
+            return PermGroup.from_quotient(s, points, found)
         except CapExceeded as exc:
             raise CapExceeded(self.spec.name, exc.stage, exc.cap, exc.elements) from None
-        points = [tuple(i + 1 for i in members) for members in classes]
-        return PermGroup.from_quotient(s, points, images)
 
     def _prepare(self) -> list[list[int]]:
         """Find the clone classes, then each generator's candidates and the order of the basis positions.

@@ -5,11 +5,11 @@ permutation, fixing the other points, lies in G.  The symmetric groups
 of the classes form a normal subgroup N = prod S_c, and the elements
 that keep every class in order (each class sent onto a class by the
 increasing bijection) form a complement H, so |G| = |H| prod c!.  A
-group lists H and counts G from it; G itself is listed only when it is
-iterated, by Dimino's coset closure of the generators, which adjoins
-one generator at a time and adds whole cosets of the group built so
-far; the Molien sum (see molien) reads H alone.  A group with no
-clone classes has H = G.  Elements are kept as
+group lists H and counts G from it.  Both are listed by Dimino's coset
+closure, which adjoins one generator at a time and adds whole cosets
+of the group built so far: H once, from elements that generate it,
+and G only when it is iterated; the Molien sum (see molien) reads H
+alone.  A group with no clone classes has H = G.  Elements are kept as
 sorted image tuples, Permutation objects are built only when asked
 for, and every closure holds at most DEFAULT_CAP elements.
 """
@@ -124,12 +124,12 @@ class PermGroup:
     elements, and kept.  ``p in group`` looks p up in H after sorting
     its images within each class, so membership never lists G.
     ``generators`` generate the whole group: from_generators closes
-    them, from_elements picks them greedily (the lexicographically first
-    element outside the closure so far), both by _coset_closure,
-    from_quotient takes the adjacent transpositions of every class and
-    the greedy generators of H, and symmetric names a generating set.  A
-    property that holds for the generators and is closed under products
-    therefore holds for every element.
+    them, from_quotient takes the adjacent transpositions of every class
+    and the elements its one closure adjoins, scanning the given
+    elements of H sorted (so from_elements picks the greedy generators:
+    the lexicographically first element outside the closure so far),
+    and symmetric names a generating set.  A property that holds for
+    the generators and is closed under products holds for every element.
     """
 
     __slots__ = ("degree", "generators", "order", "classes", "_quotient", "_images")
@@ -199,27 +199,30 @@ class PermGroup:
 
     @classmethod
     def from_elements(cls, degree: int, images: Iterable[tuple[int, ...]]) -> "PermGroup":
-        """The group with exactly these image tuples of bijections; CapExceeded if they are not closed."""
-        return cls.from_quotient(degree, (), images)
+        """The group with exactly these image tuples of bijections; CapExceeded if their closure is larger."""
+        images = set(images)
+        group = cls.from_quotient(degree, (), images)
+        if group.order != len(images):
+            raise CapExceeded(None, "closure", len(images), group.order)
+        return group
 
     @classmethod
     def from_quotient(
         cls,
         degree: int,
         classes: Sequence[tuple[int, ...]],
-        images: Iterable[tuple[int, ...]],
+        elements: Iterable[tuple[int, ...]],
     ) -> "PermGroup":
-        """The group N H from its clone classes (sorted tuples of points) and the image tuples of H.
+        """The group N H from its clone classes (sorted tuples of points) and image tuples that generate H.
 
-        H must be closed (CapExceeded otherwise); G is not listed.
+        H is their closure (CapExceeded past DEFAULT_CAP elements); G is not listed.
         """
-        images = sorted(set(images))
-        quotient_gens, _ = _coset_closure(degree, images, cap=len(images))
+        quotient_gens, images = _coset_closure(degree, sorted(set(elements)), DEFAULT_CAP)
         classes = tuple(tuple(c) for c in classes if len(c) > 1)
         gens = [Permutation.from_cycles(degree, [c[k : k + 2]]) for c in classes for k in range(len(c) - 1)]
         identity = Permutation.identity(degree)
         gens += [Permutation._trusted(g) for g in quotient_gens if g != identity.images]
-        return cls(degree, tuple(gens) or (identity,), images, classes)
+        return cls(degree, tuple(gens) or (identity,), sorted(images), classes)
 
     @classmethod
     def symmetric(cls, degree: int, points: Sequence[int] | None = None) -> "PermGroup":

@@ -129,6 +129,14 @@ def test_molien_group_file(capsys, tmp_path):
     assert json.loads(out)["coefficients"] == ["1", "1", "2", "3", "4", "5", "7"]
 
 
+def test_molien_group_file_without_generators_is_trivial(capsys, tmp_path):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"degree": 3, "generators": []}))
+    code, out, _ = run(capsys, "molien", str(path), "--order", "3")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == ["1", "3", "6", "10"]
+
+
 def test_molien_rejects_bad_group_file(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"generators": [[1, 2]]}))
@@ -353,6 +361,11 @@ def test_order_zero_gives_constant_row(capsys):
     (["betti", "--dataset"], "manifest.json", {"family": "x", "cones": [5]}),
     (["betti", "--dataset"], "manifest.json", {"family": ["a"], "cones": []}),
     (["betti", "--dataset"], "manifest.json", {"family": "x", "cones": [], "count_only": "x"}),
+    (["cone", "analyze"], "cone.json", {"name": "x", "ambient": 2, "generators": []}),
+    (["cone", "analyze"], "cone.json", {"name": "x", "ambient": 2, "generators": [[1, 0], [0, 1, 0]]}),
+    (["molien"], "group.json", {"degree": 2, "generators": [[2, 1], [2, 3, 1]]}),
+    (["series", "exp", "--order", "5"], None, {"order": 2, "coefficients": ["0", "1", "1"]}),
+    (["series", "plethysm", "--degree", "-1"], None, {"order": 2, "coefficients": ["0", "1", "1"]}),
 ], ids=["group-degree-0", "cone-aut-int", "cone-tags-int", "cone-tags-str", "cone-tags-dict",
         "cone-tags-entry-int", "series-1/0", "series-order-neg",
         "cone-ambient-float", "cone-ambient-bool", "cone-entry-float", "cone-entry-str",
@@ -361,7 +374,8 @@ def test_order_zero_gives_constant_row(capsys):
         "cone-name-int", "manifest-completeness-float", "manifest-completeness-str",
         "manifest-count-float", "manifest-count-bool", "manifest-dimension-float",
         "manifest-cones-dict", "manifest-cones-entry-int", "manifest-family-list",
-        "manifest-count-only-str"])
+        "manifest-count-only-str", "cone-generators-empty", "cone-vector-length",
+        "group-generator-degree", "series-exp-past-order", "series-plethysm-degree-neg"])
 def test_malformed_input_is_input_error(capsys, monkeypatch, tmp_path, argv, filename, payload):
     if filename is None:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))

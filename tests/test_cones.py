@@ -67,6 +67,7 @@ from lattice_oracles import (
     tree_listing,
 )
 from lattice_sums import lattice_sums_cases
+from test_perms import greedy_generators
 from wreath import wreath_product
 
 
@@ -303,12 +304,31 @@ def test_closure_cap_error_says_where_it_stopped(all_specs, monkeypatch):
 def test_closing_the_found_elements_names_the_cone_past_the_cap(all_specs, monkeypatch):
     # H of K_4 is all of S_4; the closure of the elements the chain found
     # stops at 12 of its 24 elements past a cap of 10, and names the cone
-    monkeypatch.setattr(agstab.cones, "DEFAULT_CAP", 10)
+    monkeypatch.setattr(agstab.perms, "DEFAULT_CAP", 10)
     with pytest.raises(CapExceeded) as info:
         cone_automorphisms(all_specs["K_4"])
     exc = info.value
     assert (exc.cone, exc.stage, exc.cap, exc.elements) == ("K_4", "closure", 10, 12)
     assert str(exc) == "cone 'K_4': closure exceeded its cap of 10 elements: it needs at least 12"
+
+
+def test_a_search_closes_h_once(all_specs, monkeypatch):
+    # K_4+K_4 has no clone classes and |H| = 1,152; the elements the chain
+    # finds are closed once, and that closure both lists H and picks its
+    # generators.  Every module binding of the closure is counted
+    closure, calls = agstab.perms._coset_closure, []
+
+    def counting(degree, *args, **kwargs):
+        calls.append(degree)
+        return closure(degree, *args, **kwargs)
+
+    for module in (agstab.perms, agstab.cones):
+        if getattr(module, "_coset_closure", None) is closure:
+            monkeypatch.setattr(module, "_coset_closure", counting)
+    k4 = all_specs["K_4"]
+    group = cone_automorphisms(direct_sum(k4, k4))
+    assert (group.order, group.classes) == (1152, ())
+    assert calls == [12]
 
 
 def test_basis_search_visits_under_a_tenth_of_all_assignments(all_specs):
@@ -1024,6 +1044,18 @@ def test_large_searches_finish_under_the_default_budget(all_specs, name):
     search = _AutSearch(spec)
     assert search.search().order == order
     assert search.nodes == nodes < DEFAULT_NODE_BUDGET
+
+
+@pytest.mark.parametrize("name", ("R10", "M(K_7)", "K_4+K_4"))
+def test_large_groups_report_the_greedy_generators_of_h(all_specs, name):
+    # too large for the tree listing: the generators the search's one
+    # closure adjoins are the reference's greedy generators of sorted H
+    k4 = all_specs["K_4"]
+    spec = {"R10": R10, "M(K_7)": _graphic(7), "K_4+K_4": direct_sum(k4, k4)}[name]
+    group = cone_automorphisms(spec)
+    assert group.classes == ()
+    expected = greedy_generators(group.degree, list(group.quotient_images()))
+    assert [g.images for g in group.generators] == expected
 
 
 @pytest.mark.parametrize("name", ("(5,5)", "(6,6)", "(7,7a)", "(7,7c)"))

@@ -178,6 +178,14 @@ def test_from_elements_rejects_a_set_that_is_not_closed():
         PermGroup.from_elements(2, [(2, 1)])
 
 
+def test_from_quotient_closes_a_generating_set():
+    # H is the closure of the elements given, which need not be closed
+    group = PermGroup.from_quotient(3, (), [(2, 3, 1)])
+    assert list(group.quotient_images()) == [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+    assert [g.images for g in group.generators] == [(2, 3, 1)]
+    assert group.order == 3
+
+
 def test_from_elements_picks_the_greedy_generators():
     cases = lattice_sums_cases(1)
     groups = [cone_automorphisms(s) for s in PACKAGED]
