@@ -39,7 +39,6 @@ from .pipeline import (
     load_dataset,
     validate_smallness,
 )
-from .reference import SUITE_NAMES, run_suite
 from .series import (
     DEFAULT_ORDER,
     RationalMatrix,
@@ -51,6 +50,16 @@ from .series import (
 from .symfunc import exp_series, exp_series_via_h, plethysm_h
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the verify suites load on first use: a library import does not need them
+    if name in ("SUITE_NAMES", "run_suite"):
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AgstabError",

@@ -1,13 +1,15 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 bad input,
-3 search or enumeration budget exceeded.
+3 search or enumeration budget exceeded, 141 (128 + SIGPIPE) standard
+output closed by its reader, as `agstab betti ... | head` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cones import DEFAULT_NODE_BUDGET, analyze, check_declared_automorphisms, load_cone
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 GROUP_KEYS = ("degree", "generators")
 
 
@@ -203,7 +206,13 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # later writes, the interpreter's last flush among them, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (SearchBudgetExceeded, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .errors import (
     CapExceeded,
@@ -785,8 +786,7 @@ def cone_poincare_series(spec: ConeSpec, aut: PermGroup, order: int = DEFAULT_OR
         raise InconsistentAction(f"cone {spec.name!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ConeAnalysis:
+class ConeAnalysis(NamedTuple):
     """Everything the pipeline needs to know about one cone."""
 
     dimension: int

@@ -8,10 +8,9 @@ exponential of that series plus the odd-degree lambda-class part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cones import ConeSpec, analyze, load_cone
 from .errors import InputError, json_int, json_list, json_object, json_str, read_json
@@ -25,8 +24,15 @@ MANIFEST_KEYS = ("family", "completeness_dim", "cones", "count_only")
 COUNT_ONLY_KEYS = ("dimension", "rank", "count")
 
 
-@dataclass(frozen=True)
-class ConeClassRecord:
+class _ConeClassFields(NamedTuple):
+    name: str
+    dimension: int
+    rank: int
+    poincare: TruncatedSeries | None = None
+    multiplicity: int = 1
+
+
+class ConeClassRecord(_ConeClassFields):
     """One orbit of irreducible cones, either analyzed or count-only.
 
     Count-only records carry no series: they stand for orbits known
@@ -34,27 +40,30 @@ class ConeClassRecord:
     generators at t^dimension (any Poincare series has constant 1).
     """
 
-    name: str
-    dimension: int
-    rank: int
-    poincare: TruncatedSeries | None = None
-    multiplicity: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dimension < 1 or self.rank < 1:
             raise InputError(f"record {self.name!r}: dimension and rank must be positive")
         if self.multiplicity < 1:
             raise InputError(f"record {self.name!r}: multiplicity must be positive")
         if self.poincare is not None and self.poincare[0] != 1:
             raise InputError(f"record {self.name!r}: Poincare series must have constant 1")
+        return self
 
     @property
     def is_count_only(self) -> bool:
         return self.poincare is None
 
 
-@dataclass(frozen=True)
-class Dataset:
+class _DatasetFields(NamedTuple):
+    family: str
+    records: tuple[ConeClassRecord, ...]
+    completeness_dim: int | None = None
+
+
+class Dataset(_DatasetFields):
     """A family of cone class records, complete through one dimension.
 
     completeness_dim is the largest dimension D through which the
@@ -62,11 +71,10 @@ class Dataset:
     exact at all orders (synthetic collections).
     """
 
-    family: str
-    records: tuple[ConeClassRecord, ...]
-    completeness_dim: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         names = [r.name for r in self.records]
         if len(set(names)) != len(names):
             raise InputError(f"dataset {self.family!r}: duplicate record names")
@@ -77,14 +85,14 @@ class Dataset:
                         f"dataset {self.family!r}: record {r.name!r} exceeds "
                         f"completeness dimension {self.completeness_dim}"
                     )
+        return self
 
     @property
     def count_only_records(self) -> tuple[ConeClassRecord, ...]:
         return tuple(r for r in self.records if r.is_count_only)
 
 
-@dataclass(frozen=True)
-class BettiReport:
+class BettiReport(NamedTuple):
     """A Betti (or display) series with its range of validity."""
 
     series: TruncatedSeries
@@ -262,15 +270,13 @@ def betti_series(
 # -- validation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmallnessViolation:
+class SmallnessViolation(NamedTuple):
     name: str
     dimension: int
     rank: int
 
 
-@dataclass(frozen=True)
-class SmallnessReport:
+class SmallnessReport(NamedTuple):
     checked: int
     violations: tuple[SmallnessViolation, ...]
 

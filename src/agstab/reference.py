@@ -8,8 +8,8 @@ pairs expanded on demand, never as preexpanded coefficient dumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .cones import cone_automorphisms, cone_poincare_series
 from .errors import InputError
@@ -68,16 +68,14 @@ PERFECT_GROUP_ORDERS = {
     "(7,7c)": 5040,
 }
 
-@dataclass(frozen=True)
-class SuiteCheck:
+class SuiteCheck(NamedTuple):
     label: str
     expected: str
     actual: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     checks: tuple[SuiteCheck, ...]
 

@@ -134,8 +134,8 @@ def test_criterion_5_property_suite(announce):
         2, cone_poincare_series(a, ga, 12))
 
     secs = time.time() - t0
-    announce("5: property suite (keyed Molien sum, also on form spans, wreath, Exp, direct sums), < 1 s",
-             ok and secs < 1, secs)
+    announce("5: property suite (keyed Molien sum, also on form spans, wreath, Exp, direct sums), < 0.5 s",
+             ok and secs < 0.5, secs)
 
 
 def test_criterion_6_lower_bound_semantics(announce):

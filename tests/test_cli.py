@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -610,3 +612,26 @@ def test_fuzzed_json_exits_with_input_or_budget_code(kind, cone, group, series, 
         assert code == 2, err.getvalue()
     if _has_stray_key({"cone": cone, "group": group, "manifest": manifest}.get(kind, series)):
         assert code == 2 and "has an unknown key" in err.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_without_traceback(unbuffered):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails, buffered or not
+    src = str(Path(agstab.cones.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "agstab", "betti", "--dataset", "perfect", "--order", "8"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    stderr = done.stderr.decode()
+    assert done.returncode == 141, stderr
+    assert "Traceback" not in stderr

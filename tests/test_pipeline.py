@@ -147,6 +147,20 @@ def test_record_validation():
         record("bad", 1, 1, p, mult=0)
 
 
+def test_record_checks_run_on_keyword_arguments():
+    p = product_form({1: 1}, 8)
+    with pytest.raises(InputError, match="dimension and rank"):
+        ConeClassRecord(name="bad", dimension=-1, rank=1)
+    with pytest.raises(InputError, match="constant 1"):
+        ConeClassRecord("bad", 1, 1, poincare=TruncatedSeries([2, 1], 8))
+    with pytest.raises(InputError, match="multiplicity"):
+        ConeClassRecord("count-only", 2, 1, multiplicity=0)
+    with pytest.raises(InputError, match="duplicate"):
+        Dataset(family="dup", records=(record("x", 1, 1, p), record("x", 2, 1, p)))
+    with pytest.raises(InputError, match="exceeds completeness"):
+        Dataset("deep", (record("x", 9, 5, p),), completeness_dim=8)
+
+
 def test_count_only_records():
     r = ConeClassRecord("count-only-d8-r5", 8, 5, None, 8)
     assert r.is_count_only
