@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import agstab
 from agstab.pipeline import load_cone_specs, load_dataset
 
 
@@ -23,3 +27,10 @@ def matroidal_dataset():
 @pytest.fixture(scope="session")
 def perfect_dataset():
     return load_dataset("perfect", order=24)
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a child interpreter that imports agstab from this source tree."""
+    src = str(Path(agstab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -615,12 +615,10 @@ def test_fuzzed_json_exits_with_input_or_budget_code(kind, cone, group, series, 
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_141_without_traceback(unbuffered):
+def test_closed_stdout_exits_141_without_traceback(child_env, unbuffered):
     # the read end is closed before the child starts, so its first write to
     # stdout fails, buffered or not
-    src = str(Path(agstab.cones.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = {k: v for k, v in child_env.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()

@@ -1,10 +1,8 @@
 """Result and input records: immutable, hashable, printed as before, and cheap to import."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -73,7 +71,7 @@ def test_records_are_frozen_hashable_and_print_as_before(kind):
     assert twin == record and hash(twin) == hash(record)
 
 
-def test_a_library_import_loads_neither_the_suites_nor_the_cli():
+def test_a_library_import_loads_neither_the_suites_nor_the_cli(child_env):
     probe = """
 import dataclasses, json, sys
 import agstab.pipeline
@@ -89,9 +87,7 @@ print(json.dumps({
     "dataclasses": [n for n in agstab.__all__ if dataclasses.is_dataclass(getattr(agstab, n))],
 }))
 """
-    src = str(Path(agstab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env, timeout=120)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["loaded"] == []
