@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, product
 from math import gcd
 from operator import add, mul, sub
 from typing import NamedTuple
@@ -36,13 +37,8 @@ from .errors import (
     json_str,
     read_json,
 )
-from .intlinalg import (
-    Vector,
-    adjugate_int,
-    integer_coordinates,
-    restrict_to_kernel,
-    saturation_coordinates,
-)
+from . import intlinalg
+from .intlinalg import Vector, integer_coordinates, restrict_to_kernel, saturation_coordinates
 from .molien import LinearAction, molien_series
 from .perms import PermGroup, Permutation
 from .series import DEFAULT_ORDER, TruncatedSeries
@@ -178,43 +174,6 @@ def _classes(n: int, linked) -> list[list[int]]:
     return list(classes.values())
 
 
-def _split_blocks(lattice: _Lattice) -> list[list[int]]:
-    """Finest grouping of the matroid components (blocks) that splits the lattice.
-
-    B meets each block in a basis of its span, so scaling the span of
-    block k by c_k scales the coordinates in B of the block's members.
-    A grouping splits L = Z^r exactly when the part in each group's span
-    of every x in L lies in L again, i.e. when its indicator vector lies
-    in the ring K of block scalings c = (c_k) that keep L inside L.
-    x has the coordinates adjU x / dU in B, so c is in K exactly when
-    sum_a c_block(a) g_a u_B(a) = 0 mod d for every generator g of the
-    glue group C = Z^r / L_B; hence d Z^m <= K.  The splitting groupings
-    are closed under common refinement, and the finest one joins blocks
-    k and l exactly when some prime p dividing d divides c_k - c_l for
-    every c in K (the idempotents of K mod p are the indicators of those
-    classes, and they lift).  K mod d is the kernel of a linear map,
-    computed without any scan (restrict_to_kernel).
-    """
-    blocks, d = lattice.components, lattice.d
-    m = len(blocks)
-    if m == 1 or d == 1:
-        return blocks
-    owner = {i: k for k, b in enumerate(blocks) for i in b}
-    kernel = [[int(k == l) for l in range(m)] for k in range(m)]
-    applied = set()
-    for g in lattice.glue_gens:
-        for x in range(lattice.r):
-            coeff = [0] * m
-            for a, b in enumerate(lattice.basis):
-                coeff[owner[b]] += g[a] * lattice.u[b][x]
-            coeff = tuple(c % d for c in coeff)
-            if any(coeff) and coeff not in applied:
-                applied.add(coeff)
-                restrict_to_kernel(kernel, coeff, d)
-    groups = _classes(m, lambda k, l: gcd(d, *(c[k] - c[l] for c in kernel)) > 1)
-    return [sorted(i for k in group for i in blocks[k]) for group in groups]
-
-
 class _Lattice:
     """The generators v_i as vectors u_i of Z^r, in a basis of the saturation of their lattice.
 
@@ -229,7 +188,7 @@ class _Lattice:
     components.  outside lists the generators not in B, in order.
     glue_gens, the distinct nonzero columns of adjU mod d, generate the
     glue group C = Z^r / L_B.  _lattice shares one between the calls on
-    a cone; form_basis is filled on first use.
+    a cone; split_groups and form_basis are filled on first use.
     """
 
     def __init__(self, vectors):
@@ -241,6 +200,43 @@ class _Lattice:
         in_basis = set(self.basis)
         self.outside = [i for i in range(len(coords)) if i not in in_basis]
         self.glue_gens = sorted({tuple(x % d for x in col) for col in zip(*self.adjU)} - {(0,) * r})
+
+    @cached_property
+    def split_groups(self) -> list[list[int]]:
+        """Finest grouping of the matroid components (blocks) that splits the lattice.
+
+        B meets each block in a basis of its span, so scaling the span of
+        block k by c_k scales the coordinates in B of the block's members.
+        A grouping splits L = Z^r exactly when the part in each group's span
+        of every x in L lies in L again, i.e. when its indicator vector lies
+        in the ring K of block scalings c = (c_k) that keep L inside L.
+        x has the coordinates adjU x / dU in B, so c is in K exactly when
+        sum_a c_block(a) g_a u_B(a) = 0 mod d for every generator g of the
+        glue group C = Z^r / L_B; hence d Z^m <= K.  The splitting groupings
+        are closed under common refinement, and the finest one joins blocks
+        k and l exactly when some prime p dividing d divides c_k - c_l for
+        every c in K (the idempotents of K mod p are the indicators of those
+        classes, and they lift).  K mod d is the kernel of a linear map,
+        computed without any scan (restrict_to_kernel).
+        """
+        blocks, d = self.components, self.d
+        m = len(blocks)
+        if m == 1 or d == 1:
+            return blocks
+        owner = {i: k for k, b in enumerate(blocks) for i in b}
+        kernel = [[int(k == l) for l in range(m)] for k in range(m)]
+        applied = set()
+        for g in self.glue_gens:
+            for x in range(self.r):
+                coeff = [0] * m
+                for a, b in enumerate(self.basis):
+                    coeff[owner[b]] += g[a] * self.u[b][x]
+                coeff = tuple(c % d for c in coeff)
+                if any(coeff) and coeff not in applied:
+                    applied.add(coeff)
+                    restrict_to_kernel(kernel, coeff, d)
+        groups = _classes(m, lambda k, l: gcd(d, *(c[k] - c[l] for c in kernel)) > 1)
+        return [sorted(i for k in group for i in blocks[k]) for group in groups]
 
     @cached_property
     def _outside_forms(self) -> tuple[list[int], list[Vector], int]:
@@ -300,14 +296,14 @@ def cone_components(spec: ConeSpec) -> tuple[tuple[int, ...], ...]:
 
     Matroid components of the vectors give the finest split of the
     span; blocks are then merged, by the glue group of the lattice of a
-    basis inside the saturation (_split_blocks), into the finest grouping
-    whose saturated lattices also sum directly.  For unimodular
+    basis inside the saturation (_Lattice.split_groups), into the finest
+    grouping whose saturated lattices also sum directly.  For unimodular
     configurations the two notions agree, but configurations of
     independent vectors spanning a proper-index sublattice (several of
     the non-matroidal cones) are indecomposable over the integers despite
     their free matroid.
     """
-    comps = _split_blocks(_lattice(spec.generators))
+    comps = _lattice(spec.generators).split_groups
     return tuple(tuple(i + 1 for i in comp) for comp in sorted(comps))
 
 
@@ -363,19 +359,22 @@ class _AutSearch:
     meets a target set of another index, and it asks only for the
     transposition's own images.
 
-    One leaf (_leaf) serves every cone, and one sign routine
-    (_valid_signs) every leaf: it flips the sign components
-    (flip_components) in Gray code order, keeps the sums above mod d as
-    one flat list updated per flip, and counts every try as a node of
-    the budget.  Each leaf starts the sign routine from the signs the
-    pairing gives, and maps the generators outside B under every
-    integral T it yields.  When the generators form a basis (s == r,
-    every generator in B) there is no pairing: every position is a sign
-    component of its own with sign +1, only those whose sign can change
-    the sums are flipped, every target set is B, and with no generator
-    outside B the first integral T ends the leaf.  Position a and its
-    target must then project C onto subgroups of Z/d of one order,
-    gcd(d, c_a).
+    One leaf (_leaf) serves every cone, and one sign rule every leaf.
+    The pairing below pins the signs up to one flip per parity component
+    (a connected component of its nonzero graph on B; one position each
+    when there is no pairing).  The sums of a glue generator, cut into
+    its parts on the groups that split L, read the positions a with
+    2 c_a != 0 mod d, and an outside generator's image reads those where
+    it has a coordinate.  Parity components that one read meets form a
+    sign block (_sign_blocks), which keeps its first component's sign:
+    flipping a whole block changes no sum and no image.  A leaf walks the
+    blocks in turn, each in Gray code order with every try a node of the
+    budget, the sums that read no sign in the first; a block without
+    outside generators stops at its first integral choice, so a direct
+    sum costs the total of its blocks' walks, not their product.  When
+    the generators form a basis (s == r) there is no pairing, every
+    target set is B, and position a and its target must project C onto
+    subgroups of Z/d of one order, gcd(d, c_a).
 
     Otherwise any realizable T preserves S = sum_i u_i u_i^T, hence the
     pairing G(i, j) = u_i^T adj(S) u_j (_pairing, read from the
@@ -384,9 +383,7 @@ class _AutSearch:
     images are those with the same norm G(i, i) and the same sorted row
     |G(i, .)|; neither a component size nor a circuit invariant is
     computed, since neither pruned a candidate of any packaged or
-    generated cone the search was checked on.  The pairing pins the
-    signs up to one flip per connected component of the nonzero-pairing
-    graph on B.
+    generated cone the search was checked on.
 
     The search lists only H = G/N.  Two generators are clones when their
     transposition is realizable, which one leaf decides; the symmetric
@@ -410,8 +407,6 @@ class _AutSearch:
         self.s = len(spec.generators)
         self.r, self.u, self.basis = lattice.r, lattice.u, lattice.basis
         self.dU, self.d, self.glue_gens = lattice.dU, lattice.d, lattice.glue_gens
-        # positions whose sign can change whether T is integral
-        self.glue_signed = [a for a in range(self.r) if any(2 * c[a] % self.d for c in self.glue_gens)]
         self.all_in_basis = self.s == self.r
         self.nodes = self.leaves = 0
         self.found: set[tuple[int, ...]] = set()
@@ -423,13 +418,7 @@ class _AutSearch:
         # connected components of the nonzero-pairing graph on basis positions
         # (single positions when there is no pairing)
         self.parity_components = _classes(r, lambda a, c: pair is not None and pair[basis[a]][basis[c]] != 0)
-
-        # flipping a component on which no outside generator has a coordinate
-        # and every glue generator has c_a = -c_a mod d changes neither the
-        # images nor the integrality of T, so only the others are flipped
-        signed = {a for _, coords in self.outside for a in range(r) if coords[a]}
-        signed.update(self.glue_signed)
-        self.flip_components = [comp for comp in self.parity_components if signed.intersection(comp)]
+        self.sign_blocks = self._sign_blocks(lattice.split_groups)
         # j from +-dU u_j, which a leaf meets as dU T u_i
         self.lookup: dict[tuple[int, ...], int] = {}
         for j, uj in enumerate(u):
@@ -444,13 +433,16 @@ class _AutSearch:
         k generators o outside B.  Put y_i = (c_i . c_o)_o and
         K = dU^2 I_k + (c_o . c_o')_o,o'; the determinant lemma and the
         Woodbury identity give the exact division
-        G(i, j) = (det K c_i . c_j - y_i^T adj(K) y_j) / dU^(2k),
-        so the one adjugate taken is k x k, not r x r.
+        G(i, j) = (det K c_i . c_j - y_i^T adj(K) y_j) / dU^(2k).  K is
+        positive definite, so its one elimination, k x k and not r x r,
+        keeps its rows with the pivots in order: its t and delta are adj K
+        and det K.
         """
         coords, outside, s = lattice.coords, lattice.outside, self.s
         square = self.dU * self.dU
         y = [tuple(sum(map(mul, ci, coords[o])) for o in outside) for ci in coords]
-        adj_k, det_k = adjugate_int([[y[o][n] + square * (o == p) for n, p in enumerate(outside)] for o in outside])
+        k_rows = [[y[o][n] + square * (o == p) for n, p in enumerate(outside)] for o in outside]
+        *_, adj_k, det_k = intlinalg._echelon(k_rows)
         z = [tuple(sum(map(mul, row, yj)) for row in adj_k) for yj in y]  # z_j = adj(K) y_j
         den = square ** len(outside)
         # K is symmetric, and so is G
@@ -497,70 +489,103 @@ class _AutSearch:
                         return None
         return eps
 
-    def _valid_signs(self, target: list[int], e: list[int]):
-        """Yield e, each flip component but the first flipped in turn, whenever T is integral.
+    def _sign_blocks(self, groups: list[list[int]]) -> list[tuple]:
+        """The sign blocks, each as (its parity components, its glue parts, its outside generators).
 
-        T = U_target E U_B^-1 is integral exactly when sum_a e_a c_a
-        u_target[a] = 0 mod d for every generator c of C.  Those sums
-        are kept as one flat list and updated for one flipped component
-        per try (Gray code order); -e gives the same answer as e, so the
-        first component keeps its sign.  Every try is a node of the
-        budget.  e is changed in place, and the caller reads each
-        yielded vector before the next.
+        Each glue generator is cut into its parts on the groups that split
+        L; L is the direct sum of its parts in the groups' spans, so every
+        part lies in C, and the parts generate C.  A part reads the
+        positions a with 2 c_a != 0 mod d, and an outside generator those
+        where it has a coordinate; the parity components one read meets
+        are joined, and one that no read meets is in no block.  The parts
+        that read no sign join the first block (or a block of no component).
         """
-        d, u, gens = self.d, self.u, self.glue_gens
-        sums = [sum(e[a] * c[a] * u[j][x] for a, j in enumerate(target)) % d for c in gens for x in range(self.r)]
-        flips = self.flip_components[1:]
-        terms = {a: [c[a] * x % d for c in gens for x in u[target[a]]] for comp in flips for a in comp}
+        r, d, comps, basis = self.r, self.d, self.parity_components, self.basis
+        cuts = {tuple(x * (b in g) for x, b in zip(c, basis)) for g in map(set, groups) for c in self.glue_gens}
+        parts = sorted(cuts - {(0,) * r})
+        comp_of = {a: k for k, comp in enumerate(comps) for a in comp}
+        part_reads = [{comp_of[a] for a in range(r) if 2 * p[a] % d} for p in parts]
+        outside_reads = [{comp_of[a] for a, x in enumerate(c) if x} for _, c in self.outside]
+        merged: list[set[int]] = []
+        for met in filter(None, part_reads + outside_reads):
+            joined = [b for b in merged if b & met]
+            merged = [b for b in merged if not b & met] + [met.union(*joined)]
+        blocks = [([comps[k] for k in sorted(b)], [p for p, m in zip(parts, part_reads) if m & b],
+                   [o for o, m in zip(self.outside, outside_reads) if m & b]) for b in sorted(merged, key=min)]
+        blocks = blocks or [([], [], [])]
+        blocks[0][1].extend(p for p, m in zip(parts, part_reads) if not m)
+        return blocks
+
+    def _block_signs(self, block: tuple, target: list[int], e: list[int], rank: list[int] | None) -> list[tuple]:
+        """The distinct images of the block's outside generators, one per sign choice that makes T integral.
+
+        T is integral exactly when sum_a e_a c_a u_target[a] = 0 mod d for
+        every part c.  The sums are one flat list, updated for one flipped
+        component per try in Gray code order (the first keeps its sign),
+        every try a node of the budget.  An image lists (i, j), generator i
+        to +- j with j of i's label (rank); with no outside generator the
+        first integral choice ends the walk.  e is changed in place.
+        """
+        comps, parts, outside = block
+        d, u, r = self.d, self.u, self.r
+        sums = [sum(e[a] * p[a] * u[j][x] for a, j in enumerate(target)) % d for p in parts for x in range(r)]
+        flips = comps[1:]
+        terms = {a: [p[a] * x % d for p in parts for x in u[target[a]]] for comp in flips for a in comp}
+        # dU T u_i = sum_a e_a coords_a u_target[a]: its terms, one per nonzero coordinate
+        maps = [(i, [(a, [x * v for v in u[target[a]]]) for a, x in enumerate(coords) if x]) for i, coords in outside]
+        found: dict[tuple, None] = {}
         for step in range(1 << len(flips)):
             self._tick()
             if step:
                 for a in flips[(step & -step).bit_length() - 1]:
                     e[a] = -e[a]
                     sums = [(x + 2 * e[a] * y) % d for x, y in zip(sums, terms[a])]
-            if not any(sums):
-                yield e
+            if any(sums):
+                continue
+            images = []
+            for i, vecs in maps:
+                w = [0] * r
+                for a, vec in vecs:
+                    w = list(map(add, w, vec) if e[a] > 0 else map(sub, w, vec))
+                j = self.lookup.get(tuple(w))
+                if j is None or (rank is not None and rank[j] != rank[i]):
+                    break
+                images.append((i, j))
+            else:
+                found[tuple(images)] = None
+                if not outside:
+                    break
+        return list(found)
 
     def _leaf(self, target: list[int], results: set[tuple[int, ...]], rank: list[int] | None = None) -> None:
         """Add the permutations realized with basis position a sent to +-target[a].
 
-        The signs start from _component_signs, and each integral T that
-        _valid_signs yields maps the generators outside B, each to +- a
-        generator not yet taken (taken rejects a singular T); with none
-        outside, the first integral T ends the leaf.  Only bijections are
-        added, so each T added has det +-1 and no determinant is taken.
-        rank, when given, holds each generator's place in its clone
-        class, and a permutation that moves a generator outside B to
-        another place is dropped (the targets in B are chosen in place).
+        The signs start from _component_signs.  Each sign block is walked
+        in turn (_block_signs), and a block with no integral choice ends
+        the leaf.  Each choice of one image per block is added when, with
+        the targets, it sends no two generators to one (which rejects a
+        singular T), so each T added has det +-1 and no determinant is
+        taken.  rank, when given, labels the generators, and an image
+        outside B of another label than its generator is dropped: the
+        chain labels each generator by its place in its clone class (the
+        targets in B are chosen in place), and a swap test by its orbit
+        under the transposition, so no block offers other images.
         """
         self.leaves += 1
         eps = self._component_signs(target)
         if eps is None:
             return
-        s, u = self.s, self.u
-        base_images, base_taken = [0] * s, [False] * s
-        for b, t in zip(self.basis, target):
-            base_images[b] = t + 1
-            base_taken[t] = True
-        # dU T u_i = sum_a e_a coords_a u_target[a]: its terms, one per nonzero coordinate
-        terms = [
-            (i, [(a, [x * v for v in u[target[a]]]) for a, x in enumerate(coords) if x]) for i, coords in self.outside
-        ]
-        for e in self._valid_signs(target, eps):
-            images, taken = base_images.copy(), base_taken.copy()
-            for i, parts in terms:
-                w = [0] * self.r
-                for a, vec in parts:
-                    w = list(map(add, w, vec) if e[a] > 0 else map(sub, w, vec))
-                j = self.lookup.get(tuple(w))
-                if j is None or taken[j] or (rank is not None and rank[j] != rank[i]):
-                    break
-                taken[j] = True
+        choices = []
+        for block in self.sign_blocks:
+            choices.append(self._block_signs(block, target, eps, rank))
+            if not choices[-1]:
+                return
+        images = [0] * self.s
+        for choice in product(*choices):
+            for i, j in chain(zip(self.basis, target), *choice):
                 images[i] = j + 1
-            else:
+            if len(set(images)) == self.s:
                 results.add(tuple(images))
-                if not self.outside:
-                    return
 
     # -- search ---------------------------------------------------------------
 
@@ -656,7 +681,7 @@ class _AutSearch:
         images = list(range(1, self.s + 1))
         images[i], images[j] = j + 1, i + 1
         results: set[tuple[int, ...]] = set()
-        self._leaf([images[b] - 1 for b in self.basis], results)
+        self._leaf([images[b] - 1 for b in self.basis], results, [min(x, images[x] - 1) for x in range(self.s)])
         return tuple(images) in results
 
     def _tick(self) -> None:

@@ -3,16 +3,15 @@
 Small dense matrices only (dimensions well under 100), and no
 fractions.  Every question is one call of _echelon, a fraction-free
 Gauss-Jordan elimination that divides exactly by the previous pivot, so
-every entry met is a minor of the input: the independent rows,
-coordinates as integer numerators over one positive denominator, and
-the adjugate without any division.
-saturation_coordinates reads from one elimination the rows'
-coordinates in a basis of the saturation of their lattice, the
-adjugate of the kept rows' matrix in it, and every row's coordinates
-in the kept rows; only when the reduced row echelon form has a common
-denominator D > 1 does it saturate, modulo D, so no entry grows past
-it.  restrict_to_kernel cuts a subgroup of (Z/n)^m down to the kernel
-of one linear form.
+every entry met is a minor of the input.  integer_coordinates reads the
+independent rows and every row's coordinates in them, as integer
+numerators over one positive denominator.  saturation_coordinates reads
+the rows' coordinates in a basis of the saturation of their lattice,
+the adjugate of the kept rows' matrix in it, and every row's
+coordinates in the kept rows; only when the reduced row echelon form
+has a common denominator D > 1 does it saturate, modulo D, so no entry
+grows past it.  restrict_to_kernel cuts a subgroup of (Z/n)^m down to
+the kernel of one linear form.
 """
 
 from __future__ import annotations
@@ -87,30 +86,6 @@ def integer_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[
                 c = [a + h * b for a, b in zip(c, tj)]
         nums.append(tuple(c))
     return kept, nums, abs(delta)
-
-
-def _sign(order: Sequence[int]) -> int:
-    """The sign of the permutation i -> order[i]."""
-    return (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-
-
-def adjugate_int(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(adjugate, determinant) with matrix * adj = det * I, all integer.
-
-    The elimination's t is adj B for B the matrix with its columns in
-    pivot order, B = A P with P the permutation matrix of the pivots, so
-    adj A = P adj B det P: row p_j of adj A is row j of t, times the sign
-    of the pivot order, and det A = det B det P.
-    """
-    n = len(matrix)
-    kept, pivots, _, t, delta = _echelon(matrix)
-    if len(kept) < n:
-        raise ZeroDivisionError("adjugate of a singular matrix")
-    sign = _sign(pivots)
-    adj = [[]] * n
-    for p, row in zip(pivots, t):
-        adj[p] = [sign * x for x in row]
-    return adj, sign * delta
 
 
 def saturation_coordinates(

@@ -1,19 +1,19 @@
 """Oracles that tests set against the lattice layer.
 
-Determinants, saturation coordinates, saturation bases, matroid
-components, the search's pairing, the forms' coordinates and the
-search's group.
+Determinants, adjugates, saturation coordinates, saturation bases,
+matroid components, the search's pairing, the forms' coordinates, the
+search's joint sign walk and the search's group.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 from typing import Sequence
 
 from agstab.intlinalg import (
     Vector,
     _echelon,
     _triangular_basis,
-    adjugate_int,
     integer_coordinates,
     restrict_to_kernel,
     saturation_coordinates,
@@ -40,6 +40,31 @@ def fraction_gauss_det(rows) -> Fraction:
             if factor:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return det
+
+
+def fraction_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adjugate, determinant) of a nonsingular square matrix: the determinant times its inverse over Fraction.
+
+    The inverse comes from Gauss-Jordan elimination of (A | I) over
+    Fraction, with no use of the fraction-free elimination it checks.
+    """
+    n = len(matrix)
+    det = fraction_gauss_det(matrix)
+    if not det:
+        raise ZeroDivisionError("adjugate of a singular matrix")
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if aug[i][k])
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        aug[k] = [x / aug[k][k] for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k]:
+                f = aug[i][k]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
+    adj = [[det * x for x in row[n:]] for row in aug]
+    if any(x.denominator != 1 for row in adj for x in row):
+        raise ArithmeticError("the adjugate of an integer matrix is not integral")
+    return [[int(x) for x in row] for row in adj], int(det)
 
 
 def lattice_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[Vector], list[Vector]]:
@@ -83,13 +108,13 @@ def lattice_coordinates(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[
 def three_step_coordinates(rows: Sequence[Sequence[int]]):
     """(kept, u, adjU, dU, coords) in three steps: the oracle for saturation_coordinates.
 
-    lattice_coordinates gives kept and u, one adjugate of U_B (the
-    matrix with the columns u_b, b in kept) gives adjU and dU, and
+    lattice_coordinates gives kept and u, the Fraction adjugate of U_B
+    (the matrix with the columns u_b, b in kept) gives adjU and dU, and
     coords[i] = adjU u_i.
     """
     kept, _, u = lattice_coordinates(rows)
     r = len(kept)
-    adj, det = adjugate_int([[u[b][x] for b in kept] for x in range(r)])
+    adj, det = fraction_adjugate([[u[b][x] for b in kept] for x in range(r)])
     coords = [tuple(sum(a * x for a, x in zip(row, ui)) for row in adj) for ui in u]
     return kept, u, adj, det, coords
 
@@ -143,10 +168,10 @@ def matroid_components(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]
 
 
 def gram_pairing(u: Sequence[Sequence[int]]) -> list[list[int]]:
-    """G(i, j) = u_i^T adj(S) u_j with S = sum_i u_i u_i^T: the Gram matrix of u, its r x r adjugate, two products."""
+    """G(i, j) = u_i^T adj(S) u_j with S = sum_i u_i u_i^T: the Gram matrix of u, its Fraction r x r adjugate, two products."""
     cols = list(zip(*u))
     gram = [[sum(a * b for a, b in zip(x, y)) for y in cols] for x in cols]
-    adj, _ = adjugate_int(gram)
+    adj, _ = fraction_adjugate(gram)
     adj_u = [[sum(a * x for a, x in zip(row, ui)) for row in adj] for ui in u]
     return [[sum(a * b for a, b in zip(ui, vj)) for vj in adj_u] for ui in u]
 
@@ -165,6 +190,55 @@ def same_coordinates(a, b) -> bool:
         and len(nums_a) == len(nums_b)
         and all(x * den_b == y * den_a for ra, rb in zip(nums_a, nums_b) for x, y in zip(ra, rb, strict=True))
     )
+
+
+def joint_leaf(search, target: list[int], results: set[tuple[int, ...]], rank: list[int] | None = None) -> None:
+    """Add what an _AutSearch's _leaf adds, walking the signs of all its parity components jointly: the oracle for _leaf.
+
+    A parity component is flipped when an outside generator has a
+    coordinate there, or an uncut glue generator (a column of adj U_B
+    mod d) has 2 c_a != 0 mod d at one of its positions.  All such
+    components but the first are flipped together in Gray code order,
+    with the glue sums of every glue generator kept as one flat list,
+    and each sign vector whose T is integral maps the generators outside
+    B, each to +- a generator not yet taken; with none outside, the
+    first integral T ends the leaf.  Nothing is counted.
+    """
+    e = search._component_signs(target)
+    if e is None:
+        return
+    d, u, r, gens, outside = search.d, search.u, search.r, search.glue_gens, search.outside
+    signed = {a for _, coords in outside for a in range(r) if coords[a]}
+    signed.update(a for a in range(r) if any(2 * c[a] % d for c in gens))
+    flips = [comp for comp in search.parity_components if signed.intersection(comp)][1:]
+    base_images, base_taken = [0] * search.s, [False] * search.s
+    for b, t in zip(search.basis, target):
+        base_images[b] = t + 1
+        base_taken[t] = True
+    terms = [(i, [(a, [x * v for v in u[target[a]]]) for a, x in enumerate(coords) if x]) for i, coords in outside]
+    sums = [sum(e[a] * c[a] * u[j][x] for a, j in enumerate(target)) % d for c in gens for x in range(r)]
+    flip_terms = {a: [c[a] * x % d for c in gens for x in u[target[a]]] for comp in flips for a in comp}
+    for step in range(1 << len(flips)):
+        if step:
+            for a in flips[(step & -step).bit_length() - 1]:
+                e[a] = -e[a]
+                sums = [(x + 2 * e[a] * y) % d for x, y in zip(sums, flip_terms[a])]
+        if any(sums):
+            continue
+        images, taken = base_images.copy(), base_taken.copy()
+        for i, parts in terms:
+            w = [0] * r
+            for a, vec in parts:
+                w = list(map(add, w, vec) if e[a] > 0 else map(sub, w, vec))
+            j = search.lookup.get(tuple(w))
+            if j is None or taken[j] or (rank is not None and rank[j] != rank[i]):
+                break
+            taken[j] = True
+            images[i] = j + 1
+        else:
+            results.add(tuple(images))
+            if not outside:
+                return
 
 
 def tree_listing(search) -> PermGroup:

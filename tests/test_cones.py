@@ -61,6 +61,7 @@ from lattice_oracles import (
     flattened_form_coordinates,
     fraction_gauss_det,
     gram_pairing,
+    joint_leaf,
     matroid_components,
     same_coordinates,
     saturation_basis,
@@ -232,13 +233,14 @@ class _CountingSearch(_AutSearch):
 
 def test_sign_flips_count_against_the_budget():
     # the pairing of the square is diagonal on its basis e1, e2, and e1 +- e2
-    # lie outside it, so every leaf tries two sign vectors; a budget that
-    # covers the search tree alone must not cover those tries.  Each clone
+    # lie outside it and read both, so e1 and e2 are one sign block and every
+    # leaf tries two sign vectors; a budget that covers the search tree
+    # alone must not cover those tries.  Each clone
     # test, (1 2) and (3 4), is a node and a leaf of its own; H is trivial,
     # so the tree is the identity targets' leaf alone
     spec = ConeSpec("square", 2, SQUARE)
     full = _CountingSearch(spec)
-    assert len(full.flip_components) >= 2
+    assert [comps for comps, _, _ in full.sign_blocks] == [[[0], [1]]]
     assert full.search().order == 4
     assert (full.swaps, full.extends, full.leaves) == (2, 1, 3)
     assert full.nodes == full.extends + full.swaps + 2 * full.leaves
@@ -871,6 +873,66 @@ def test_leaf_adds_only_automorphisms_on_small_lattices(factors, extra, seed):
     _leaf_adds_only_members(spec, seed)
 
 
+def _consistent_targets(search: _AutSearch, rng: random.Random, tries: int):
+    """Target lists drawn down the search's tree, each basis position's target a random consistent candidate."""
+    search._prepare()
+    for _ in range(tries):
+        target, used = list(search.basis), [False] * search.s
+        for level, a in enumerate(search.assign_order):
+            i = search.basis[a]
+            options = [j for j in search.candidates[i] if not used[j] and search._consistent(level, i, j, target)]
+            if not options:
+                break
+            target[a] = rng.choice(options)
+            used[target[a]] = True
+        else:
+            yield target
+
+
+def _block_walk_matches_the_joint_walk(spec: ConeSpec, seed: int, tries: int = 10) -> None:
+    """_leaf, walking each sign block on its own, adds exactly the set of the joint walk (joint_leaf), with rank or not."""
+    search = _AutSearch(spec)
+    for target in _consistent_targets(search, random.Random(seed), tries):
+        for rank in (None, search.rank):
+            blocks, joint = set(), set()
+            search._leaf(target, blocks, rank)
+            joint_leaf(search, target, joint, rank)
+            assert blocks == joint, (spec.name, target, rank)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    factors=st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=2, max_size=3),
+    extra=st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_walk_matches_the_joint_walk_on_small_lattices(factors, extra, seed):
+    # with no extra generator the candidates are read from gcd(d, c_a)
+    # alone, and factors 2 give glue parts whose sums read no sign
+    try:
+        spec = _diagonal_lattice(factors, extra, seed)
+    except InputError:
+        return
+    _block_walk_matches_the_joint_walk(spec, seed)
+
+
+def test_block_walk_matches_the_joint_walk_on_moved_cones_and_sums():
+    # GL(Z)-moved packaged cones and direct sums, whose summands' signs
+    # are separate blocks only once the glue generators are cut; in
+    # (6,7d)+(6,7d) every glue part is 0 or 2 mod 4, so its sums read no
+    # sign, and targets that cross the summands fail them.  Powers of the
+    # square and the kite stay unmoved: their pairing is diagonal on B,
+    # so only the outside generators' reads join the parity components
+    rng = random.Random(7)
+    specs = [_moved(rng, spec.generators)[0] for _, spec in sorted(_packaged().items())]
+    for name in ("K_3+K_3+K_3", "(5,5)+K_3", "(7,7a)+C_4", "(6,7d)+(6,7d)", "(7,7a)+(7,7a)", "(7,7b)+K_4-1"):
+        specs.append(_moved(rng, _block_sum(_summands(name)))[0])
+    square = ConeSpec("square", 2, SQUARE)
+    specs += [square, _power(square, 3), KITE, _moved(rng, _power(square, 3).generators)[0]]
+    for k, spec in enumerate(specs):
+        _block_walk_matches_the_joint_walk(spec, k)
+
+
 def _diagonal_lattice(factors: list[int], extra: list[list[int]], seed: int) -> ConeSpec:
     """The columns of T1 diag(factors) T2 for random unimodular T1, T2, then combinations of them."""
     r = len(factors)
@@ -957,8 +1019,8 @@ def test_row_test_spares_swap_tests_and_nodes(all_specs, perfect_specs):
     search, plain = _CountingSearch(spec), _NoRowTest(spec)
     search.search()
     plain.search()
-    assert (search.swaps, search.nodes, search.leaves) == (6, 53, 9)
-    assert (plain.swaps, plain.nodes, plain.leaves) == (33, 188, 36)
+    assert (search.swaps, search.nodes, search.leaves) == (6, 44, 9)
+    assert (plain.swaps, plain.nodes, plain.leaves) == (33, 120, 36)
     nodes = 0
     for spec in perfect_specs.values():
         search = _AutSearch(replace(spec, declared_aut=None))
@@ -1019,27 +1081,40 @@ def _power(spec: ConeSpec, m: int) -> ConeSpec:
 # signs, so its group is its matroid automorphism group: for R10 the 720
 # permutations that keep its 162 bases, and S_7 for M(K_7) (Whitney).  A
 # direct sum of m copies of a cone has the wreath product, |G|^m m!:
-# Aut(K_4) = S_4, and the square's group has order 4
+# Aut(K_4) = S_4, the square's group has order 4, |Aut(7,7b)| = 5040, and
+# K_3+K_3+(7,7b)+(7,7b) has (6^2 2!)(5040^2 2!).  A name ending in
+# "moved" is the sum moved by _moved, seeded by that name
 LARGE_SEARCHES = {
     "R10": (720, 389),
     "M(K_7)": (factorial(7), 35),
     "K_4x2": (24**2 * 2, 212),
-    "K_4x3": (24**3 * factorial(3), 15_571),
-    "squarex6": (4**6 * factorial(6), 36_917),
+    "K_4x3": (24**3 * factorial(3), 15_559),
+    "squarex6": (4**6 * factorial(6), 269),
+    "(7,7b)+(7,7b)": (5040**2 * 2, 3_368),
+    "(7,7b)+(7,7b) moved": (5040**2 * 2, 3_558),
+    "(7,7b)+(7,7b)+(7,7b)": (5040**3 * factorial(3), 9_913),
+    "(7,7b)+(7,7b)+(7,7b) moved": (5040**3 * factorial(3), 10_334),
+    "K_3+K_3+(7,7b)+(7,7b)": (72 * 5040**2 * 2, 3_536),
+    "K_3+K_3+(7,7b)+(7,7b) moved": (72 * 5040**2 * 2, 3_539),
 }
 
 
 @pytest.mark.parametrize("name", LARGE_SEARCHES)
 def test_large_searches_finish_under_the_default_budget(all_specs, name):
     # the chain reaches generators of H, not its elements: K_4x3 has
-    # |H| = 82,944 and took 1,432,756 nodes when each was a leaf
+    # |H| = 82,944 and took 1,432,756 nodes when each was a leaf.  Each
+    # summand's signs are one block, walked on its own, so the sign tries
+    # of a sum of (7,7b) add up over its summands instead of multiplying
     spec = {
         "R10": R10,
         "M(K_7)": _graphic(7),
         "K_4x2": _power(all_specs["K_4"], 2),
         "K_4x3": _power(all_specs["K_4"], 3),
         "squarex6": _power(ConeSpec("square", 2, SQUARE), 6),
-    }[name]
+    }.get(name)
+    if spec is None:
+        gens = _block_sum(_summands(name.removesuffix(" moved")))
+        spec = _moved(random.Random(name), gens)[0] if name.endswith(" moved") else ConeSpec(name, len(gens[0]), gens)
     order, nodes = LARGE_SEARCHES[name]
     search = _AutSearch(spec)
     assert search.search().order == order

@@ -4,13 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agstab.cones import _Lattice
 from agstab.intlinalg import (
     _triangular_basis,
-    adjugate_int,
     integer_coordinates,
     restrict_to_kernel,
     saturation_coordinates,
@@ -91,19 +90,6 @@ def integral_in(basis, vector):
     return coords is not None and all(c.denominator == 1 for c in coords)
 
 
-square = st.integers(min_value=2, max_value=4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
-        min_size=n, max_size=n,
-    )
-)
-big_square = st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n), min_size=n, max_size=n,
-    )
-)
-
-
 def _deficient(rows, relation):
     """rows with the last replaced by a combination of the first two, when relation."""
     if relation and len(rows) > 2:
@@ -113,32 +99,6 @@ def _deficient(rows, relation):
 
 wide_rows = st.integers(1, 6).flatmap(lambda g: st.lists(
     st.lists(st.integers(-10**6, 10**6), min_size=g, max_size=g), min_size=1, max_size=7))
-
-
-@settings(max_examples=50, deadline=None)
-@given(square)
-def test_adjugate_identity(rows):
-    assume(fraction_gauss_det(rows) != 0)
-    adj, det = adjugate_int(rows)
-    n = len(rows)
-    prod = [[sum(rows[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-    assert prod == [[det if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(big_square)
-def test_adjugate_matches_the_fraction_inverse(rows):
-    det = fraction_gauss_det(rows)
-    assume(det != 0)
-    n = len(rows)
-    adj, d = adjugate_int(rows)
-    assert d == det
-    # column j of the inverse is the coordinates of e_j in the columns of rows
-    columns = [[rows[i][j] for i in range(n)] for j in range(n)]
-    for j in range(n):
-        inverse_col = fraction_solve(columns, [int(i == j) for i in range(n)])
-        assert [Fraction(adj[i][j]) for i in range(n)] == [det * c for c in inverse_col]
 
 
 def test_rational_rank():
