@@ -416,7 +416,6 @@ class _AutSearch:
         self.pair = pair = None if self.all_in_basis else self._pairing(lattice)
         self.abs_pair = None if pair is None else [list(map(abs, row)) for row in pair]
         # connected components of the nonzero-pairing graph on basis positions
-        # (single positions when there is no pairing)
         self.parity_components = _classes(r, lambda a, c: pair is not None and pair[basis[a]][basis[c]] != 0)
         self.sign_blocks = self._sign_blocks(lattice.split_groups)
         # j from +-dU u_j, which a leaf meets as dU T u_i
@@ -500,19 +499,20 @@ class _AutSearch:
         are joined, and one that no read meets is in no block.  The parts
         that read no sign join the first block (or a block of no component).
         """
-        r, d, comps, basis = self.r, self.d, self.parity_components, self.basis
+        r, d, comps, basis, outside = self.r, self.d, self.parity_components, self.basis, self.outside
+        if len(comps) == 1:  # one block, holding every glue generator, so nothing needs a cut
+            return [(comps, list(self.glue_gens), outside)]
         cuts = {tuple(x * (b in g) for x, b in zip(c, basis)) for g in map(set, groups) for c in self.glue_gens}
         parts = sorted(cuts - {(0,) * r})
         comp_of = {a: k for k, comp in enumerate(comps) for a in comp}
         part_reads = [{comp_of[a] for a in range(r) if 2 * p[a] % d} for p in parts]
-        outside_reads = [{comp_of[a] for a, x in enumerate(c) if x} for _, c in self.outside]
+        outside_reads = [{comp_of[a] for a, x in enumerate(c) if x} for _, c in outside]
         merged: list[set[int]] = []
         for met in filter(None, part_reads + outside_reads):
             joined = [b for b in merged if b & met]
             merged = [b for b in merged if not b & met] + [met.union(*joined)]
         blocks = [([comps[k] for k in sorted(b)], [p for p, m in zip(parts, part_reads) if m & b],
-                   [o for o, m in zip(self.outside, outside_reads) if m & b]) for b in sorted(merged, key=min)]
-        blocks = blocks or [([], [], [])]
+                   [o for o, m in zip(outside, outside_reads) if m & b]) for b in sorted(merged or [set()], key=sorted)]
         blocks[0][1].extend(p for p, m in zip(parts, part_reads) if not m)
         return blocks
 
@@ -678,10 +678,10 @@ class _AutSearch:
     def _swap_test(self, i: int, j: int) -> bool:
         """Whether the transposition of generators i and j is realizable: one leaf, one node of the budget."""
         self._tick()
-        images = list(range(1, self.s + 1))
-        images[i], images[j] = j + 1, i + 1
+        images, label = list(range(1, self.s + 1)), list(range(self.s))
+        images[i], images[j], label[i] = j + 1, i + 1, j
         results: set[tuple[int, ...]] = set()
-        self._leaf([images[b] - 1 for b in self.basis], results, [min(x, images[x] - 1) for x in range(self.s)])
+        self._leaf([images[b] - 1 for b in self.basis], results, label)
         return tuple(images) in results
 
     def _tick(self) -> None:
