@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from math import gcd
+from math import gcd, prod
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -37,7 +37,7 @@ from .errors import (
     json_str,
     read_json,
 )
-from . import intlinalg
+from . import intlinalg, perms
 from .intlinalg import Vector, integer_coordinates, restrict_to_kernel, saturation_coordinates
 from .molien import LinearAction, molien_series
 from .perms import PermGroup, Permutation
@@ -361,29 +361,27 @@ class _AutSearch:
 
     One leaf (_leaf) serves every cone, and one sign rule every leaf.
     The pairing below pins the signs up to one flip per parity component
-    (a connected component of its nonzero graph on B; one position each
-    when there is no pairing).  The sums of a glue generator, cut into
-    its parts on the groups that split L, read the positions a with
-    2 c_a != 0 mod d, and an outside generator's image reads those where
-    it has a coordinate.  Parity components that one read meets form a
-    sign block (_sign_blocks), which keeps its first component's sign:
-    flipping a whole block changes no sum and no image.  A leaf walks the
-    blocks in turn, each in Gray code order with every try a node of the
-    budget, the sums that read no sign in the first; a block without
-    outside generators stops at its first integral choice, so a direct
-    sum costs the total of its blocks' walks, not their product.  When
-    the generators form a basis (s == r) there is no pairing, every
-    target set is B, and position a and its target must project C onto
-    subgroups of Z/d of one order, gcd(d, c_a).
+    (a connected component of its nonzero graph on B).  The sums of a
+    glue generator, cut into its parts on the groups that split L, read
+    the positions a with 2 c_a != 0 mod d, and an outside generator's
+    image reads those where it has a coordinate.  Parity components that
+    one read meets form a sign block (_sign_blocks), which keeps its
+    first component's sign: flipping a whole block changes no sum and no
+    image.  A leaf walks the blocks in turn, each in Gray code order with
+    every try a node of the budget, the sums that read no sign in the
+    first; a block without outside generators stops at its first
+    integral choice, so a direct sum costs the total of its blocks'
+    walks, not their product.
 
-    Otherwise any realizable T preserves S = sum_i u_i u_i^T, hence the
-    pairing G(i, j) = u_i^T adj(S) u_j (_pairing, read from the
-    coordinates in B) satisfies |G(pi i, pi j)| = |G(i, j)| with sign
-    ratios eps_i eps_j.  A generator's candidate
-    images are those with the same norm G(i, i) and the same sorted row
-    |G(i, .)|; neither a component size nor a circuit invariant is
-    computed, since neither pruned a candidate of any packaged or
-    generated cone the search was checked on.
+    Any realizable T preserves S = sum_i u_i u_i^T, hence the pairing
+    G(i, j) = u_i^T adj(S) u_j (_pairing, read from the coordinates in
+    B; dU^2 I when the generators form a basis) satisfies
+    |G(pi i, pi j)| = |G(i, j)| with sign ratios eps_i eps_j.  A
+    generator's candidate images share its profile (_profiles): the norm
+    G(i, i), the sorted row |G(i, .)| and the glue index of a coloop.
+    Neither a component size nor a circuit invariant is computed, since
+    neither pruned a candidate of any packaged or generated cone the
+    search was checked on.
 
     The search lists only H = G/N.  Two generators are clones when their
     transposition is realizable, which one leaf decides; the symmetric
@@ -407,22 +405,19 @@ class _AutSearch:
         self.s = len(spec.generators)
         self.r, self.u, self.basis = lattice.r, lattice.u, lattice.basis
         self.dU, self.d, self.glue_gens = lattice.dU, lattice.d, lattice.glue_gens
-        self.all_in_basis = self.s == self.r
+        self.coloops = {comp[0] for comp in lattice.components if len(comp) == 1}
         self.nodes = self.leaves = 0
         self.found: set[tuple[int, ...]] = set()
         r, u, basis = self.r, self.u, self.basis
         # numerators of each outside generator's coordinates in B
         self.outside = [(i, lattice.coords[i]) for i in lattice.outside]
-        self.pair = pair = None if self.all_in_basis else self._pairing(lattice)
-        self.abs_pair = None if pair is None else [list(map(abs, row)) for row in pair]
+        self.pair = pair = self._pairing(lattice)
+        self.abs_pair = [list(map(abs, row)) for row in pair]
         # connected components of the nonzero-pairing graph on basis positions
-        self.parity_components = _classes(r, lambda a, c: pair is not None and pair[basis[a]][basis[c]] != 0)
+        self.parity_components = _classes(r, lambda a, c: pair[basis[a]][basis[c]] != 0)
         self.sign_blocks = self._sign_blocks(lattice.split_groups)
         # j from +-dU u_j, which a leaf meets as dU T u_i
-        self.lookup: dict[tuple[int, ...], int] = {}
-        for j, uj in enumerate(u):
-            self.lookup[tuple(self.dU * x for x in uj)] = j
-            self.lookup[tuple(-self.dU * x for x in uj)] = j
+        self.lookup = {tuple(m * x for x in uj): j for j, uj in enumerate(u) for m in (self.dU, -self.dU)}
 
     def _pairing(self, lattice: _Lattice) -> list[list[int]]:
         """The pairing G(i, j) = u_i^T adj(S) u_j, S = sum_i u_i u_i^T, read from the coordinates in B.
@@ -435,13 +430,14 @@ class _AutSearch:
         G(i, j) = (det K c_i . c_j - y_i^T adj(K) y_j) / dU^(2k).  K is
         positive definite, so its one elimination, k x k and not r x r,
         keeps its rows with the pivots in order: its t and delta are adj K
-        and det K.
+        and det K.  With no generator outside B, K is empty, det K = 1 and
+        G = dU^2 I, with no elimination.
         """
         coords, outside, s = lattice.coords, lattice.outside, self.s
         square = self.dU * self.dU
         y = [tuple(sum(map(mul, ci, coords[o])) for o in outside) for ci in coords]
         k_rows = [[y[o][n] + square * (o == p) for n, p in enumerate(outside)] for o in outside]
-        *_, adj_k, det_k = intlinalg._echelon(k_rows)
+        *_, adj_k, det_k = intlinalg._echelon(k_rows) if outside else ([], 1)
         z = [tuple(sum(map(mul, row, yj)) for row in adj_k) for yj in y]  # z_j = adj(K) y_j
         den = square ** len(outside)
         # K is symmetric, and so is G
@@ -452,13 +448,16 @@ class _AutSearch:
         return pair
 
     def _profiles(self) -> list:
-        """Per-generator invariants that every realizable permutation preserves."""
-        r, d, pair = self.r, self.d, self.pair
-        if self.all_in_basis:
-            # B is every generator in order, and the pairing is a multiple
-            # of the identity; C projects onto Z/d with index gcd(d, c_a)
-            return [gcd(d, *(c[a] for c in self.glue_gens)) for a in range(r)]
-        return [(pair[i][i], tuple(sorted(row[:i] + row[i + 1 :]))) for i, row in enumerate(self.abs_pair)]
+        """(G(i, i), sorted |G(i, .)|, glue index) per generator i, which every realizable permutation keeps.
+
+        A coloop (a one-generator matroid component) at position a of B has
+        the glue index d / gcd(d, c_a) over C: the order of the values mod 1
+        of the form that is 1 on it and 0 on the other generators, which no
+        choice of B or coordinates changes.  Other generators have 0.
+        """
+        d, pair, gens = self.d, self.pair, self.glue_gens
+        glue = {b: d // gcd(d, *(c[a] for c in gens)) for a, b in enumerate(self.basis) if b in self.coloops}
+        return [(pair[i][i], tuple(sorted(row)), glue.get(i, 0)) for i, row in enumerate(self.abs_pair)]
 
     # -- leaf handling ----------------------------------------------------
 
@@ -466,8 +465,7 @@ class _AutSearch:
         """Relative signs over basis positions, or None if inconsistent.
 
         One walk per sign component: each nonzero G(a, c) sets c's sign
-        from a's, or checks it if set, so every edge is checked.  A
-        one-position component (each of a basis cone's) reads no pairing.
+        from a's, or checks it if set, so every edge is checked.
         """
         pair, basis = self.pair, self.basis
         eps = [0] * self.r
@@ -565,11 +563,13 @@ class _AutSearch:
         the leaf.  Each choice of one image per block is added when, with
         the targets, it sends no two generators to one (which rejects a
         singular T), so each T added has det +-1 and no determinant is
-        taken.  rank, when given, labels the generators, and an image
-        outside B of another label than its generator is dropped: the
-        chain labels each generator by its place in its clone class (the
-        targets in B are chosen in place), and a swap test by its orbit
-        under the transposition, so no block offers other images.
+        taken; more than perms.DEFAULT_CAP choices raise CapExceeded,
+        naming the cone, before any is formed.  rank, when given, labels
+        the generators, and an image outside B of another label than its
+        generator is dropped: the chain labels each generator by its place
+        in its clone class (the targets in B are chosen in place), and a
+        swap test by its orbit under the transposition, so no block offers
+        other images.
         """
         self.leaves += 1
         eps = self._component_signs(target)
@@ -580,6 +580,8 @@ class _AutSearch:
             choices.append(self._block_signs(block, target, eps, rank))
             if not choices[-1]:
                 return
+        if prod(map(len, choices)) > perms.DEFAULT_CAP:
+            raise CapExceeded(self.spec.name, "search leaf", perms.DEFAULT_CAP, prod(map(len, choices)))
         images = [0] * self.s
         for choice in product(*choices):
             for i, j in chain(zip(self.basis, target), *choice):
@@ -664,16 +666,15 @@ class _AutSearch:
         )
 
     def _rows_agree(self, i: int, j: int) -> bool:
-        """Whether |G(i, k)| = |G(j, k)| for every k but i and j, as a realizable (i j) requires.
+        """Whether (i j) sends row i of |G| to row j, as a realizable (i j) requires.
 
-        (i j) fixes S, hence |G(pi i, pi k)| = |G(i, k)|.  With no pairing
-        (s == r) every pair agrees.  The test runs no leaf and is no node.
+        (i j) fixes S, hence |G(pi a, pi b)| = |G(a, b)|: |G(i, k)| =
+        |G(j, k)| for every k but i and j, and |G(i, i)| = |G(j, j)|.  The
+        test runs no leaf and is no node.
         """
-        if self.pair is None:
-            return True
-        row_i, row_j = self.abs_pair[i], self.abs_pair[j]
-        lo, hi = sorted((i, j))
-        return all(row_i[x:y] == row_j[x:y] for x, y in ((0, lo), (lo + 1, hi), (hi + 1, self.s)))
+        row = self.abs_pair[i][:]
+        row[i], row[j] = row[j], row[i]
+        return row == self.abs_pair[j]
 
     def _swap_test(self, i: int, j: int) -> bool:
         """Whether the transposition of generators i and j is realizable: one leaf, one node of the budget."""
@@ -696,9 +697,8 @@ class _AutSearch:
     def _consistent(self, level: int, i: int, j: int, target: list[int]) -> bool:
         """Whether generator i may go to j given the targets of the first level positions.
 
-        Clones must stay clones and others apart, and unless the
-        generators form a basis |G(i, b)| = |G(j, target(b))| for each
-        assigned b.
+        Clones must stay clones and others apart, and
+        |G(i, b)| = |G(j, target(b))| for each assigned b.
         """
         order, basis, cls, abs_pair = self.assign_order, self.basis, self.class_of, self.abs_pair
         for prev in range(level):
@@ -706,7 +706,7 @@ class _AutSearch:
             b, t = basis[c], target[c]
             if (cls[b] == cls[i]) != (cls[t] == cls[j]):
                 return False
-            if abs_pair is not None and abs_pair[j][t] != abs_pair[i][b]:
+            if abs_pair[j][t] != abs_pair[i][b]:
                 return False
         return True
 

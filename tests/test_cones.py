@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import agstab.cones
 import agstab.perms
 from agstab import intlinalg
+from agstab.cli import main
 from agstab.cones import (
     DEFAULT_NODE_BUDGET,
     ConeSpec,
@@ -335,8 +336,8 @@ def test_a_search_closes_h_once(all_specs, monkeypatch):
 
 def test_basis_search_visits_under_a_tenth_of_all_assignments(all_specs):
     # the pairing invariants alone accept all 7! assignments of (7,7a),
-    # a tree of 13,700 nodes, for a group of order 240; the profiles
-    # gcd(d, c_a) and the clone classes cut it down, and H is trivial, so
+    # a tree of 13,700 nodes, for a group of order 240; the glue indices
+    # of its coloops and the clone classes cut it down, and H is trivial, so
     # past the five swap tests the chain runs the identity targets' leaf alone
     ctx = _AutSearch(replace(all_specs["(7,7a)"], declared_aut=None))
     assert ctx.search().order == 240
@@ -907,8 +908,9 @@ def _block_walk_matches_the_joint_walk(spec: ConeSpec, seed: int, tries: int = 1
     seed=st.integers(0, 2**32 - 1),
 )
 def test_block_walk_matches_the_joint_walk_on_small_lattices(factors, extra, seed):
-    # with no extra generator the candidates are read from gcd(d, c_a)
-    # alone, and factors 2 give glue parts whose sums read no sign
+    # with no extra generator every generator is a coloop, whose
+    # candidates are read from the glue index alone, and factors 2 give
+    # glue parts whose sums read no sign
     try:
         spec = _diagonal_lattice(factors, extra, seed)
     except InputError:
@@ -972,7 +974,7 @@ def _check_row_test(spec: ConeSpec) -> None:
     """The pairing equals the Gram oracle, every pair the row test refutes fails its swap test, and the group
     is the one found with the row test off."""
     search = _CountingSearch(spec)
-    assert search.pair == (None if search.s == search.r else gram_pairing(search.u)), spec.name
+    assert search.pair == gram_pairing(search.u), spec.name
     plain = _NoRowTest(spec)
     assert _group_key(search.search()) == _group_key(plain.search()), spec.name
     assert search.swaps <= plain.swaps and search.nodes <= plain.nodes
@@ -1099,26 +1101,64 @@ LARGE_SEARCHES = {
 }
 
 
-@pytest.mark.parametrize("name", LARGE_SEARCHES)
-def test_large_searches_finish_under_the_default_budget(all_specs, name):
-    # the chain reaches generators of H, not its elements: K_4x3 has
-    # |H| = 82,944 and took 1,432,756 nodes when each was a leaf.  Each
-    # summand's signs are one block, walked on its own, so the sign tries
-    # of a sum of (7,7b) add up over its summands instead of multiplying
+def _large_search(name: str) -> ConeSpec:
+    """The cone of a LARGE_SEARCHES name, or the sum of packaged summands the name lists."""
     spec = {
         "R10": R10,
         "M(K_7)": _graphic(7),
-        "K_4x2": _power(all_specs["K_4"], 2),
-        "K_4x3": _power(all_specs["K_4"], 3),
+        "K_4x2": _power(_packaged()["K_4"], 2),
+        "K_4x3": _power(_packaged()["K_4"], 3),
         "squarex6": _power(ConeSpec("square", 2, SQUARE), 6),
     }.get(name)
     if spec is None:
         gens = _block_sum(_summands(name.removesuffix(" moved")))
         spec = _moved(random.Random(name), gens)[0] if name.endswith(" moved") else ConeSpec(name, len(gens[0]), gens)
+    return spec
+
+
+@pytest.mark.parametrize("name", LARGE_SEARCHES)
+def test_large_searches_finish_under_the_default_budget(name):
+    # the chain reaches generators of H, not its elements: K_4x3 has
+    # |H| = 82,944 and took 1,432,756 nodes when each was a leaf.  Each
+    # summand's signs are one block, walked on its own, so the sign tries
+    # of a sum of (7,7b) add up over its summands instead of multiplying
     order, nodes = LARGE_SEARCHES[name]
-    search = _AutSearch(spec)
+    search = _AutSearch(_large_search(name))
     assert search.search().order == order
     assert search.nodes == nodes < DEFAULT_NODE_BUDGET
+
+
+def test_profiles_do_not_depend_on_coordinates():
+    # three GL(Z) moves, relabellings and sign flips of each cone keep the
+    # multiset of profiles, though a move may change B and with it
+    # d = |det U_B|: moved by seed 1, sigma_1+(5,6) has d = 2 where the
+    # sum has d = 1, and its coloop keeps the glue index 1 (gcd(d, c_a)
+    # would read 2)
+    names = ["(6,6)+sigma_1+sigma_1", "sigma_1+(5,6)"]
+    names += [name for name in LARGE_SEARCHES if not name.endswith(" moved")]
+    specs = [spec for _, spec in sorted(_packaged().items())] + [_large_search(name) for name in names]
+    changed = set()
+    for spec, seed in product(specs, range(3)):
+        source, moved = _AutSearch(spec), _AutSearch(_moved(random.Random(seed), spec.generators)[0])
+        assert Counter(moved._profiles()) == Counter(source._profiles()), (spec.name, seed)
+        if moved.d != source.d:
+            changed.add(spec.name)
+    assert "sigma_1+(5,6)" in changed
+
+
+def test_a_leaf_past_the_cap_stops_before_forming_its_choices(capsys, tmp_path):
+    # the sum of 20 kites: each kite's element (3 4)(5 6) fixes B and is
+    # its own sign block, so the identity targets' leaf has 2^20 choices
+    kites = _power(KITE, 20)
+    with pytest.raises(CapExceeded) as info:
+        cone_automorphisms(kites)
+    exc = info.value
+    assert (exc.cone, exc.stage, exc.cap, exc.elements) == ("kitex20", "search leaf", DEFAULT_CAP, 2**20)
+    path = tmp_path / "kites.json"
+    path.write_text(json.dumps(kites.to_json_dict()))
+    assert main(["cone", "analyze", str(path)]) == 3
+    assert str(exc) == "cone 'kitex20': search leaf exceeded its cap of 1000000 elements: it needs at least 1048576"
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 @pytest.mark.parametrize("name", ("R10", "M(K_7)", "K_4+K_4"))
@@ -1270,8 +1310,9 @@ def test_analyze_eliminates_the_lattice_once(all_specs, monkeypatch, name, elimi
 
 
 def test_packaged_searches_eliminate_once_per_lattice(perfect_specs, monkeypatch):
-    # one elimination per cone; the 22 s > r cones add the pairing's
-    # adjugate, and in analyze the form basis of their outside generators
+    # one elimination per cone; the 22 cones with generators outside B add
+    # the pairing's adjugate (a basis's pairing is dU^2 I, read without
+    # one), and in analyze the form basis of their outside generators
     specs = [replace(s, declared_aut=None) for s in perfect_specs.values()]
     assert len(specs) == 28
     assert _echelon_calls(monkeypatch, lambda: [cone_automorphisms(s) for s in specs]) == 50

@@ -8,6 +8,7 @@ import pytest
 
 from agstab.cli import main
 from agstab.cones import analyze, cyclic_cone
+from test_cones import LARGE_SEARCHES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -59,3 +60,18 @@ def test_the_cone_analyze_keys_are_documented():
     listed = text[text.index("`cone analyze` prints one JSON object with these keys:"):].split("\n\n")[1]
     keys = re.findall(r"^- `(\w+)`:", listed, re.M)
     assert keys == ["name", *analyze(cyclic_cone(3), order=0).to_json_dict()]
+
+
+@pytest.mark.parametrize(
+    ("quoted", "pinned"),
+    (
+        ("`(7,7b) ⊕ (7,7b) ⊕ (7,7b)` takes", "(7,7b)+(7,7b)+(7,7b)"),
+        ("`M(K₇)` takes", "M(K_7)"),
+        ("`K_4 ⊕ K_4 ⊕ K_4`", "K_4x3"),
+    ),
+)
+def test_the_quoted_node_counts_are_the_pinned_ones(quoted, pinned):
+    # the node counts the README quotes follow the pins of the large searches
+    text = " ".join(README.read_text().split())
+    count = re.match(r" (\d{1,3}(?:,\d{3})*)", text[text.index(quoted) + len(quoted):])
+    assert int(count.group(1).replace(",", "")) == LARGE_SEARCHES[pinned][1]
