@@ -496,10 +496,10 @@ class _AutSearch:
         where it has a coordinate; the parity components one read meets
         are joined, and one that no read meets is in no block.  The parts
         that read no sign join the first block (or a block of no component).
+        G is zero between matroid components, so a sole parity component
+        makes one block of every glue generator, uncut, and every outside one.
         """
         r, d, comps, basis, outside = self.r, self.d, self.parity_components, self.basis, self.outside
-        if len(comps) == 1:  # one block, holding every glue generator, so nothing needs a cut
-            return [(comps, list(self.glue_gens), outside)]
         cuts = {tuple(x * (b in g) for x, b in zip(c, basis)) for g in map(set, groups) for c in self.glue_gens}
         parts = sorted(cuts - {(0,) * r})
         comp_of = {a: k for k, comp in enumerate(comps) for a in comp}
@@ -514,7 +514,7 @@ class _AutSearch:
         blocks[0][1].extend(p for p, m in zip(parts, part_reads) if not m)
         return blocks
 
-    def _block_signs(self, block: tuple, target: list[int], e: list[int], rank: list[int] | None) -> list[tuple]:
+    def _block_signs(self, block: tuple, target: list[int], e: list[int], rank: list[int]) -> list[tuple]:
         """The distinct images of the block's outside generators, one per sign choice that makes T integral.
 
         T is integral exactly when sum_a e_a c_a u_target[a] = 0 mod d for
@@ -546,7 +546,7 @@ class _AutSearch:
                 for a, vec in vecs:
                     w = list(map(add, w, vec) if e[a] > 0 else map(sub, w, vec))
                 j = self.lookup.get(tuple(w))
-                if j is None or (rank is not None and rank[j] != rank[i]):
+                if j is None or rank[j] != rank[i]:
                     break
                 images.append((i, j))
             else:
@@ -555,7 +555,7 @@ class _AutSearch:
                     break
         return list(found)
 
-    def _leaf(self, target: list[int], results: set[tuple[int, ...]], rank: list[int] | None = None) -> None:
+    def _leaf(self, target: list[int], results: set[tuple[int, ...]], rank: list[int]) -> None:
         """Add the permutations realized with basis position a sent to +-target[a].
 
         The signs start from _component_signs.  Each sign block is walked
@@ -564,12 +564,12 @@ class _AutSearch:
         the targets, it sends no two generators to one (which rejects a
         singular T), so each T added has det +-1 and no determinant is
         taken; more than perms.DEFAULT_CAP choices raise CapExceeded,
-        naming the cone, before any is formed.  rank, when given, labels
-        the generators, and an image outside B of another label than its
+        naming the cone, before any is formed.  rank labels the
+        generators, and an image outside B of another label than its
         generator is dropped: the chain labels each generator by its place
         in its clone class (the targets in B are chosen in place), and a
         swap test by its orbit under the transposition, so no block offers
-        other images.
+        other images; one label on every generator allows every image.
         """
         self.leaves += 1
         eps = self._component_signs(target)

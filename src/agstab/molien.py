@@ -58,28 +58,23 @@ NAIVE_CAP = 10**4
 class LinearAction:
     """A permutation group together with a linear action on Q^dim.
 
-    With no explicit matrices and no span the natural permutation action
-    on Q^degree is used and Molien terms come from class-weighted cycle
-    types.  Explicit matrices (from_matrices) serve molien_series_naive
-    alone; matrix() reads them or the span (on_span).
+    The natural permutation action on Q^degree (natural) has Molien
+    terms from class-weighted cycle types.  Explicit matrices
+    (from_matrices) serve molien_series_naive alone.  matrix() reads
+    them, or applies the span rule of on_span: column a holds the
+    coordinates of w_p(basis[a]), so for the natural action, where
+    w_i = e_i, it is the permutation matrix with column a e_p(a).
     """
 
     __slots__ = ("group", "dim", "_matrices", "_span")
 
-    def __init__(
-        self,
-        group: PermGroup,
-        dim: int,
-        matrices: Mapping[Permutation, RationalMatrix] | None = None,
-    ):
+    def __init__(self, group: PermGroup, dim: int):
         if dim < 1:
             raise ValueError("the action dimension must be positive")
         self.group = group
         self.dim = dim
-        self._matrices = dict(matrices) if matrices is not None else None
+        self._matrices = None
         self._span = None
-        if self._matrices is not None:
-            self._spot_check()
 
     @classmethod
     def natural(cls, group: PermGroup) -> "LinearAction":
@@ -92,7 +87,10 @@ class LinearAction:
         dims = {m.size for m in matrices.values()}
         if len(dims) != 1:
             raise ValueError("all matrices must share one size")
-        return cls(group, dims.pop(), matrices)
+        action = cls(group, dims.pop())
+        action._matrices = dict(matrices)
+        action._spot_check()
+        return action
 
     @classmethod
     def on_span(
@@ -149,13 +147,14 @@ class LinearAction:
         return self._matrices is None and self._span is None
 
     def matrix(self, p: Permutation) -> RationalMatrix:
-        if self._span is not None:
-            basis, table, den = self._span
-            return RationalMatrix([[Fraction(row[p(b)], den) for b in basis] for row in table])
-        try:
-            return self._matrices[p]
-        except KeyError:
-            raise KeyError(f"no matrix assigned to {p!r}") from None
+        if self._matrices is not None:
+            try:
+                return self._matrices[p]
+            except KeyError:
+                raise KeyError(f"no matrix assigned to {p!r}") from None
+        points = range(1, self.dim + 1)
+        basis, table, den = self._span or (points, [[0] + [int(x == y) for y in points] for x in points], 1)
+        return RationalMatrix([[Fraction(row[p(b)], den) for b in basis] for row in table])
 
 
 def _cycle_type(images: tuple[int, ...], leaders: Sequence[int]) -> tuple[int, ...]:

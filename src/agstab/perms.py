@@ -158,7 +158,7 @@ class PermGroup:
         if self._images is None:
             if self.order > DEFAULT_CAP:
                 raise CapExceeded(None, "closure", DEFAULT_CAP, self.order)
-            _, images = _coset_closure(self.degree, [g.images for g in self.generators], DEFAULT_CAP)
+            _, images = _coset_closure(self.degree, [g.images for g in self.generators])
             self._images = sorted(images)
         return iter(self._images)
 
@@ -194,7 +194,7 @@ class PermGroup:
         if len(degrees) != 1:
             raise DegreeMismatch(f"generators mix degrees {sorted(degrees)}")
         degree = degrees.pop()
-        _, images = _coset_closure(degree, [g.images for g in generators], DEFAULT_CAP)
+        _, images = _coset_closure(degree, [g.images for g in generators])
         return cls(degree, tuple(generators), sorted(images))
 
     @classmethod
@@ -217,7 +217,7 @@ class PermGroup:
 
         H is their closure (CapExceeded past DEFAULT_CAP elements); G is not listed.
         """
-        quotient_gens, images = _coset_closure(degree, sorted(set(elements)), DEFAULT_CAP)
+        quotient_gens, images = _coset_closure(degree, sorted(set(elements)))
         classes = tuple(tuple(c) for c in classes if len(c) > 1)
         gens = [Permutation.from_cycles(degree, [c[k : k + 2]]) for c in classes for k in range(len(c) - 1)]
         identity = Permutation.identity(degree)
@@ -225,16 +225,16 @@ class PermGroup:
         return cls(degree, tuple(gens) or (identity,), sorted(images), classes)
 
     @classmethod
-    def symmetric(cls, degree: int, points: Sequence[int] | None = None) -> "PermGroup":
-        """The symmetric group on the given points (default: all of 1..degree): one clone class."""
-        pts = tuple(sorted(points)) if points is not None else tuple(range(1, degree + 1))
-        return cls.from_quotient(degree, (pts,), (tuple(range(1, degree + 1)),))
+    def symmetric(cls, degree: int) -> "PermGroup":
+        """The symmetric group on 1..degree: one clone class."""
+        points = tuple(range(1, degree + 1))
+        return cls.from_quotient(degree, (points,), (points,))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def _coset_closure(degree: int, candidates: Iterable[tuple[int, ...]], cap: int) -> tuple[list, list]:
+def _coset_closure(degree: int, candidates: Iterable[tuple[int, ...]]) -> tuple[list, list]:
     """(the candidates adjoined, or the identity if none, every element they generate): Dimino's algorithm.
 
     Each candidate image tuple outside the group H built so far is
@@ -242,8 +242,8 @@ def _coset_closure(degree: int, candidates: Iterable[tuple[int, ...]], cap: int)
     r found breadth first as products g'r of an adjoined g' and a known
     representative, and g'r is in a coset already present exactly when
     it is an element already present.  So every element is composed
-    once.  The cap is checked before a coset is built, so at most cap
-    tuples are ever held.
+    once.  DEFAULT_CAP, read at each call, is checked before a coset is
+    built, so at most that many tuples are ever held.
     """
     identity = tuple(range(1, degree + 1))
     elements, seen = [identity], {identity}
@@ -260,8 +260,8 @@ def _coset_closure(degree: int, candidates: Iterable[tuple[int, ...]], cap: int)
                 q = tuple(map(lookup, r))  # g' * r
                 if q in seen:
                     continue
-                if len(elements) + len(subgroup) > cap:
-                    raise CapExceeded(None, "closure", cap, len(elements) + len(subgroup))
+                if len(elements) + len(subgroup) > DEFAULT_CAP:
+                    raise CapExceeded(None, "closure", DEFAULT_CAP, len(elements) + len(subgroup))
                 left = ((0,) + q).__getitem__
                 coset = [tuple(map(left, h)) for h in subgroup]  # q * h
                 elements += coset

@@ -66,7 +66,7 @@ class _DatasetFields(NamedTuple):
 class Dataset(_DatasetFields):
     """A family of cone class records, complete through one dimension.
 
-    completeness_dim is the largest dimension D through which the
+    completeness_dim is the largest dimension D >= 0 through which the
     record list covers every irreducible orbit; None means the list is
     exact at all orders (synthetic collections).
     """
@@ -79,6 +79,11 @@ class Dataset(_DatasetFields):
         if len(set(names)) != len(names):
             raise InputError(f"dataset {self.family!r}: duplicate record names")
         if self.completeness_dim is not None:
+            if self.completeness_dim < 0:
+                raise InputError(
+                    f"dataset {self.family!r}: completeness_dim must be a non-negative integer, "
+                    f"got {self.completeness_dim}"
+                )
             for r in self.records:
                 if r.dimension > self.completeness_dim:
                     raise InputError(
@@ -161,13 +166,14 @@ def load_dataset(
 ) -> Dataset:
     """Assemble a dataset from a manifest path or a packaged family name.
 
-    load_cone_specs checks the manifest and every cone file in full before
-    any cone is analyzed.  Each cone then becomes one record from analyze(),
-    its group from the search.  A cone with more than one component, or
-    whose forms are dependent (not simplicial), is an input error: the
-    records stand for irreducible simplicial cones.  check, when given, is
-    called with each cone and its group.  count_only entries become
-    records without a series.
+    load_cone_specs checks the manifest and every cone file in full, and
+    the count_only entries, records without a series, make a first
+    Dataset with completeness_dim, before any cone is analyzed.  Each
+    cone then becomes one record from analyze(), its group from the
+    search.  A cone with more than one component, or whose forms are
+    dependent (not simplicial), is an input error: the records stand for
+    irreducible simplicial cones.  check, when given, is called with
+    each cone and its group.
     """
     payload, specs = load_cone_specs(source)
     family = payload["family"]
@@ -175,6 +181,7 @@ def load_dataset(
     for entry in payload.get("count_only", []):
         dim, rank = entry["dimension"], entry["rank"]
         count_only.append(ConeClassRecord(f"count-only-d{dim}-r{rank}", dim, rank, None, entry["count"]))
+    Dataset(family, tuple(count_only), payload.get("completeness_dim"))
     records = []
     for spec in specs:
         result = analyze(spec, order=order)

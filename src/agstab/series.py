@@ -173,7 +173,7 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries({self.polynomial_string()!r}, order={self.order})"
 
-    def polynomial_string(self, variable: str = "t") -> str:
+    def polynomial_string(self) -> str:
         terms = []
         for k, c in enumerate(self._coeffs):
             if c == 0:
@@ -181,7 +181,7 @@ class TruncatedSeries:
             if k == 0:
                 terms.append(str(c))
             else:
-                mono = variable if k == 1 else f"{variable}^{k}"
+                mono = "t" if k == 1 else f"t^{k}"
                 if c == 1:
                     terms.append(mono)
                 elif c == -1:

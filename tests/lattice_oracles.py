@@ -192,7 +192,7 @@ def same_coordinates(a, b) -> bool:
     )
 
 
-def joint_leaf(search, target: list[int], results: set[tuple[int, ...]], rank: list[int] | None = None) -> None:
+def joint_leaf(search, target: list[int], results: set[tuple[int, ...]], rank: list[int]) -> None:
     """Add what an _AutSearch's _leaf adds, walking the signs of all its parity components jointly: the oracle for _leaf.
 
     A parity component is flipped when an outside generator has a
@@ -201,8 +201,9 @@ def joint_leaf(search, target: list[int], results: set[tuple[int, ...]], rank: l
     components but the first are flipped together in Gray code order,
     with the glue sums of every glue generator kept as one flat list,
     and each sign vector whose T is integral maps the generators outside
-    B, each to +- a generator not yet taken; with none outside, the
-    first integral T ends the leaf.  Nothing is counted.
+    B, each to +- a generator not yet taken and of its label (rank);
+    with none outside, the first integral T ends the leaf.  Nothing is
+    counted.
     """
     e = search._component_signs(target)
     if e is None:
@@ -231,7 +232,7 @@ def joint_leaf(search, target: list[int], results: set[tuple[int, ...]], rank: l
             for a, vec in parts:
                 w = list(map(add, w, vec) if e[a] > 0 else map(sub, w, vec))
             j = search.lookup.get(tuple(w))
-            if j is None or taken[j] or (rank is not None and rank[j] != rank[i]):
+            if j is None or taken[j] or rank[j] != rank[i]:
                 break
             taken[j] = True
             images[i] = j + 1

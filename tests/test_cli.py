@@ -390,6 +390,18 @@ def test_malformed_input_is_input_error(capsys, monkeypatch, tmp_path, argv, fil
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ("betti", "validate"))
+@pytest.mark.parametrize("cones", ([], ["cone.json"]))
+def test_negative_completeness_dim_is_input_error(capsys, tmp_path, command, cones):
+    # -1 was accepted, and betti reported its rows valid up to t^-1
+    (tmp_path / "cone.json").write_text(json.dumps({"name": "s", "ambient": 1, "generators": [[1]]}))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"family": "x", "completeness_dim": -1, "cones": cones}))
+    code, out, err = run(capsys, command, "--dataset", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: dataset 'x': completeness_dim must be a non-negative integer, got -1\n"
+
+
 def _packaged_manifest_with(old: str, new: str) -> dict:
     payload = json.loads(resources.files("agstab").joinpath("data/matroidal.json").read_text())
     payload[new] = payload.pop(old)

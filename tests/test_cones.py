@@ -850,7 +850,7 @@ def _leaf_adds_only_members(spec: ConeSpec, seed: int, tries: int = 40) -> None:
     for _ in range(tries):
         target = rng.sample(range(search.s), search.r)
         results: set[tuple[int, ...]] = set()
-        search._leaf(target, results)
+        search._leaf(target, results, [0] * search.s)
         assert results <= group, (target, sorted(results - group))
 
 
@@ -891,10 +891,14 @@ def _consistent_targets(search: _AutSearch, rng: random.Random, tries: int):
 
 
 def _block_walk_matches_the_joint_walk(spec: ConeSpec, seed: int, tries: int = 10) -> None:
-    """_leaf, walking each sign block on its own, adds exactly the set of the joint walk (joint_leaf), with rank or not."""
+    """_leaf, walking each sign block on its own, adds exactly the set of the joint walk (joint_leaf).
+
+    Both run with one label on every generator, which allows every
+    image, and with the chain's labels.
+    """
     search = _AutSearch(spec)
     for target in _consistent_targets(search, random.Random(seed), tries):
-        for rank in (None, search.rank):
+        for rank in ([0] * search.s, search.rank):
             blocks, joint = set(), set()
             search._leaf(target, blocks, rank)
             joint_leaf(search, target, joint, rank)
@@ -1144,6 +1148,26 @@ def test_profiles_do_not_depend_on_coordinates():
         if moved.d != source.d:
             changed.add(spec.name)
     assert "sigma_1+(5,6)" in changed
+
+
+def test_one_parity_component_is_one_uncut_block():
+    # the pairing is zero between matroid components, so a sole parity
+    # component lies in one of them; the lattice then splits into one
+    # group, and the sign-block rule makes one block of every glue
+    # generator uncut and every outside generator, with no case of its own
+    specs = [spec for _, spec in sorted(_packaged().items())]
+    specs += [_large_search(name) for name in LARGE_SEARCHES]
+    specs += [case.spec for seed in (1, 2, 3) for case in lattice_sums_cases(seed)]
+    checked = with_glue = with_outside = 0
+    for spec in specs:
+        search = _AutSearch(spec)
+        if len(search.parity_components) > 1:
+            continue
+        (comps, parts, outside), = search.sign_blocks
+        assert comps in ([], search.parity_components), spec.name
+        assert sorted(parts) == search.glue_gens and outside == search.outside, spec.name
+        checked, with_glue, with_outside = checked + 1, with_glue + bool(parts), with_outside + bool(outside)
+    assert (len(specs), checked, with_glue, with_outside) == (147, 105, 8, 104)
 
 
 def test_a_leaf_past_the_cap_stops_before_forming_its_choices(capsys, tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from agstab import molien
+from agstab.cones import cone_automorphisms
 from agstab.errors import CapExceeded, InconsistentAction
 from agstab.intlinalg import integer_coordinates
 from agstab.molien import LinearAction, det_from_power_sums, molien_series, molien_series_naive
@@ -104,6 +105,21 @@ def test_reflection_action_matches_two_point_swap():
     swap = natural(g)
     assert molien_series_naive(action, 12) == molien_series(swap, 12)
     assert molien_series_naive(action, 12) == product_form({1: 1, 2: 1}, 12)
+
+
+@pytest.mark.parametrize("name", ("K_4", "K_4-1", "C_321", "C_331"))
+def test_natural_matrices_are_the_permutation_matrices(matroidal_specs, name):
+    # the searched group of a packaged cone: the natural action's matrix of
+    # p has column a equal to e_p(a), and the naive sum of those matrices
+    # is the naive sum of the natural action's cycle types
+    group = cone_automorphisms(matroidal_specs[name])
+    natural_action = natural(group)
+    n = group.degree
+    mats = {p: natural_action.matrix(p) for p in group}
+    for p, m in mats.items():
+        assert m == RationalMatrix([[Fraction(int(x == p(a + 1) - 1)) for a in range(n)] for x in range(n)])
+    explicit = LinearAction.from_matrices(group, mats)
+    assert molien_series_naive(explicit, 10) == molien_series_naive(natural_action, 10)
 
 
 def test_from_matrices_rejects_non_homomorphism():

@@ -176,6 +176,9 @@ def test_dataset_validation():
         Dataset("dup", (a, a), None)
     with pytest.raises(InputError):
         Dataset("deep", (record("x", 9, 5, p),), 8)
+    with pytest.raises(InputError, match="completeness_dim must be a non-negative integer, got -3"):
+        Dataset("x", (), -3)
+    assert Dataset("x", (), 0).completeness_dim == 0
 
 
 def test_smallness_validation(matroidal_dataset, perfect_dataset):
@@ -250,6 +253,10 @@ def test_manifest_is_checked_before_any_cone_is_analyzed(tmp_path, monkeypatch):
     mpath = tmp_path / "tiny.json"
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(InputError, match="count of a count_only entry must be an integer"):
+        load_dataset(mpath)
+    # a negative completeness_dim is refused by Dataset's own rule, before the cone too
+    mpath.write_text(json.dumps({**manifest, "count_only": [], "completeness_dim": -1}))
+    with pytest.raises(InputError, match="completeness_dim must be a non-negative integer, got -1"):
         load_dataset(mpath)
     assert calls == []
     # the well-formed manifest loads through the same counted analyze
