@@ -376,12 +376,13 @@ class _AutSearch:
     Any realizable T preserves S = sum_i u_i u_i^T, hence the pairing
     G(i, j) = u_i^T adj(S) u_j (_pairing, read from the coordinates in
     B; dU^2 I when the generators form a basis) satisfies
-    |G(pi i, pi j)| = |G(i, j)| with sign ratios eps_i eps_j.  A
+    G(pi i, pi j) = eps_i eps_j G(i, j), and T keeps the circuits.  A
     generator's candidate images share its profile (_profiles): the norm
     G(i, i), the sorted row |G(i, .)| and the glue index of a coloop.
-    Neither a component size nor a circuit invariant is computed, since
-    neither pruned a candidate of any packaged or generated cone the
-    search was checked on.
+    The tree compares pairs by one relation (_consistent, built by
+    _prepare): |G|, one matroid component or not, one clone class or
+    not.  It also keeps the sign of G around each triangle, where each
+    eps appears twice.
 
     The search lists only H = G/N.  Two generators are clones when their
     transposition is realizable, which one leaf decides; the symmetric
@@ -406,6 +407,7 @@ class _AutSearch:
         self.r, self.u, self.basis = lattice.r, lattice.u, lattice.basis
         self.dU, self.d, self.glue_gens = lattice.dU, lattice.d, lattice.glue_gens
         self.coloops = {comp[0] for comp in lattice.components if len(comp) == 1}
+        self.component = [k for _, k in sorted((i, k) for k, comp in enumerate(lattice.components) for i in comp)]
         self.nodes = self.leaves = 0
         self.found: set[tuple[int, ...]] = set()
         r, u, basis = self.r, self.u, self.basis
@@ -635,7 +637,7 @@ class _AutSearch:
             raise CapExceeded(self.spec.name, exc.stage, exc.cap, exc.elements) from None
 
     def _prepare(self) -> list[list[int]]:
-        """Find the clone classes, then each generator's candidates and the order of the basis positions.
+        """Find the clone classes, then the pair relation, each generator's candidates and the basis positions' order.
 
         A generator's candidate images share its profile, the size of its
         clone class and its place there.  The basis positions are
@@ -645,11 +647,13 @@ class _AutSearch:
         r, s = self.r, self.s
         profiles = self._profiles()
         classes = self._clone_classes(profiles)
-        self.class_of, self.rank = [0] * s, [0] * s
+        class_of, self.rank, comp = [0] * s, [0] * s, self.component
         for k, members in enumerate(classes):
             for place, i in enumerate(members):
-                self.class_of[i], self.rank[i] = k, place
-        profiles = [(p, len(classes[self.class_of[i]]), self.rank[i]) for i, p in enumerate(profiles)]
+                class_of[i], self.rank[i] = k, place
+        profiles = [(p, len(classes[class_of[i]]), self.rank[i]) for i, p in enumerate(profiles)]
+        self.relation = [[(g, cx == cy, kx == ky) for g, cy, ky in zip(row, comp, class_of)]
+                         for row, cx, kx in zip(self.abs_pair, comp, class_of)]
         self.candidates = [[j for j in range(s) if profiles[j] == profiles[i]] for i in range(s)]
         self.assign_order = sorted(range(r), key=lambda a: len(self.candidates[self.basis[a]]))
         return classes
@@ -697,17 +701,23 @@ class _AutSearch:
     def _consistent(self, level: int, i: int, j: int, target: list[int]) -> bool:
         """Whether generator i may go to j given the targets of the first level positions.
 
-        Clones must stay clones and others apart, and
-        |G(i, b)| = |G(j, target(b))| for each assigned b.
+        One comparison per assigned b, relation[i][b] == relation[j][target(b)].
+        If G(i, b) != 0, each triangle i, b, e with e assigned before b keeps
+        the sign of G: with ratio(b) = G(i, b) G(j, target(b)) and zeros that
+        agree, ratio(b) ratio(e) G(b, e) G(target(b), target(e)) >= 0.
         """
-        order, basis, cls, abs_pair = self.assign_order, self.basis, self.class_of, self.abs_pair
-        for prev in range(level):
-            c = order[prev]
+        basis, pair, rel_i, rel_j = self.basis, self.pair, self.relation[i], self.relation[j]
+        linked = []
+        for c in self.assign_order[:level]:
             b, t = basis[c], target[c]
-            if (cls[b] == cls[i]) != (cls[t] == cls[j]):
+            if rel_i[b] != rel_j[t]:
                 return False
-            if abs_pair[j][t] != abs_pair[i][b]:
-                return False
+            ratio = pair[i][b] * pair[j][t]
+            if ratio:
+                for e, v, other in linked:
+                    if ratio * other * pair[b][e] * pair[t][v] < 0:
+                        return False
+                linked.append((b, t, ratio))
         return True
 
     def _extend(self, level: int, target: list[int], used: list[bool], results: set) -> bool:

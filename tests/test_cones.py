@@ -281,11 +281,12 @@ def test_search_budget_error_says_where_it_stopped(all_specs):
 
 def test_search_budget_error_says_how_far_the_chain_got(all_specs):
     # K_4 has no clones: three swap tests, then the identity targets' leaf
-    # finds the identity, and the first search at level 1 one more element
+    # finds the identity, and the first two searches at level 1 one more
+    # element each
     with pytest.raises(SearchBudgetExceeded) as info:
         cone_automorphisms(all_specs["K_4"], node_budget=12)
-    assert info.value.counters == {"nodes": 13, "leaves": 8, "found": 2}
-    assert str(info.value) == "cone 'K_4': search exceeded its budget of 12 nodes (13 nodes, 8 leaves, 2 found)"
+    assert info.value.counters == {"nodes": 13, "leaves": 6, "found": 3}
+    assert str(info.value) == "cone 'K_4': search exceeded its budget of 12 nodes (13 nodes, 6 leaves, 3 found)"
 
 
 def test_closure_cap_error_says_where_it_stopped(all_specs, monkeypatch):
@@ -1032,7 +1033,7 @@ def test_row_test_spares_swap_tests_and_nodes(all_specs, perfect_specs):
         search = _AutSearch(replace(spec, declared_aut=None))
         search.search()
         nodes += search.nodes
-    assert nodes == 415
+    assert nodes == 413
 
 
 KITE = ConeSpec("kite", 2, ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1)))
@@ -1087,15 +1088,19 @@ def _power(spec: ConeSpec, m: int) -> ConeSpec:
 # signs, so its group is its matroid automorphism group: for R10 the 720
 # permutations that keep its 162 bases, and S_7 for M(K_7) (Whitney).  A
 # direct sum of m copies of a cone has the wreath product, |G|^m m!:
-# Aut(K_4) = S_4, the square's group has order 4, |Aut(7,7b)| = 5040, and
-# K_3+K_3+(7,7b)+(7,7b) has (6^2 2!)(5040^2 2!).  A name ending in
-# "moved" is the sum moved by _moved, seeded by that name
+# Aut(K_4) = S_4, the square's group has order 4, the kite's 2 (only
+# diag(1, -1) of the diagonal sign changes moves it), |Aut(7,7b)| = 5040,
+# and K_3+K_3+(7,7b)+(7,7b) has (6^2 2!)(5040^2 2!).  A name ending in
+# "moved" is the sum moved by _moved, seeded by that name.  In a sum of
+# kites each kite's two basis vectors pair to 0, as vectors of two
+# summands do, and only the matroid components tell them apart
 LARGE_SEARCHES = {
-    "R10": (720, 389),
-    "M(K_7)": (factorial(7), 35),
-    "K_4x2": (24**2 * 2, 212),
-    "K_4x3": (24**3 * factorial(3), 15_559),
+    "R10": (720, 75),
+    "M(K_7)": (factorial(7), 33),
+    "K_4x2": (24**2 * 2, 52),
+    "K_4x3": (24**3 * factorial(3), 109),
     "squarex6": (4**6 * factorial(6), 269),
+    "kitex6": (2**6 * factorial(6), 113),
     "(7,7b)+(7,7b)": (5040**2 * 2, 3_368),
     "(7,7b)+(7,7b) moved": (5040**2 * 2, 3_558),
     "(7,7b)+(7,7b)+(7,7b)": (5040**3 * factorial(3), 9_913),
@@ -1113,6 +1118,7 @@ def _large_search(name: str) -> ConeSpec:
         "K_4x2": _power(_packaged()["K_4"], 2),
         "K_4x3": _power(_packaged()["K_4"], 3),
         "squarex6": _power(ConeSpec("square", 2, SQUARE), 6),
+        "kitex6": _power(KITE, 6),
     }.get(name)
     if spec is None:
         gens = _block_sum(_summands(name.removesuffix(" moved")))
@@ -1150,6 +1156,38 @@ def test_profiles_do_not_depend_on_coordinates():
     assert "sigma_1+(5,6)" in changed
 
 
+def test_automorphisms_keep_the_pair_relation_and_triangle_signs():
+    # a realizable map keeps S and sends circuits to circuits, so it keeps
+    # the table _consistent compares, (|G|, one matroid component, one
+    # clone class), and the sign of G around every triangle, where each
+    # sign flip appears twice.  Checked on every generator of the searched
+    # group, the class transpositions included, on all pairs, not just
+    # those of B that the search compares.  Some generators change signs
+    # of G, so a table of signed G would fail
+    rng = random.Random(34)
+    specs = []
+    for _, spec in sorted(_packaged().items()):
+        specs += [replace(spec, declared_aut=None), _moved(rng, spec.generators)[0]]
+    specs += [_large_search(name) for name in LARGE_SEARCHES if "(7,7b)" not in name]
+    specs += [case.spec for seed in (1, 2, 3) for case in lattice_sums_cases(seed)]
+    sign_changes = 0
+    for spec in specs:
+        search = _AutSearch(spec)
+        group = search.search()
+        pair, relation, pairs = search.pair, search.relation, list(product(range(search.s), repeat=2))
+        triangles = [(x, y, z) for x, y, z in combinations(range(search.s), 3) if pair[x][y] * pair[y][z] * pair[z][x]]
+
+        def signs(pi):
+            return [pair[pi[x]][pi[y]] * pair[pi[y]][pi[z]] * pair[pi[z]][pi[x]] > 0 for x, y, z in triangles]
+
+        for p in group.generators:
+            pi = [x - 1 for x in p.images]
+            assert all(relation[pi[x]][pi[y]] == relation[x][y] for x, y in pairs), (spec.name, p)
+            assert signs(pi) == signs(range(search.s)), (spec.name, p)
+            sign_changes += any(pair[pi[x]][pi[y]] != pair[x][y] for x, y in pairs)
+    assert len(specs) == 2 * 28 + 6 + 108 and sign_changes > 0
+
+
 def test_one_parity_component_is_one_uncut_block():
     # the pairing is zero between matroid components, so a sole parity
     # component lies in one of them; the lattice then splits into one
@@ -1167,7 +1205,7 @@ def test_one_parity_component_is_one_uncut_block():
         assert comps in ([], search.parity_components), spec.name
         assert sorted(parts) == search.glue_gens and outside == search.outside, spec.name
         checked, with_glue, with_outside = checked + 1, with_glue + bool(parts), with_outside + bool(outside)
-    assert (len(specs), checked, with_glue, with_outside) == (147, 105, 8, 104)
+    assert (len(specs), checked, with_glue, with_outside) == (148, 105, 8, 104)
 
 
 def test_a_leaf_past_the_cap_stops_before_forming_its_choices(capsys, tmp_path):

@@ -68,6 +68,7 @@ def test_the_cone_analyze_keys_are_documented():
         ("`(7,7b) ⊕ (7,7b) ⊕ (7,7b)` takes", "(7,7b)+(7,7b)+(7,7b)"),
         ("`M(K₇)` takes", "M(K_7)"),
         ("`K_4 ⊕ K_4 ⊕ K_4`", "K_4x3"),
+        ("6 kites takes", "kitex6"),
     ),
 )
 def test_the_quoted_node_counts_are_the_pinned_ones(quoted, pinned):
