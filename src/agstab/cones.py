@@ -150,28 +150,20 @@ def cone_rank(spec: ConeSpec) -> int:
     return _lattice(spec.generators).r
 
 
-def _classes(n: int, linked) -> list[list[int]]:
-    """The classes of the equivalence on 0..n-1 generated by the pairs i < j with linked(i, j).
+def _classes(n: int, sets) -> list[list[int]]:
+    """The finest partition of 0..n-1 in which each of the given sets lies inside one class.
 
-    Union-find; a pair already in one class is not asked.  Classes are
-    sorted, and listed by their least element.
+    A set joins the classes it meets into the largest of them.  Classes
+    are sorted, and listed by their least element.
     """
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) != find(j) and linked(i, j):
-                parent[find(j)] = find(i)
-    classes: dict[int, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(i)
-    return list(classes.values())
+    label, members = list(range(n)), {i: [i] for i in range(n)}
+    for group in sets:
+        joined = sorted({label[i] for i in group}, key=lambda k: len(members[k]))
+        for k in joined[:-1]:
+            for i in members[k]:
+                label[i] = joined[-1]
+            members[joined[-1]] += members.pop(k)
+    return sorted(map(sorted, members.values()))
 
 
 class _Lattice:
@@ -183,9 +175,10 @@ class _Lattice:
     independent subset B, whose vectors (the columns of U_B) span L_B of
     index d = |dU| in Z^r, with adjU and dU the adjugate and determinant
     of U_B.  coords[i] = adjU u_i are the numerators over dU of
-    generator i's coordinates in B; their supports are the fundamental
-    circuits of B, which join the generators into the matroid
-    components.  outside lists the generators not in B, in order.
+    generator i's coordinates in B, and B[a] has dU e_a: an outside
+    generator with the B[a] where it has a coordinate is a fundamental
+    circuit of B, and the circuits' classes are the matroid components.
+    outside lists the generators not in B, in order.
     glue_gens, the distinct nonzero columns of adjU mod d, generate the
     glue group C = Z^r / L_B.  _lattice shares one between the calls on
     a cone; split_groups and form_basis are filled on first use.
@@ -195,10 +188,10 @@ class _Lattice:
         self.basis, self.u, self.adjU, self.dU, self.coords = saturation_coordinates(vectors)
         self.r = r = len(self.basis)
         self.d = d = abs(self.dU)
-        coords = self.coords
-        self.components = _classes(len(coords), lambda i, j: any(x and y for x, y in zip(coords[i], coords[j])))
         in_basis = set(self.basis)
-        self.outside = [i for i in range(len(coords)) if i not in in_basis]
+        self.outside = [i for i in range(len(self.coords)) if i not in in_basis]
+        circuits = ({i, *(b for b, x in zip(self.basis, self.coords[i]) if x)} for i in self.outside)
+        self.components = _classes(len(self.coords), circuits)
         self.glue_gens = sorted({tuple(x % d for x in col) for col in zip(*self.adjU)} - {(0,) * r})
 
     @cached_property
@@ -235,7 +228,8 @@ class _Lattice:
                 if any(coeff) and coeff not in applied:
                     applied.add(coeff)
                     restrict_to_kernel(kernel, coeff, d)
-        groups = _classes(m, lambda k, l: gcd(d, *(c[k] - c[l] for c in kernel)) > 1)
+        linked = [{k, l} for k in range(m) for l in range(k) if gcd(d, *(c[k] - c[l] for c in kernel)) > 1]
+        groups = _classes(m, linked)
         return [sorted(i for k in group for i in blocks[k]) for group in groups]
 
     @cached_property
@@ -385,10 +379,11 @@ class _AutSearch:
     eps appears twice.
 
     The search lists only H = G/N.  Two generators are clones when their
-    transposition is realizable, which one leaf decides; the symmetric
-    groups of the clone classes form the normal subgroup N, and H, the
-    elements that keep every class in order, is a complement of N.  A
-    generator's candidate images must also lie in a class of its size,
+    transposition is realizable, which one leaf decides, run once per
+    earlier class of a generator's profile (_clone_classes); the
+    symmetric groups of the clone classes form the normal subgroup N, and
+    H, the elements that keep every class in order, is a complement of N.
+    A generator's candidate images must also lie in a class of its size,
     at its place in that class, and clones must go to clones; a leaf
     drops the images outside B that break this, so every element a leaf
     adds lies in H.  Each swap test counts as a node of the budget; a
@@ -416,7 +411,7 @@ class _AutSearch:
         self.pair = pair = self._pairing(lattice)
         self.abs_pair = [list(map(abs, row)) for row in pair]
         # connected components of the nonzero-pairing graph on basis positions
-        self.parity_components = _classes(r, lambda a, c: pair[basis[a]][basis[c]] != 0)
+        self.parity_components = _classes(r, [{a, c} for a in range(r) for c in range(a) if pair[basis[a]][basis[c]]])
         self.sign_blocks = self._sign_blocks(lattice.split_groups)
         # j from +-dU u_j, which a leaf meets as dU T u_i
         self.lookup = {tuple(m * x for x in uj): j for j, uj in enumerate(u) for m in (self.dU, -self.dU)}
@@ -507,12 +502,10 @@ class _AutSearch:
         comp_of = {a: k for k, comp in enumerate(comps) for a in comp}
         part_reads = [{comp_of[a] for a in range(r) if 2 * p[a] % d} for p in parts]
         outside_reads = [{comp_of[a] for a, x in enumerate(c) if x} for _, c in outside]
-        merged: list[set[int]] = []
-        for met in filter(None, part_reads + outside_reads):
-            joined = [b for b in merged if b & met]
-            merged = [b for b in merged if not b & met] + [met.union(*joined)]
-        blocks = [([comps[k] for k in sorted(b)], [p for p, m in zip(parts, part_reads) if m & b],
-                   [o for o, m in zip(outside, outside_reads) if m & b]) for b in sorted(merged or [set()], key=sorted)]
+        met = set().union(*part_reads, *outside_reads)
+        merged = [b for b in _classes(len(comps), part_reads + outside_reads) if b[0] in met]
+        blocks = [([comps[k] for k in b], [p for p, m in zip(parts, part_reads) if not m.isdisjoint(b)],
+                   [o for o, m in zip(outside, outside_reads) if not m.isdisjoint(b)]) for b in merged or [[]]]
         blocks[0][1].extend(p for p, m in zip(parts, part_reads) if not m)
         return blocks
 
@@ -661,13 +654,19 @@ class _AutSearch:
     def _clone_classes(self, profiles: list) -> list[list[int]]:
         """The clone classes, 0-based and sorted: i and j are clones when (i j) is realizable.
 
-        That is an equivalence, as (i k) = (i j)(j k)(i j), so only pairs
-        of one profile that are not yet in one class, and whose pairing
-        rows agree (_rows_agree), are tested (_swap_test).
+        That is an equivalence, as (i k) = (i j)(j k)(i j), so j, in order,
+        joins the first earlier class of its profile whose first member i
+        passes _rows_agree(i, j) and _swap_test(i, j), or starts a class.
         """
-        return _classes(
-            self.s, lambda i, j: profiles[i] == profiles[j] and self._rows_agree(i, j) and self._swap_test(i, j)
-        )
+        classes: list[list[int]] = []
+        for j, p in enumerate(profiles):
+            passed = (c for c in classes
+                      if profiles[c[0]] == p and self._rows_agree(c[0], j) and self._swap_test(c[0], j))
+            joined = next(passed, [])
+            if not joined:
+                classes.append(joined)
+            joined.append(j)
+        return classes
 
     def _rows_agree(self, i: int, j: int) -> bool:
         """Whether (i j) sends row i of |G| to row j, as a realizable (i j) requires.

@@ -11,7 +11,7 @@ from itertools import chain, combinations, permutations, product
 from math import factorial, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import agstab.cones
@@ -22,6 +22,7 @@ from agstab.cones import (
     DEFAULT_NODE_BUDGET,
     ConeSpec,
     _AutSearch,
+    _classes,
     _Lattice,
     _lattice,
     analyze,
@@ -275,8 +276,8 @@ def test_search_budget_error_says_where_it_stopped(all_specs):
     exc = info.value
     assert (exc.cone, exc.stage, exc.budget) == ("(7,7a)", "search", 10)
     # the budget runs out in the swap tests, before the chain finds an element
-    assert exc.counters == {"nodes": 11, "leaves": 3, "found": 0}
-    assert str(exc) == "cone '(7,7a)': search exceeded its budget of 10 nodes (11 nodes, 3 leaves, 0 found)"
+    assert exc.counters == {"nodes": 11, "leaves": 2, "found": 0}
+    assert str(exc) == "cone '(7,7a)': search exceeded its budget of 10 nodes (11 nodes, 2 leaves, 0 found)"
 
 
 def test_search_budget_error_says_how_far_the_chain_got(all_specs):
@@ -965,7 +966,7 @@ def test_unlisted_glue_group_matches_brute_force(factors, seed):
 
 
 class _NoRowTest(_CountingSearch):
-    """The search with the pairing-row test switched off: every pair of one profile runs a swap test."""
+    """The search with the pairing-row test switched off: a swap test per earlier class of a generator's profile."""
 
     def _rows_agree(self, i, j):
         return True
@@ -1019,21 +1020,61 @@ def test_row_test_is_sound_on_small_lattices(factors, extra, seed):
 
 
 def test_row_test_spares_swap_tests_and_nodes(all_specs, perfect_specs):
-    # of the 33 swap tests on K_3+K_3+K_3, 27 pair generators of different
-    # summands, whose pairing rows differ position by position
+    # of the 15 swap tests on K_3+K_3+K_3 with the row test off, 9 pair a
+    # generator with the first member of another summand's class, whose
+    # pairing rows differ position by position
     k3 = all_specs["K_3"]
     spec = direct_sum(direct_sum(k3, k3), k3)
     search, plain = _CountingSearch(spec), _NoRowTest(spec)
     search.search()
     plain.search()
     assert (search.swaps, search.nodes, search.leaves) == (6, 44, 9)
-    assert (plain.swaps, plain.nodes, plain.leaves) == (33, 120, 36)
+    assert (plain.swaps, plain.nodes, plain.leaves) == (15, 65, 18)
     nodes = 0
     for spec in perfect_specs.values():
         search = _AutSearch(replace(spec, declared_aut=None))
         search.search()
         nodes += search.nodes
-    assert nodes == 413
+    assert nodes == 409
+
+
+class _SwapLog(_CountingSearch):
+    """The counting search with the pairs (i, j) of its swap tests listed in order."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.tested = []
+
+    def _swap_test(self, i, j):
+        self.tested.append((i, j))
+        return super()._swap_test(i, j)
+
+
+def test_clone_classes_are_the_transposition_classes_at_one_test_per_class():
+    # clones form an equivalence, so a generator that fails against one
+    # member of a class fails against each: (i j) = (i i')(i' j)(i i').
+    # A generator is tested once per earlier class of its profile, and
+    # (i j) lies in the searched group exactly when i and j are clones
+    rng = random.Random(35)
+    specs = []
+    for _, spec in sorted(_packaged().items()):
+        specs += [replace(spec, declared_aut=None), _moved(rng, spec.generators)[0]]
+    specs += [_large_search(name) for name in LARGE_SEARCHES]
+    specs += [case.spec for seed in (1, 2, 3) for case in lattice_sums_cases(seed)]
+    swaps = {}
+    for spec in specs:
+        search = _SwapLog(spec)
+        group = search.search()
+        s = search.s
+        clone = {i: c for c in group.classes for i in c}
+        for i, j in combinations(range(1, s + 1), 2):
+            swap = Permutation(tuple(j if x == i else i if x == j else x for x in range(1, s + 1)))
+            assert (swap in group) == (clone.get(i, i) == clone.get(j, j)), (spec.name, i, j)
+        tested = [(clone.get(i + 1, i + 1), j) for i, j in search.tested]
+        assert len(set(tested)) == len(tested), spec.name
+        swaps[spec.name] = search.swaps
+    assert len(specs) == 2 * 28 + 12 + 108
+    assert (swaps["(7,7b)+(7,7b)"], swaps["(7,7b)+(7,7b)+(7,7b)"]) == (19, 39)
 
 
 KITE = ConeSpec("kite", 2, ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1)))
@@ -1101,12 +1142,12 @@ LARGE_SEARCHES = {
     "K_4x3": (24**3 * factorial(3), 109),
     "squarex6": (4**6 * factorial(6), 269),
     "kitex6": (2**6 * factorial(6), 113),
-    "(7,7b)+(7,7b)": (5040**2 * 2, 3_368),
-    "(7,7b)+(7,7b) moved": (5040**2 * 2, 3_558),
-    "(7,7b)+(7,7b)+(7,7b)": (5040**3 * factorial(3), 9_913),
-    "(7,7b)+(7,7b)+(7,7b) moved": (5040**3 * factorial(3), 10_334),
-    "K_3+K_3+(7,7b)+(7,7b)": (72 * 5040**2 * 2, 3_536),
-    "K_3+K_3+(7,7b)+(7,7b) moved": (72 * 5040**2 * 2, 3_539),
+    "(7,7b)+(7,7b)": (5040**2 * 2, 638),
+    "(7,7b)+(7,7b) moved": (5040**2 * 2, 828),
+    "(7,7b)+(7,7b)+(7,7b)": (5040**3 * factorial(3), 1_681),
+    "(7,7b)+(7,7b)+(7,7b) moved": (5040**3 * factorial(3), 2_102),
+    "K_3+K_3+(7,7b)+(7,7b)": (72 * 5040**2 * 2, 722),
+    "K_3+K_3+(7,7b)+(7,7b) moved": (72 * 5040**2 * 2, 809),
 }
 
 
@@ -1330,6 +1371,46 @@ def test_lattice_split_of_eleven_generators_is_fast():
 def test_lattice_components_are_the_matroid_components(rows):
     # _Lattice reads the fundamental circuits of B from the supports of its coordinates
     assert _Lattice(rows).components == [list(c) for c in matroid_components(rows)]
+
+
+def _connected_classes(n: int, sets) -> list[list[int]]:
+    """The connected components of the graph on 0..n-1 that joins each set's members, by breadth-first search."""
+    neighbours = [set() for _ in range(n)]
+    for group in sets:
+        for i in group:
+            neighbours[i] |= group
+    seen, classes = set(), []
+    for start in range(n):
+        if start not in seen:
+            seen.add(start)
+            queue = [start]
+            for x in queue:
+                for y in neighbours[x] - seen:
+                    seen.add(y)
+                    queue.append(y)
+            classes.append(sorted(queue))
+    return classes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.frozensets(st.integers(0, n - 1), max_size=4), max_size=8))
+    )
+)
+# no sets: all singletons; {1, 4, 5} joins the classes of {0, 4} and {2, 5}
+@example((0, []))
+@example((4, []))
+@example((4, [set(), {2}]))
+@example((7, [{0, 4}, {2, 5}, {5, 1, 4}]))
+def test_classes_are_the_components_of_the_sets(case):
+    # the finest partition holding each set in one class is the set of
+    # components of the graph the sets span; classes are sorted and
+    # listed by their least element
+    n, sets = case
+    classes = _classes(n, sets)
+    assert classes == _connected_classes(n, sets)
+    assert all(c == sorted(c) for c in classes) and [c[0] for c in classes] == sorted(c[0] for c in classes)
 
 
 def test_list_generators_are_stored_as_tuples():
