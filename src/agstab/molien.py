@@ -291,6 +291,6 @@ def molien_series_naive(action: LinearAction, order: int = DEFAULT_ORDER) -> Tru
         if action.is_permutation_action:
             term = product_form(Counter(g.cycle_type()), order)
         else:
-            term = det_one_minus_tA(action.matrix(g)).as_order(order).inverse()
+            term = TruncatedSeries(det_one_minus_tA(action.matrix(g)).coefficients, order).inverse()
         acc = acc + term
     return _validated(acc / action.group.order)

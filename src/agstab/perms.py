@@ -224,12 +224,6 @@ class PermGroup:
         gens += [Permutation._trusted(g) for g in quotient_gens if g != identity.images]
         return cls(degree, tuple(gens) or (identity,), sorted(images), classes)
 
-    @classmethod
-    def symmetric(cls, degree: int) -> "PermGroup":
-        """The symmetric group on 1..degree: one clone class."""
-        points = tuple(range(1, degree + 1))
-        return cls.from_quotient(degree, (points,), (points,))
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 

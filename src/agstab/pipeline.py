@@ -67,8 +67,9 @@ class Dataset(_DatasetFields):
     """A family of cone class records, complete through one dimension.
 
     completeness_dim is the largest dimension D >= 0 through which the
-    record list covers every irreducible orbit; None means the list is
-    exact at all orders (synthetic collections).
+    record list covers every irreducible orbit; None means it covers
+    every orbit (synthetic collections).  A count-only record fixes
+    only its t^dimension term, so it bounds validity too (_valid_up_to).
     """
 
     __slots__ = ()
@@ -245,17 +246,20 @@ def display_series(dataset: Dataset, order: int = DEFAULT_ORDER) -> TruncatedSer
     )
 
 
+def _valid_up_to(dataset: Dataset, order: int, shift: int) -> int:
+    """The last degree that every record determines.
+
+    A count-only record of dimension d fixes its t^d term and nothing
+    above it; shift is 0 where that term is added (Betti) and 1 where
+    it is left out (display).
+    """
+    bounds = [order] if dataset.completeness_dim is None else [order, dataset.completeness_dim]
+    return min(bounds + [r.dimension - shift for r in dataset.count_only_records])
+
+
 def display_report(dataset: Dataset, order: int = DEFAULT_ORDER) -> BettiReport:
-    valid = order
-    if dataset.completeness_dim is not None:
-        valid = min(order, dataset.completeness_dim)
-        if dataset.count_only_records:
-            valid = min(valid, dataset.completeness_dim - 1)
-    return BettiReport(
-        series=display_series(dataset, order),
-        valid_up_to=valid,
-        includes_lambda=False,
-    )
+    """The display series; it leaves out each count-only t^d term, so it is valid below every such d."""
+    return BettiReport(display_series(dataset, order), _valid_up_to(dataset, order, 1), includes_lambda=False)
 
 
 def betti_series(
@@ -263,15 +267,14 @@ def betti_series(
 ) -> BettiReport:
     """Coefficients of Exp(lambda part + generator series).
 
-    Coefficients beyond the dataset's completeness dimension are lower
-    bounds only; valid_up_to marks the trustworthy range.
+    t^k reads the generator series through t^k, so valid_up_to is the
+    completeness dimension or the lowest count-only dimension, if less
+    than order; the coefficients past it are lower bounds only.
     """
     arg = generator_series(dataset, order)
     if include_lambda:
         arg = arg + lambda_series(order)
-    series = exp_series(arg)
-    valid = order if dataset.completeness_dim is None else min(order, dataset.completeness_dim)
-    return BettiReport(series=series, valid_up_to=valid, includes_lambda=include_lambda)
+    return BettiReport(exp_series(arg), _valid_up_to(dataset, order, 0), include_lambda)
 
 
 # -- validation ------------------------------------------------------------

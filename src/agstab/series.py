@@ -22,10 +22,14 @@ SERIES_KEYS = ("order", "coefficients")
 
 
 def _frac(x) -> int | Fraction:
-    """An exact coefficient: an int, or a Fraction whose denominator is greater than 1."""
+    """An exact coefficient: an int, or a Fraction whose denominator is greater than 1.
+
+    x is an int, a Fraction or a string Fraction reads exactly ("3/2",
+    "0.3"); anything else, a float or a bool included, is a TypeError.
+    """
     if type(x) is int:
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, str):
         x = Fraction(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
@@ -83,16 +87,8 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
-            raise ValueError("truncate cannot extend a series; use as_order for exact polynomials")
+            raise ValueError("truncate cannot extend a series; TruncatedSeries(coefficients, order) pads a polynomial")
         return TruncatedSeries(self._coeffs[: order + 1])
-
-    def as_order(self, order: int) -> "TruncatedSeries":
-        """Re-truncate, padding with zeros.
-
-        Only meaningful when the caller knows the series exactly (for
-        example a polynomial); padding invents zero coefficients.
-        """
-        return TruncatedSeries(self._coeffs, order)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -208,12 +204,13 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TruncatedSeries":
+        """The series of {"order": N, "coefficients": [c_0, .., c_N]}; each c_k is read by _frac, so no float passes."""
         json_object(payload, SERIES_KEYS, "series payload")
+        order = json_int(payload.get("order"), "series order")
         try:
-            order = json_int(payload["order"], "series order")
-            coeffs = [Fraction(str(c)) for c in json_list(payload["coefficients"], "coefficients")]
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed series payload: {exc}") from exc
+            coeffs = [_frac(c) for c in json_list(payload.get("coefficients"), "coefficients")]
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise InputError(f"coefficients must be JSON integers or strings of exact rationals: {exc}") from exc
         if order < 0:
             raise InputError(f"series payload order must be non-negative, got {order}")
         if len(coeffs) != order + 1:

@@ -20,7 +20,7 @@ from agstab.pipeline import Dataset, betti_series, generator_series, load_cone_s
 from agstab.series import TruncatedSeries
 from agstab.symfunc import exp_series, exp_series_via_h, plethysm_h
 from lattice_oracles import flattened_form_coordinates, same_coordinates
-from wreath import wreath_product
+from wreath import symmetric_group, wreath_product
 
 
 @pytest.fixture
@@ -100,7 +100,7 @@ def test_criterion_5_property_suite(announce):
         ok = ok and molien_series(action, 10) == molien_series_naive(action, 10)
 
     # wreath-product invariants equal plethysm
-    for base in (PermGroup.from_generators([Permutation.identity(1)]), PermGroup.symmetric(2), PermGroup.symmetric(3)):
+    for base in (PermGroup.from_generators([Permutation.identity(1)]), symmetric_group(2), symmetric_group(3)):
         inner = molien_series(LinearAction.natural(base), 15)
         for n in range(1, 4):
             w = wreath_product(base, n)

@@ -123,6 +123,24 @@ def test_series_exp_rejects_garbage(capsys, monkeypatch):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "coefficient", ["0.30000000000000001", "12345678901234567.5", "true", "null", "[1]", '"1/0"', '"x"']
+)
+def test_series_coefficient_that_is_not_exact_is_input_error(capsys, monkeypatch, coefficient):
+    # a JSON float is rounded as it is parsed: 0.30000000000000001 would read as 3/10
+    monkeypatch.setattr("sys.stdin", io.StringIO(f'{{"order": 2, "coefficients": [0, {coefficient}, 1]}}'))
+    code, out, err = run(capsys, "series", "plethysm", "--degree", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: coefficients must be JSON integers or strings of exact rationals"), err
+
+
+def test_series_coefficients_are_read_exactly(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"order": 3, "coefficients": [0, "0.30000000000000001", "4/2", 5]}'))
+    code, out, err = run(capsys, "series", "plethysm", "--degree", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"] == ["0", "30000000000000001/100000000000000000", "2", "5"]
+
+
 def test_molien_group_file(capsys, tmp_path):
     path = tmp_path / "s3.json"
     path.write_text(json.dumps({"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}))
@@ -566,7 +584,8 @@ def _int_lists(value) -> bool:
 
 
 def _ill_typed(kind, cone, group, series, manifest) -> bool:
-    """A non-integer where an integer belongs, or a non-list where a list belongs."""
+    """A non-integer where an integer belongs, a non-list where a list belongs,
+    or a series coefficient that is neither an integer nor a string."""
     if kind == "manifest":
         entries = manifest["count_only"]
         return not (
@@ -586,7 +605,9 @@ def _ill_typed(kind, cone, group, series, manifest) -> bool:
             _is_int(group["degree"]) and _int_lists(group["generators"])
         )
     return isinstance(series, dict) and not (
-        _is_int(series["order"]) and isinstance(series["coefficients"], list)
+        _is_int(series["order"])
+        and isinstance(series["coefficients"], list)
+        and all(_is_int(c) or isinstance(c, str) for c in series["coefficients"])
     )
 
 

@@ -11,6 +11,7 @@ from agstab.intlinalg import integer_coordinates
 from agstab.molien import LinearAction, det_from_power_sums, molien_series, molien_series_naive
 from agstab.perms import PermGroup, Permutation
 from agstab.series import RationalMatrix, TruncatedSeries, expand_rational_form, product_form
+from wreath import symmetric_group
 
 
 def natural(group):
@@ -24,14 +25,14 @@ def test_trivial_group():
 
 def test_symmetric_groups_give_staircase_products():
     for n in range(2, 6):
-        s = molien_series(natural(PermGroup.symmetric(n)), 12)
+        s = molien_series(natural(symmetric_group(n)), 12)
         assert s == product_form({i: 1 for i in range(1, n + 1)}, 12)
 
 
 def test_class_reduction_agrees_with_naive_average():
     # the sum keyed by cycle type against the element-by-element average
     groups = [
-        PermGroup.symmetric(4),
+        symmetric_group(4),
         PermGroup.from_generators([Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)])]),
         PermGroup.from_generators([Permutation.from_cycles(4, [(1, 2), (3, 4)]),
                                    Permutation.from_cycles(4, [(1, 3), (2, 4)])]),
@@ -132,7 +133,7 @@ def test_from_matrices_rejects_non_homomorphism():
 
 def test_naive_cap():
     with pytest.raises(CapExceeded):
-        molien_series_naive(natural(PermGroup.symmetric(8)), 4)
+        molien_series_naive(natural(symmetric_group(8)), 4)
 
 
 def permutation_matrix(images):
@@ -141,7 +142,7 @@ def permutation_matrix(images):
 
 
 def test_permutation_fast_path_equals_matrix_path():
-    g = PermGroup.symmetric(4)
+    g = symmetric_group(4)
     action = natural(g)
     mats = {p: permutation_matrix(p.images) for p in g.elements}
     explicit = LinearAction.from_matrices(g, mats)
@@ -149,7 +150,7 @@ def test_permutation_fast_path_equals_matrix_path():
 
 
 def test_keyed_sum_refers_explicit_matrices_to_the_naive_sum():
-    g = PermGroup.symmetric(3)
+    g = symmetric_group(3)
     explicit = LinearAction.from_matrices(g, {p: permutation_matrix(p.images) for p in g.elements})
     with pytest.raises(TypeError, match="molien_series_naive"):
         molien_series(explicit, 4)
@@ -181,7 +182,7 @@ def test_span_action_rejects_clones_with_one_vector():
     # w_1 = w_2 spans Q with S_2 acting trivially, so P = 1/(1 - t); the
     # relation e_1 - e_2 is moved by (1 2), and the sum over H would read
     # (1 - t)/((1 - t)(1 - t^2)) = 1/(1 - t^2)
-    group = PermGroup.symmetric(2)
+    group = symmetric_group(2)
     assert molien_series_naive(LinearAction.from_matrices(group, {p: RationalMatrix([[1]]) for p in group}), 4) == (
         product_form({1: 1}, 4))
     with pytest.raises(InconsistentAction, match="clones"):

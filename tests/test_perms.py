@@ -14,7 +14,7 @@ from agstab.errors import CapExceeded, DegreeMismatch
 from agstab.molien import LinearAction, _cycle_type, molien_series, molien_series_naive
 from agstab.perms import PermGroup, Permutation
 from lattice_sums import PACKAGED, lattice_sums_cases
-from wreath import wreath_product
+from wreath import symmetric_group, wreath_product
 
 
 def bfs_closure(generators, degree):
@@ -96,12 +96,12 @@ def test_closure_orders():
     v4 = PermGroup.from_generators([Permutation.from_cycles(4, [(1, 2), (3, 4)]),
                                     Permutation.from_cycles(4, [(1, 3), (2, 4)])])
     assert v4.order == 4
-    assert PermGroup.symmetric(4).order == 24
+    assert symmetric_group(4).order == 24
     assert PermGroup.from_generators([Permutation.identity(6)]).order == 1
 
 
 def test_symmetric_group_matches_exhaustive_enumeration():
-    got = {p.images for p in PermGroup.symmetric(4).elements}
+    got = {p.images for p in symmetric_group(4).elements}
     expect = {tuple(img) for img in itertools.permutations(range(1, 5))}
     assert got == expect
 
@@ -119,14 +119,14 @@ def test_direct_product():
 
 
 def test_wreath_product_order_and_degree():
-    w = wreath_product(PermGroup.symmetric(2), 3)
+    w = wreath_product(symmetric_group(2), 3)
     assert w.degree == 6
     assert w.order == 2 ** 3 * 6
-    w2 = wreath_product(PermGroup.symmetric(3), 2)
+    w2 = wreath_product(symmetric_group(3), 2)
     assert w2.degree == 6
     assert w2.order == 6 * 6 * 2
     with pytest.raises(CapExceeded):
-        wreath_product(PermGroup.symmetric(3), 3, cap=6 ** 3 * 6 - 1)
+        wreath_product(symmetric_group(3), 3, cap=6 ** 3 * 6 - 1)
 
 
 def test_group_closure_cap(monkeypatch):
@@ -235,7 +235,7 @@ def test_membership_matches_the_listed_group():
 
 
 def test_packed_cycle_type_matches_cycles():
-    for p in PermGroup.symmetric(6):
+    for p in symmetric_group(6):
         assert _cycle_type(p.images, [1] * 6) == tuple(sorted(len(c) for c in p.cycles())) == p.cycle_type()
 
 

@@ -1,6 +1,11 @@
 """Dataset assembly, generating series, and the stable Betti pipeline."""
 
+import json
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agstab.cones import cyclic_cone
 from agstab.errors import InputError
@@ -121,6 +126,64 @@ def test_display_report_caps_below_completeness_with_count_only(matroidal_datase
     assert display_report(bare, 12).valid_up_to == 8
 
 
+def _scratch_manifest(tmp_path, completeness_dim, count_only_dim):
+    """sigma_1, K_3 and one count-only class, as a manifest file."""
+    for name in ("sigma_1", "K_3"):
+        text = resources.files("agstab").joinpath("data", "cones", f"{name}.json").read_text()
+        (tmp_path / f"{name}.json").write_text(text)
+    path = tmp_path / "scratch.json"
+    path.write_text(json.dumps({
+        "family": "scratch",
+        "completeness_dim": completeness_dim,
+        "cones": ["sigma_1.json", "K_3.json"],
+        "count_only": [{"dimension": count_only_dim, "rank": 2, "count": 1}],
+    }))
+    return path
+
+
+@pytest.mark.parametrize("completeness_dim, count_only_dim, betti_valid, display_valid", [
+    (4, 2, 2, 1),  # the count-only class, not D, bounds both reports
+    (None, 3, 3, 2),  # with no D, the count-only class alone bounds them
+])
+def test_count_only_records_bound_both_reports(tmp_path, completeness_dim, count_only_dim, betti_valid, display_valid):
+    ds = load_dataset(_scratch_manifest(tmp_path, completeness_dim, count_only_dim), order=6)
+    betti, display = betti_series(ds, 6), display_report(ds, 6)
+    assert (betti.valid_up_to, display.valid_up_to) == (betti_valid, display_valid)
+    # the bound is sharp: a series 1 + t for the count-only class moves the next coefficient of each
+    (count_only,) = ds.count_only_records
+    filled = record(count_only.name, count_only.dimension, count_only.rank, TruncatedSeries([1, 1], 6))
+    known = Dataset(ds.family, full_records(ds) + (filled,), completeness_dim)
+    for report, valid in ((betti_series, betti_valid), (display_report, display_valid)):
+        before, after = report(ds, 6).series.coefficients, report(known, 6).series.coefficients
+        assert before[: valid + 1] == after[: valid + 1]
+        assert before[valid + 1] != after[valid + 1]
+
+
+_poincare = st.lists(st.integers(0, 3), min_size=8, max_size=8).map(lambda tail: TruncatedSeries([1, *tail]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_filling_in_count_only_records_keeps_every_valid_coefficient(data):
+    full = data.draw(st.lists(st.tuples(st.integers(1, 5), _poincare), max_size=3))
+    count_only = data.draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), min_size=1, max_size=3))
+    top = max(dim for dim, _ in full + count_only)
+    completeness_dim = data.draw(st.one_of(st.none(), st.integers(top, 9)))
+    order = data.draw(st.integers(0, 8))
+    records = tuple(record(f"full-{i}", dim, 1, p) for i, (dim, p) in enumerate(full))
+    unknown = tuple(record(f"count-{i}", dim, 1, None, mult) for i, (dim, mult) in enumerate(count_only))
+    # any count-only record may be any full record of its dimension
+    known = tuple(
+        record(r.name, r.dimension, 1, data.draw(_poincare), r.multiplicity) if data.draw(st.booleans()) else r
+        for r in unknown
+    )
+    before = Dataset("d", records + unknown, completeness_dim)
+    after = Dataset("d", records + known, completeness_dim)
+    for report in (betti_series, display_report):
+        a, b = report(before, order), report(after, order)
+        assert a.series.coefficients[: a.valid_up_to + 1] == b.series.coefficients[: a.valid_up_to + 1]
+
+
 def test_perfect_generator_counts_matches_packaged_display(perfect_dataset):
     series = display_series(perfect_dataset, 20)
     assert series == TruncatedSeries.one(20) + generator_series(
@@ -218,8 +281,6 @@ def test_report_serialization(matroidal_dataset):
 
 
 def test_load_dataset_from_manifest_path(tmp_path):
-    import json
-
     cone = cyclic_cone(3)
     (tmp_path / "k3.json").write_text(json.dumps(cone.to_json_dict()))
     manifest = {
@@ -241,8 +302,6 @@ def test_load_dataset_from_manifest_path(tmp_path):
 
 
 def test_manifest_is_checked_before_any_cone_is_analyzed(tmp_path, monkeypatch):
-    import json
-
     import agstab.pipeline
 
     calls = []

@@ -8,13 +8,13 @@ import pytest
 
 import agstab
 from agstab.cones import ConeAnalysis
-from agstab.perms import PermGroup
 from agstab.pipeline import BettiReport, ConeClassRecord, Dataset, SmallnessReport, SmallnessViolation
 from agstab.reference import SuiteCheck, SuiteReport
 from agstab.series import TruncatedSeries
+from wreath import symmetric_group
 
 SERIES = TruncatedSeries([1, 1], 1)
-S3 = PermGroup.symmetric(3)
+S3 = symmetric_group(3)
 SIGMA_1 = "ConeClassRecord(name='sigma_1', dimension=1, rank=1, poincare=TruncatedSeries('1 + t', order=1), multiplicity=1)"
 VIOLATION = "SmallnessViolation(name='x', dimension=1, rank=4)"
 CHECK = "SuiteCheck(label='betti t^0', expected='1', actual='1', ok=True)"

@@ -99,13 +99,13 @@ def test_monomial_and_shift():
     assert s.integer_coefficients() == [0, 0, 1, 1, 1]
 
 
-def test_truncate_and_as_order():
+def test_truncate_and_pad():
     s = product_form({1: 1}, 6)
     assert s.truncate(3).order == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"TruncatedSeries\(coefficients, order\) pads"):
         s.truncate(9)
     p = TruncatedSeries((1, 2, 0))
-    assert p.as_order(5).integer_coefficients() == [1, 2, 0, 0, 0, 0]
+    assert TruncatedSeries(p.coefficients, 5).integer_coefficients() == [1, 2, 0, 0, 0, 0]
 
 
 def test_product_form_single_factors():
@@ -134,7 +134,7 @@ def test_expand_rational_form():
 def test_det_one_minus_tA_matches_cofactor_expansion(rows):
     order = 9
     m = RationalMatrix(tuple(tuple(Fraction(v) for v in r) for r in rows))
-    got = det_one_minus_tA(m).as_order(order)
+    got = TruncatedSeries(det_one_minus_tA(m).coefficients, order)
     poly = [[[Fraction(1 if i == j else 0), -Fraction(rows[i][j])] for j in range(3)]
             for i in range(3)]
     expect = poly_det(poly)
@@ -150,7 +150,7 @@ def test_cycle_type_determines_det_one_minus_tA():
         for length in Permutation(images).cycle_type():
             expect = expect * TruncatedSeries([1] + [0] * (length - 1) + [-1], 5)
         matrix = RationalMatrix([[int(img == x) for img in images] for x in range(1, 6)])
-        assert det_one_minus_tA(matrix).as_order(5) == expect
+        assert TruncatedSeries(det_one_minus_tA(matrix).coefficients, 5) == expect
 
 
 def test_json_round_trip():
@@ -168,6 +168,28 @@ def test_from_json_rejects_malformed_payloads():
         TruncatedSeries.from_json(json.dumps({"order": 2, "coefficients": ["1", "x"]}))
     with pytest.raises(InputError):
         TruncatedSeries.from_json(json.dumps({"order": 3, "coefficients": ["1", "2"]}))
+
+
+def test_json_coefficients_are_read_by_the_one_exact_rule():
+    # a string reads exactly, "4/2" and integral decimals as ints, a JSON integer as itself
+    s = TruncatedSeries.from_json(
+        '{"order": 4, "coefficients": [0, "0.30000000000000001", "4/2", -7, "12345678901234567.5"]}'
+    )
+    assert s.coefficients == (0, Fraction(30000000000000001, 10**17), 2, -7, Fraction(24691357802469135, 2))
+    assert type(s[2]) is int and type(s[3]) is int
+    # a JSON float is already rounded (0.30000000000000001 parses as 0.3, 12345678901234567.5
+    # as 12345678901234568.0), so it is refused with the values that are not numbers
+    for bad in ("0.30000000000000001", "12345678901234567.5", "1.0", "true", "false", "null", "[1]", '{"a": 1}',
+                '"1/0"', '"x"', '""'):
+        with pytest.raises(InputError, match="^coefficients must be JSON integers or strings of exact rationals"):
+            TruncatedSeries.from_json(f'{{"order": 1, "coefficients": [0, {bad}]}}')
+
+
+def test_coefficients_are_ints_fractions_or_strings():
+    assert TruncatedSeries([1, Fraction(4, 2), "3/6"]).coefficients == (1, 2, Fraction(1, 2))
+    for bad in (0.5, True, None):
+        with pytest.raises(TypeError, match="as an exact coefficient"):
+            TruncatedSeries([1, bad])
 
 
 def test_integer_coefficients_rejects_fractions():
@@ -277,7 +299,7 @@ def test_truncation_and_json_keep_coefficients_exact(a, order):
     s, fa = TruncatedSeries(a), fracs(a)
     if order <= s.order:
         assert exact(s.truncate(order)) == tuple(fa[: order + 1])
-    assert exact(s.as_order(order)) == tuple((fa + [Fraction(0)] * order)[: order + 1])
+    assert exact(TruncatedSeries(s.coefficients, order)) == tuple((fa + [Fraction(0)] * order)[: order + 1])
     # unreduced strings such as "4/2" read back as ints
     payload = {"order": s.order, "coefficients": [f"{2 * x.numerator}/{2 * x.denominator}" for x in fa]}
     assert exact(TruncatedSeries.from_json_dict(payload)) == tuple(fa)

@@ -20,7 +20,7 @@ from agstab.molien import LinearAction, molien_series
 from agstab.perms import PermGroup, Permutation
 from agstab.series import TruncatedSeries, product_form
 from agstab.symfunc import exp_series, exp_series_via_h, plethysm_h
-from wreath import wreath_product
+from wreath import symmetric_group, wreath_product
 
 
 def partitions(n):
@@ -82,7 +82,7 @@ def test_partition_counts():
 
 def test_cycle_type_count_matches_enumeration():
     n = 6
-    counts = Counter(p.cycle_type() for p in PermGroup.symmetric(n).elements)
+    counts = Counter(p.cycle_type() for p in symmetric_group(n).elements)
     for parts, count in counts.items():
         assert cycle_type_count(n, parts) == count
     assert sum(counts.values()) == math.factorial(n)
@@ -182,7 +182,7 @@ def test_plethysm_h1_is_identity():
 
 
 def test_wreath_molien_equals_plethysm():
-    bases = [PermGroup.from_generators([Permutation.identity(1)]), PermGroup.symmetric(2), PermGroup.symmetric(3)]
+    bases = [PermGroup.from_generators([Permutation.identity(1)]), symmetric_group(2), symmetric_group(3)]
     for base in bases:
         inner = molien_series(LinearAction.natural(base), 15)
         for n in range(1, 4):

@@ -1,10 +1,16 @@
-"""Wreath products base wr S_n: the enumerated groups that tests set against plethysm_h."""
+"""S_n, and wreath products base wr S_n: the enumerated groups that tests set against plethysm_h."""
 
 import itertools
 from math import factorial
 
 from agstab.errors import CapExceeded
 from agstab.perms import DEFAULT_CAP, Permutation, PermGroup
+
+
+def symmetric_group(n: int) -> PermGroup:
+    """S_n on 1..n: one clone class holding every point."""
+    points = tuple(range(1, n + 1))
+    return PermGroup.from_quotient(n, [points], [points])
 
 
 def wreath_product(base: PermGroup, n: int, cap: int = DEFAULT_CAP) -> PermGroup:
